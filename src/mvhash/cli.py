@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__, centers as centers_mod, formats, retrieval, trainer
 from .data import MultiViewDataset, SynthSpec, make_synthetic
-from .errors import InvalidArgument
+from .errors import FormatError, InvalidArgument
 from .net import FUSION_MODES
 
 SEED_ENV = "MVHASH_SEED"
@@ -122,17 +122,35 @@ def cmd_synth(args):
     return 0
 
 
+def _load_splits(path, n, names):
+    """Index arrays of the named splits; each must hold distinct integers in [0, n)."""
+    splits = json.loads(Path(path).read_text())
+    out = {}
+    for name in names:
+        idx = splits.get(name) if isinstance(splits, dict) else None
+        if not isinstance(idx, list):
+            raise FormatError(f"{path}: split {name!r} is missing or not a list")
+        seen = set()
+        for i in idx:
+            if type(i) is not int or not 0 <= i < n:
+                raise FormatError(f"{path}: split {name!r} has index {i!r}, "
+                                  f"not an integer in [0, {n})")
+            if i in seen:
+                raise FormatError(f"{path}: split {name!r} repeats index {i}")
+            seen.add(i)
+        out[name] = np.asarray(idx, dtype=np.int64)
+    return out
+
+
 def _load_dataset(args):
     img = formats.load_features(args.image_features)
     txt = formats.load_features(args.text_features)
     labels = formats.load_labels(args.labels)
-    splits = json.loads(Path(args.splits).read_text())
     n = img.shape[0]
     masks = {}
-    for name in ("train", "retrieval", "query"):
-        m = np.zeros(n, dtype=bool)
-        m[np.asarray(splits[name], dtype=int)] = True
-        masks[name] = m
+    for name, idx in _load_splits(args.splits, n, ("train", "retrieval", "query")).items():
+        masks[name] = np.zeros(n, dtype=bool)
+        masks[name][idx] = True
     return MultiViewDataset(
         image_features=img, text_features=txt, labels=labels,
         train_mask=masks["train"], retrieval_mask=masks["retrieval"],
@@ -204,16 +222,16 @@ def cmd_train(args):
 
 
 def cmd_encode(args):
+    if args.split and not args.splits:
+        raise InvalidArgument("--split needs --splits")
     params = formats.load_checkpoint(args.checkpoint)
     side = json.loads(Path(str(args.checkpoint) + ".json").read_text())
     fusion = side.get("fusion", "gmu")
     img = formats.load_features(args.image_features, expected_dim=params.dims.d_img)
     txt = formats.load_features(args.text_features, expected_dim=params.dims.d_txt)
     labels = formats.load_labels(args.labels)
-    take = None
-    if args.splits and args.split:
-        splits = json.loads(Path(args.splits).read_text())
-        take = np.asarray(splits[args.split], dtype=int)
+    if args.split:
+        take = _load_splits(args.splits, img.shape[0], (args.split,))[args.split]
         img, txt, labels = img[take], txt[take], labels[take]
     codes = trainer.encode(params, img, txt, fusion=fusion)
     formats.save_codes(retrieval.pack_codes(codes), labels, params.dims.code_length, args.out)
@@ -230,6 +248,15 @@ def _load_index(path):
     return retrieval.RetrievalIndex(packed, labels, k)
 
 
+def _load_index_and_queries(args):
+    """The --codes index and the --queries file as (index, +-1 codes, labels)."""
+    index = _load_index(args.codes)
+    q_packed, q_labels, qk = formats.load_codes(args.queries)
+    if qk != index.code_length:
+        raise InvalidArgument(f"query K={qk} != index K={index.code_length}")
+    return index, retrieval.unpack_codes(q_packed, qk), q_labels
+
+
 def cmd_index(args):
     index = _load_index(args.codes)
     counts = index.labels.sum(axis=0)
@@ -240,11 +267,7 @@ def cmd_index(args):
 
 
 def cmd_query(args):
-    index = _load_index(args.codes)
-    q_packed, q_labels, qk = formats.load_codes(args.queries)
-    if qk != index.code_length:
-        raise InvalidArgument(f"query K={qk} != index K={index.code_length}")
-    q_codes = retrieval.unpack_codes(q_packed, qk)
+    index, q_codes, q_labels = _load_index_and_queries(args)
     rows = []
     for qid, code in enumerate(q_codes):
         result = index.query_topk(code, args.k)
@@ -259,11 +282,7 @@ def cmd_query(args):
 
 
 def cmd_eval(args):
-    index = _load_index(args.codes)
-    q_packed, q_labels, qk = formats.load_codes(args.queries)
-    if qk != index.code_length:
-        raise InvalidArgument(f"query K={qk} != index K={index.code_length}")
-    q_codes = retrieval.unpack_codes(q_packed, qk)
+    index, q_codes, q_labels = _load_index_and_queries(args)
     r_cap = args.r_cap or index.size
     value = retrieval.mean_average_precision(q_codes, q_labels, index, r_cap)
     _write_csv(args.out, ["num_queries", "retrieval_size", "code_length", "r_cap", "map"],
@@ -276,11 +295,7 @@ def cmd_eval(args):
 
 
 def cmd_curves(args):
-    index = _load_index(args.codes)
-    q_packed, q_labels, qk = formats.load_codes(args.queries)
-    if qk != index.code_length:
-        raise InvalidArgument(f"query K={qk} != index K={index.code_length}")
-    q_codes = retrieval.unpack_codes(q_packed, qk)
+    index, q_codes, q_labels = _load_index_and_queries(args)
     k_grid = sorted(set(args.k_grid))
     rows = retrieval.curves(q_codes, q_labels, index, k_grid)
     _write_csv(args.out, ["k", "map_at_k", "recall_at_k"], rows)

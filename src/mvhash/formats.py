@@ -63,6 +63,18 @@ class _Reader:
         raw = self.take(np.dtype(dtype).itemsize * count, what)
         return np.frombuffer(raw, dtype=dtype).copy()
 
+    def packed_rows(self, n, width, what):
+        """n rows of ceil(width/8) LSB-first bytes whose padding bits must be zero."""
+        nbytes, start = -(-width // 8), self.pos
+        rows = self.array(np.uint8, n * nbytes, what).reshape(n, nbytes)
+        bad = np.flatnonzero(rows[:, -1] >> (width % 8)) if width % 8 else ()
+        if len(bad):
+            offset = start + int(bad[0]) * nbytes + nbytes - 1
+            raise FormatError(
+                f"{self.path}: non-zero padding bits in {what} at byte offset {offset}"
+            )
+        return rows
+
     def done(self):
         if self.pos != len(self.buf):
             raise FormatError(
@@ -114,7 +126,7 @@ def load_centers(path) -> centers_mod.HashCenterSet:
     tag = r.u8("method tag")
     if tag not in _METHOD_NAMES:
         raise FormatError(f"{r.path}: unknown method tag {tag}")
-    packed = r.array(np.uint8, v * (-(-k // 8)), "packed centers").reshape(v, -1)
+    packed = r.packed_rows(v, k, "packed centers")
     r.done()
     return centers_mod.HashCenterSet(
         centers=unpack_codes(packed, k),
@@ -160,7 +172,7 @@ def load_labels(path) -> np.ndarray:
     _version(r)
     n = r.u32("row count")
     v = r.u32("num_classes")
-    packed = r.array(np.uint8, n * (-(-v // 8)), "label rows").reshape(n, -1)
+    packed = r.packed_rows(n, v, "label rows")
     r.done()
     return unpack_multihot(packed, v)
 
@@ -184,9 +196,9 @@ def load_codes(path) -> tuple[np.ndarray, np.ndarray, int]:
     _version(r)
     n = r.u32("code count")
     k = r.u32("code_length")
-    packed = r.array(np.uint8, n * (-(-k // 8)), "packed codes").reshape(n, -1)
+    packed = r.packed_rows(n, k, "packed codes")
     v = r.u32("num_classes")
-    lab = r.array(np.uint8, n * (-(-v // 8)), "label rows").reshape(n, -1)
+    lab = r.packed_rows(n, v, "label rows")
     r.done()
     return packed, unpack_multihot(lab, v), k
 

@@ -108,21 +108,32 @@ class RetrievalIndex:
             raise InvalidArgument(f"k must be >= 1, got {k}")
         d = self.distances(query_code)
         k = min(k, self.size)
-        if k < self.size:
-            part = np.argpartition(d, k - 1)[:k]
-            thresh = d[part].max()
-            cand = np.flatnonzero(d <= thresh)  # ascending id already
-        else:
-            cand = np.arange(self.size)
-        order = np.argsort(d[cand], kind="stable")  # stable keeps id tie rule
-        ids = cand[order][:k]
+        # Ascending-id candidates + a stable sort = the id tie rule; narrow keys radix-sort.
+        cand = np.flatnonzero(d <= np.partition(d, k - 1)[k - 1]) if k < self.size else None
+        key = (d if cand is None else d[cand]).astype(np.min_scalar_type(self.code_length))
+        order = np.argsort(key, kind="stable")[:k]
+        ids = order if cand is None else cand[order]
         return QueryResult(ids=ids, distances=d[ids])
 
 
 def relevance(query_label: np.ndarray, index: RetrievalIndex) -> np.ndarray:
     """Boolean mask: an item is relevant if it shares any active class."""
     q = np.asarray(query_label).ravel()
-    return (index.labels @ q.astype(np.int64)) > 0
+    if q.shape[0] != index.labels.shape[1]:
+        raise InvalidArgument(f"query has {q.shape[0]} classes, index {index.labels.shape[1]}")
+    return index.labels[:, np.flatnonzero(q)].any(axis=1)
+
+
+def _ranked_relevance(query_label, ids, index) -> tuple[np.ndarray, int]:
+    """Relevance of `ids` in rank order, and M = relevant items in the whole index."""
+    mask = relevance(query_label, index)
+    return mask[ids], int(np.count_nonzero(mask))
+
+
+def _precision_terms(rel: np.ndarray) -> np.ndarray:
+    """rel_r * precision@r at each rank r; AP@k is the sum of the first k over M."""
+    r = rel.astype(np.float64)
+    return r * np.cumsum(r) / np.arange(1, r.size + 1, dtype=np.float64)
 
 
 def average_precision(
@@ -135,15 +146,9 @@ def average_precision(
 
     M counts relevant items in the whole retrieval set; returns 0 when M = 0.
     """
-    rel_mask = relevance(query_label, index)
-    m = int(rel_mask.sum())
-    if m == 0:
-        return 0.0
     cap = len(ranking.ids) if r_cap is None else min(r_cap, len(ranking.ids))
-    rel = rel_mask[ranking.ids[:cap]].astype(np.float64)
-    cum = np.cumsum(rel)
-    ranks = np.arange(1, cap + 1, dtype=np.float64)
-    return float(np.sum(rel * cum / ranks) / m)
+    rel, m = _ranked_relevance(query_label, ranking.ids[:cap], index)
+    return float(np.sum(_precision_terms(rel)) / m) if m else 0.0
 
 
 def mean_average_precision(
@@ -158,11 +163,10 @@ def mean_average_precision(
     if qc.shape[0] < 1:
         raise InvalidArgument("empty query set")
     cap = index.size if r_cap is None else min(r_cap, index.size)
-    aps = []
-    for code, label in zip(qc, ql):
-        ranking = index.query_topk(code, cap)
-        aps.append(average_precision(label, ranking, index, cap))
-    return float(np.mean(aps))
+    return float(np.mean([
+        average_precision(label, index.query_topk(code, cap), index)
+        for code, label in zip(qc, ql)
+    ]))
 
 
 def curves(
@@ -171,26 +175,23 @@ def curves(
     index: RetrievalIndex,
     k_grid: list[int],
 ) -> list[tuple[int, float, float]]:
-    """(k, mAP@k, Recall@k) rows for a strictly increasing k grid."""
+    """(k, mAP@k, Recall@k) rows for a strictly increasing k grid, one ranked pass per query."""
     ks = list(k_grid)
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise InvalidArgument("k_grid must be strictly increasing")
     qc = np.atleast_2d(np.asarray(query_codes))
     ql = np.atleast_2d(np.asarray(query_labels))
-    kmax = min(max(ks), index.size)
-    rows = []
-    rankings = [index.query_topk(code, kmax) for code in qc]
-    for k in ks:
-        kk = min(k, index.size)
-        aps, recalls = [], []
-        for ranking, label in zip(rankings, ql):
-            aps.append(average_precision(label, ranking, index, kk))
-            rel_mask = relevance(label, index)
-            m = int(rel_mask.sum())
-            hit = int(rel_mask[ranking.ids[:kk]].sum())
-            recalls.append(hit / m if m > 0 else 0.0)
-        rows.append((k, float(np.mean(aps)), float(np.mean(recalls))))
-    return rows
+    caps = [min(k, index.size) for k in ks]
+    aps, recalls = np.zeros((2, len(ks), qc.shape[0]))
+    for j, (code, label) in enumerate(zip(qc, ql)):
+        rel, m = _ranked_relevance(label, index.query_topk(code, max(caps)).ids, index)
+        if m == 0:
+            continue
+        terms, hits = _precision_terms(rel), np.cumsum(rel)
+        for i, cap in enumerate(caps):
+            aps[i, j] = np.sum(terms[:cap]) / m
+            recalls[i, j] = int(hits[cap - 1]) / m
+    return [(k, float(np.mean(a)), float(np.mean(r))) for k, a, r in zip(ks, aps, recalls)]
 
 
 def random_ranking_map(
@@ -199,9 +200,8 @@ def random_ranking_map(
     """mAP of a uniformly random ranking; the no-learning baseline."""
     rng = np.random.default_rng(seed)
     ql = np.atleast_2d(np.asarray(query_labels))
-    aps = []
-    for label in ql:
-        perm = rng.permutation(index.size)
-        ranking = QueryResult(ids=perm, distances=np.zeros(index.size, dtype=np.int64))
-        aps.append(average_precision(label, ranking, index))
-    return float(np.mean(aps))
+    zeros = np.zeros(index.size, dtype=np.int64)
+    return float(np.mean([
+        average_precision(label, QueryResult(rng.permutation(index.size), zeros), index)
+        for label in ql
+    ]))

@@ -132,6 +132,49 @@ def test_curves_subcommand(pipeline):
     assert recalls[-1] == pytest.approx(1.0)
 
 
+def _encode_args(pipeline, out, *extra):
+    data = pipeline / "data"
+    return ["encode", "--checkpoint", str(pipeline / "model.csmv"),
+            "--image-features", str(data / "image_features.csft"),
+            "--text-features", str(data / "text_features.csft"),
+            "--labels", str(data / "labels.cslb"), "--out", str(out), *extra]
+
+
+def test_encode_split_without_splits_fails(pipeline, tmp_path, capsys):
+    out = tmp_path / "q.cscd"
+    assert run(*_encode_args(pipeline, out, "--split", "query")) != 0
+    assert "--splits" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad, message", [
+    (-1, "index -1, not an integer in [0, 120)"),
+    (120, "index 120, not an integer in [0, 120)"),
+    (2.0, "index 2.0, not an integer"),
+    ("dup", "repeats index"),
+], ids=["negative", "out_of_range", "float", "duplicate"])
+@pytest.mark.parametrize("stage", ["train", "encode"])
+def test_bad_split_index_rejected(pipeline, tmp_path, capsys, stage, bad, message):
+    data = pipeline / "data"
+    splits = json.loads((data / "splits.json").read_text())
+    query = splits["query"]
+    query.append(query[0] if bad == "dup" else bad)
+    path = tmp_path / "splits.json"
+    path.write_text(json.dumps(splits))
+    if stage == "train":
+        argv = ["train", "--image-features", str(data / "image_features.csft"),
+                "--text-features", str(data / "text_features.csft"),
+                "--labels", str(data / "labels.cslb"), "--splits", str(path),
+                "--centers", str(pipeline / "centers.cshc"),
+                "--out", str(tmp_path / "m.csmv"), "--epochs", "1"]
+    else:
+        argv = _encode_args(pipeline, tmp_path / "q.cscd",
+                            "--splits", str(path), "--split", "query")
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and "'query'" in err and message in err
+
+
 def test_conflicting_ablation_flags(tmp_path):
     assert run("train", "--image-features", "x", "--text-features", "x",
                "--labels", "x", "--splits", "x", "--centers", "x",

@@ -89,6 +89,53 @@ def test_codes_roundtrip(tmp_path):
     assert (lab == labels).all()
 
 
+def _set_bits(path, offset, mask):
+    data = bytearray(path.read_bytes())
+    data[offset] |= mask
+    path.write_bytes(bytes(data))
+
+
+def test_codes_padding_bits_rejected(tmp_path):
+    # K=12: 2 bytes per code row, the top 4 bits of byte 1 are padding. Set,
+    # they used to put an identical query at Hamming distance 4.
+    from mvhash.retrieval import pack_codes
+
+    codes = np.ones((3, 12), dtype=np.int8)
+    path = tmp_path / "c.cscd"
+    formats.save_codes(pack_codes(codes), np.ones((3, 5), np.uint8), 12, path)
+    _set_bits(path, 16 + 2 * 2 + 1, 0xF0)  # header 16 bytes, row 2, byte 1
+    with pytest.raises(FormatError, match=r"c\.cscd: non-zero padding bits in packed "
+                                          r"codes at byte offset 21"):
+        formats.load_codes(path)
+
+
+def test_codes_label_padding_bits_rejected(tmp_path):
+    from mvhash.retrieval import pack_codes
+
+    path = tmp_path / "c.cscd"
+    formats.save_codes(pack_codes(np.ones((3, 8), np.int8)), np.ones((3, 5), np.uint8), 8, path)
+    # header 16, codes 3 x 1 byte, u32 V, then one byte per label row
+    _set_bits(path, 16 + 3 + 4 + 1, 0x20)
+    with pytest.raises(FormatError, match="label rows at byte offset 24"):
+        formats.load_codes(path)
+
+
+def test_labels_padding_bits_rejected(tmp_path):
+    path = tmp_path / "l.cslb"
+    formats.save_labels(np.zeros((4, 21), np.uint8), path)
+    _set_bits(path, 16 + 3 * 3 + 2, 0x80)  # row 3, byte 2 holds classes 16-20
+    with pytest.raises(FormatError, match=r"l\.cslb: .*label rows at byte offset 27"):
+        formats.load_labels(path)
+
+
+def test_centers_padding_bits_rejected(tmp_path):
+    path = tmp_path / "c.cshc"
+    formats.save_centers(generate_centers(4, 12, seed=3), path)
+    _set_bits(path, 25 + 1, 0x10)  # header 25 bytes, row 0, byte 1
+    with pytest.raises(FormatError, match="byte offset 26"):
+        formats.load_centers(path)
+
+
 def test_checkpoint_roundtrip(tmp_path):
     dims = net.Dims(d_img=5, d_txt=7, d=4, code_length=6)
     p = net.init_params(dims, seed=33)

@@ -240,3 +240,104 @@ def test_curves_rejects_non_increasing_grid():
     codes, labels, index = _make_index(rng, n=10)
     with pytest.raises(InvalidArgument):
         R.curves(codes[:1], labels[:1], index, [5, 5, 10])
+
+
+# ---- the ranked pass against the seed formulas and the brute-force ranking ----
+
+def seed_ap(rel_mask, ids, cap):
+    """AP exactly as first written: uint8 @ int64 relevance, float64 cumsum."""
+    m = int(rel_mask.sum())
+    if m == 0:
+        return 0.0
+    rel = rel_mask[ids[:cap]].astype(np.float64)
+    cum = np.cumsum(rel)
+    ranks = np.arange(1, cap + 1, dtype=np.float64)
+    return float(np.sum(rel * cum / ranks) / m)
+
+
+def seed_metrics(codes, labels, q_codes, q_labels, r_cap, k_grid):
+    """(mAP at r_cap, curve rows) from the oracle ranking and the seed arithmetic."""
+    n = len(codes)
+    orders = [np.array(brute_force_ranking(codes, q)[0]) for q in q_codes]
+    masks = [(labels.astype(np.uint8) @ q.astype(np.int64)) > 0 for q in q_labels]
+    cap = n if r_cap is None else min(r_cap, n)
+    full = float(np.mean([seed_ap(m, o, cap) for m, o in zip(masks, orders)]))
+    rows = []
+    for k in k_grid:
+        kk = min(k, n)
+        aps = [seed_ap(m, o, kk) for m, o in zip(masks, orders)]
+        recalls = [int(m[o[:kk]].sum()) / int(m.sum()) if m.any() else 0.0
+                   for m, o in zip(masks, orders)]
+        rows.append((k, float(np.mean(aps)), float(np.mean(recalls))))
+    return full, rows
+
+
+def tied_multilabel_index(rng, n, k, v):
+    """Codes drawn from a few bases (many distance ties), 1-3 labels per item.
+
+    Labels come from a pool that spans column 255/256; class 1 is never used,
+    so a query on it has no relevant item. With v > 256, item 0 holds 256
+    classes, which a uint8 count of shared classes would wrap to 0.
+    """
+    base = random_codes(rng, 12, k)
+    codes = base[rng.integers(0, 12, size=n)]
+    codes = np.where(rng.random((n, k)) < 0.05, -codes, codes).astype(np.int8)
+    pool = np.array([0, 2, v // 2, v - 1] + ([255, 256] if v > 256 else []))
+    labels = np.zeros((n, v), dtype=np.uint8)
+    for i in range(n):
+        labels[i, rng.choice(pool, size=rng.integers(1, 4), replace=False)] = 1
+    if v > 256:
+        labels[0] = 0
+        labels[0, 2:258] = 1
+    return codes, labels, R.RetrievalIndex.from_signs(codes, labels)
+
+
+@pytest.mark.parametrize("v", [5, 300])
+@pytest.mark.parametrize("k", [8, 37, 63, 64, 65, 128, 256])
+def test_ranked_pass_matches_oracle_and_seed_formulas(k, v):
+    rng = np.random.default_rng(1000 + k + v)
+    n = 90
+    codes, labels, index = tied_multilabel_index(rng, n, k, v)
+    q_codes = np.vstack([random_codes(rng, 3, k), -codes[[3]], codes[[3, 3]]])
+    q_labels = labels[rng.integers(0, n, size=6)].copy()
+    q_labels[4] = 0
+    q_labels[4, 1] = 1  # no item has class 1: AP 0
+    q_labels[5] = labels[0]
+    for q in q_codes:
+        order, d = brute_force_ranking(codes, q)
+        for top in (n, 17):
+            res = index.query_topk(q, top)
+            assert res.ids.tolist() == order[:top]
+            assert res.distances.tolist() == [d[i] for i in order[:top]]
+    grid = [1, 5, 17, 60, n, n + 10]
+    for r_cap in (None, 20):
+        want_map, want_rows = seed_metrics(codes, labels, q_codes, q_labels, r_cap, grid)
+        assert R.mean_average_precision(q_codes, q_labels, index, r_cap) == want_map
+    assert R.curves(q_codes, q_labels, index, grid) == want_rows
+    assert R.mean_average_precision(q_codes[4:5], q_labels[4:5], index) == 0.0
+    assert all(row[1:] == (0.0, 0.0) for row in R.curves(q_codes[4:5], q_labels[4:5], index, grid))
+
+
+def test_ranked_pass_reads_relevance_once_per_query(monkeypatch):
+    rng = np.random.default_rng(14)
+    codes, labels, index = _make_index(rng, n=60)
+    calls = []
+    original = R.relevance
+
+    def counting(query_label, idx):
+        calls.append(1)
+        return original(query_label, idx)
+
+    monkeypatch.setattr(R, "relevance", counting)
+    R.curves(codes[:5], labels[:5], index, [1, 5, 10, 25, 50, 55, 60])
+    assert len(calls) == 5
+    calls.clear()
+    R.mean_average_precision(codes[:5], labels[:5], index)
+    assert len(calls) == 5
+
+
+def test_relevance_rejects_wrong_label_width():
+    rng = np.random.default_rng(15)
+    _, _, index = _make_index(rng, n=10, v=5)
+    with pytest.raises(InvalidArgument):
+        R.relevance(np.ones(4, dtype=np.uint8), index)
