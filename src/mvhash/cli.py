@@ -44,22 +44,15 @@ def _write_manifest(anchor_path, subcommand, config, inputs, outputs, seed):
         "checksums": {str(p): _sha256(p) for p in outputs.values()},
     }
     path = Path(str(anchor_path) + ".manifest.json")
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    tmp.replace(path)
+    formats._atomic_write(path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
     return path
 
 
 def _write_csv(path, header, rows):
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(
-                f"{x:.6f}" if isinstance(x, float) else str(x) for x in row
-            ) + "\n")
-    tmp.replace(path)
+    lines = [",".join(header)] + [
+        ",".join(f"{x:.6f}" if isinstance(x, float) else str(x) for x in row) for row in rows
+    ]
+    formats._atomic_write(path, "".join(line + "\n" for line in lines).encode())
 
 
 # ---- subcommand implementations ----
@@ -107,9 +100,7 @@ def cmd_synth(args):
         "retrieval": np.flatnonzero(ds.retrieval_mask).tolist(),
         "query": np.flatnonzero(ds.query_mask).tolist(),
     }
-    tmp = paths["splits"].with_name("splits.json.tmp")
-    tmp.write_text(json.dumps(splits) + "\n")
-    tmp.replace(paths["splits"])
+    formats._atomic_write(paths["splits"], (json.dumps(splits) + "\n").encode())
     _write_manifest(
         paths["image_features"], "synth",
         {"classes": args.classes, "per_class": args.per_class,
@@ -200,6 +191,7 @@ def cmd_train(args):
             "adam_betas": list(config.adam_betas),
             "adam_epsilon": config.adam_epsilon, "lambda": config.lam,
             "dropout_p": config.dropout_p, "seed": config.seed,
+            "eval_every": config.eval_every,
         },
     }
     formats.save_checkpoint(report.params, args.out, sidecar=sidecar)

@@ -62,6 +62,11 @@ class QueryResult:
         return len(self.ids)
 
 
+# uint64 words per scan chunk (16k rows at K = 128): the chunk's XOR and
+# popcount buffers stay in L2, and the query words are tiled once per call.
+_CHUNK_WORDS = 1 << 15
+
+
 class RetrievalIndex:
     """Immutable linear-scan index over packed codes with parallel labels."""
 
@@ -93,27 +98,57 @@ class RetrievalIndex:
     def packed_codes(self) -> np.ndarray:
         return self._packed
 
-    def distances(self, query_code: np.ndarray) -> np.ndarray:
-        """Hamming distance from one +-1 query code to every indexed code."""
+    def _scan(self, query_code: np.ndarray) -> np.ndarray:
+        """Hamming distance to every row, as np.min_scalar_type(K), in row-major chunks.
+
+        Per chunk: XOR the flat word stream with the query words tiled to the
+        chunk, popcount to uint8, then add the W word lanes with strided adds.
+        """
         q = np.asarray(query_code).ravel()
         if q.shape[0] != self.code_length:
             raise InvalidArgument(
                 f"query length {q.shape[0]} != index code length {self.code_length}"
             )
-        qw = _to_words(pack_codes(q))
-        return np.bitwise_count(self._words ^ qw).sum(axis=1).astype(np.int64)
+        qw = _to_words(pack_codes(q)).ravel()
+        w = qw.size
+        words = self._words.reshape(-1)
+        rows = min(self.size, max(1, _CHUNK_WORDS // w))
+        tiled = np.tile(qw, rows)
+        xor = np.empty(rows * w, dtype=np.uint64)
+        bits = np.empty(rows * w, dtype=np.uint8)
+        dist = np.empty(self.size, dtype=np.min_scalar_type(self.code_length))
+        for start in range(0, self.size, rows):
+            n = min(rows, self.size - start)
+            m = n * w
+            np.bitwise_xor(words[start * w:start * w + m], tiled[:m], out=xor[:m])
+            np.bitwise_count(xor[:m], out=bits[:m])
+            lanes = bits[:m].reshape(n, w)
+            out = dist[start:start + n]
+            if w == 1:
+                out[:] = lanes[:, 0]
+            else:
+                np.add(lanes[:, 0], lanes[:, 1], out=out, dtype=out.dtype)
+            for j in range(2, w):
+                np.add(out, lanes[:, j], out=out)
+        return dist
+
+    def distances(self, query_code: np.ndarray) -> np.ndarray:
+        """Hamming distance from one +-1 query code to every indexed code."""
+        return self._scan(query_code).astype(np.int64)
 
     def query_topk(self, query_code: np.ndarray, k: int) -> QueryResult:
         if k < 1:
             raise InvalidArgument(f"k must be >= 1, got {k}")
-        d = self.distances(query_code)
-        k = min(k, self.size)
-        # Ascending-id candidates + a stable sort = the id tie rule; narrow keys radix-sort.
-        cand = np.flatnonzero(d <= np.partition(d, k - 1)[k - 1]) if k < self.size else None
-        key = (d if cand is None else d[cand]).astype(np.min_scalar_type(self.code_length))
-        order = np.argsort(key, kind="stable")[:k]
-        ids = order if cand is None else cand[order]
-        return QueryResult(ids=ids, distances=d[ids])
+        d = self._scan(query_code)
+        if k < self.size:
+            # the k-th smallest distance t from a histogram of the K+1 values;
+            # ascending-id candidates d <= t + a stable sort = the id tie rule
+            t = np.searchsorted(np.cumsum(np.bincount(d, minlength=self.code_length + 1)), k)
+            cand = np.flatnonzero(d <= t)
+            ids = cand[np.argsort(d[cand], kind="stable")[:k]]
+        else:
+            ids = np.argsort(d, kind="stable")
+        return QueryResult(ids=ids, distances=d[ids].astype(np.int64))
 
 
 def relevance(query_label: np.ndarray, index: RetrievalIndex) -> np.ndarray:

@@ -123,6 +123,13 @@ def encode_dataset(params, dataset: MultiViewDataset, fusion="gmu") -> np.ndarra
     return encode(params, dataset.image_features, dataset.text_features, fusion)
 
 
+def _log_row(path, row, mode="a"):
+    """Write one CSV log row and close the file: a run that diverges keeps its finished epochs."""
+    if path is not None:
+        with open(path, mode, newline="") as fh:
+            csv.writer(fh).writerow(row)
+
+
 def train(
     dataset: MultiViewDataset,
     centers: HashCenterSet,
@@ -150,7 +157,7 @@ def train(
     targets = semantic_centers_for(labels, centers, seed=config.seed)
 
     report = TrainReport()
-    log_rows = []
+    _log_row(log_csv_path, ["epoch", "l_central", "l_quant", "l_total", "test_map"], "w")
     step = 0
     for epoch in range(1, config.epochs + 1):
         t0 = time.perf_counter()
@@ -195,14 +202,9 @@ def train(
             report.eval_epochs.append(epoch)
             report.eval_maps.append(m)
             test_map = f"{m:.6f}"
-        log_rows.append([epoch, f"{epoch_report.l_central:.6f}",
-                         f"{epoch_report.l_quant:.6f}",
-                         f"{epoch_report.l_total:.6f}", test_map])
+        _log_row(log_csv_path, [epoch, f"{epoch_report.l_central:.6f}",
+                                f"{epoch_report.l_quant:.6f}",
+                                f"{epoch_report.l_total:.6f}", test_map])
 
     report.params = params
-    if log_csv_path is not None:
-        with open(log_csv_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["epoch", "l_central", "l_quant", "l_total", "test_map"])
-            w.writerows(log_rows)
     return report

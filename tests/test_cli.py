@@ -92,6 +92,13 @@ def test_train_writes_log_and_manifest(pipeline):
     assert manifest["config"]["dropout_p"] == 0.1
 
 
+def test_train_manifest_and_sidecar_record_eval_every(pipeline):
+    manifest = json.loads((pipeline / "model.csmv.manifest.json").read_text())
+    sidecar = json.loads((pipeline / "model.csmv.json").read_text())
+    assert manifest["config"]["eval_every"] == 25
+    assert sidecar["train_config"]["eval_every"] == 25
+
+
 def test_index_subcommand(pipeline, capsys):
     assert run("index", "--codes", str(pipeline / "retrieval.cscd")) == 0
     out = capsys.readouterr().out

@@ -341,3 +341,67 @@ def test_relevance_rejects_wrong_label_width():
     _, _, index = _make_index(rng, n=10, v=5)
     with pytest.raises(InvalidArgument):
         R.relevance(np.ones(4, dtype=np.uint8), index)
+
+
+# ---- the chunked scan kernel against the bit loop and the (distance, id) oracle ----
+
+KERNEL_KS = [8, 37, 63, 64, 65, 128, 130, 256, 300]  # W = 1..5; uint8 and uint16 distances
+
+
+def chunk_rows(k):
+    return R._CHUNK_WORDS // -(-k // 64)
+
+
+def kernel_case(rng, n, k):
+    """Tied codes from a few bases, a query, and the query's complement at row 0
+    (distance K, which a uint8 accumulator wraps at K >= 256)."""
+    base = random_codes(rng, 3, k)
+    codes = base[rng.integers(0, 3, size=n)]
+    codes = np.where(rng.random((n, k)) < 0.02, -codes, codes).astype(np.int8)
+    query = codes[n // 2].copy()
+    codes[0] = -query
+    return codes, query
+
+
+def check_kernel(query, index, order, d, ks):
+    got = index.distances(query)
+    assert got.dtype == np.int64
+    assert got.tolist() == list(d)
+    for top in ks:
+        res = index.query_topk(query, top)
+        want = order[:top]
+        assert res.ids.tolist() == list(want)
+        assert res.distances.dtype == np.int64
+        assert res.distances.tolist() == [d[i] for i in want]
+
+
+@pytest.mark.parametrize("k", KERNEL_KS)
+def test_scan_kernel_matches_oracles_at_chunk_edges(k, monkeypatch):
+    # 5-row chunks, so every chunk edge case fits the Python bit loop
+    monkeypatch.setattr(R, "_CHUNK_WORDS", 5 * -(-k // 64))
+    chunk = chunk_rows(k)
+    assert chunk == 5
+    rng = np.random.default_rng(2000 + k)
+    for n in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+        codes, query = kernel_case(rng, n, k)
+        index = R.RetrievalIndex.from_signs(codes, np.ones((n, 1), dtype=np.uint8))
+        order, d = brute_force_ranking(codes, query)
+        ks = [top for top in (1, 10, n - 1, n, n + 5) if top >= 1]
+        check_kernel(query, index, order, d, ks)
+        same = R.RetrievalIndex.from_signs(np.repeat(codes[:1], n, axis=0),
+                                           np.ones((n, 1), dtype=np.uint8))
+        for top in ks:  # every item ties: the first ids win
+            assert same.query_topk(query, top).ids.tolist() == list(range(min(top, n)))
+
+
+@pytest.mark.parametrize("k", [8, 130, 300])
+def test_scan_kernel_matches_oracles_at_real_chunk_size(k):
+    chunk = chunk_rows(k)
+    rng = np.random.default_rng(3000 + k)
+    codes, query = kernel_case(rng, 2 * chunk + 3, k)
+    for n in (chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+        index = R.RetrievalIndex.from_signs(codes[:n], np.ones((n, 1), dtype=np.uint8))
+        d = (codes[:n] != query).sum(axis=1)  # bit loop, vectorised over rows
+        order = np.lexsort((np.arange(n), d))  # (distance, ascending id)
+        check_kernel(query, index, order.tolist(), d.tolist(),
+                     [1, 10, n - 1, n, n + 5])

@@ -131,6 +131,20 @@ def test_train_writes_csv_log(tmp_path):
     assert lines[2].split(",")[4] != ""  # eval ran on the last epoch
 
 
+def test_csv_log_keeps_finished_epochs_when_training_diverges(tmp_path):
+    ds = _tiny_dataset()
+    cs = generate_centers(4, 8, seed=0)
+    path = tmp_path / "log.csv"
+    # one step per epoch; steps of 1e308 overflow the hash logits in epoch 2
+    cfg = _config(epochs=5, batch_size=1000, learning_rate=1e308)
+    with np.errstate(all="ignore"), pytest.raises((DivergenceError, InvalidArgument)):
+        trainer.train(ds, cs, cfg, dims_hidden=8, log_csv_path=path)
+    lines = path.read_bytes().split(b"\r\n")
+    assert lines[0] == b"epoch,l_central,l_quant,l_total,test_map"
+    assert lines[1].startswith(b"1,") and len(lines[1].split(b",")) == 5
+    assert lines[2:] == [b""]
+
+
 def test_encode_deterministic_and_pure():
     ds = _tiny_dataset()
     cs = generate_centers(4, 8, seed=0)
