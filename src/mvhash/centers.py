@@ -164,6 +164,139 @@ def generate_centers(num_classes: int, code_length: int, seed: int) -> HashCente
     return out
 
 
+# numpy.random.SeedSequence: a pool of 4 uint32 words mixed with these
+# constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# PCG64's 128-bit LCG multiplier as 32-bit limbs, least significant first
+_PCG_MULT = [(0x2360ED051FC65DA44385DF649FCCF645 >> (32 * i)) & _MASK32 for i in range(4)]
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's hashmix: its multiplier advances on every call."""
+    hash_const = init
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * mult & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    return hashmix
+
+
+def _mix_entropy(words: list[np.ndarray]) -> list[np.ndarray]:
+    """SeedSequence.mix_entropy, one uint32 lane per coin."""
+    hashmix = _hasher(_INIT_A, _MULT_A)
+
+    def mix(x, y):
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ (result >> 16)
+
+    zero = np.zeros(1, dtype=np.uint32)
+    pool = [hashmix(words[i] if i < len(words) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    return pool
+
+
+def _generate_state(pool: list[np.ndarray]) -> list[np.ndarray]:
+    """SeedSequence.generate_state(4, uint64) as its 8 uint32 halves, low half first."""
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    return [hashmix(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(2 * _POOL_SIZE)]
+
+
+def _carry(columns: list) -> list[np.ndarray]:
+    """Propagate carries through 32-bit limb columns held in uint64, mod 2^128."""
+    out, carry = [], 0
+    for column in columns:
+        column = column + carry
+        out.append(column & _MASK32)
+        carry = column >> 32
+    return out
+
+
+def _lcg_step(state: list[np.ndarray], inc: list[np.ndarray]) -> list[np.ndarray]:
+    """PCG64 step, state * multiplier + inc mod 2^128, on 32-bit limbs."""
+    columns = list(inc)
+    for i in range(4):
+        for j in range(4 - i):
+            product = state[i] * _PCG_MULT[j]
+            columns[i + j] = columns[i + j] + (product & _MASK32)
+            if i + j < 3:
+                columns[i + j + 1] = columns[i + j + 1] + (product >> 32)
+    return _carry(columns)
+
+
+def _tie_coins(seed: int, rows: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """default_rng([seed, row, bit]).integers(0, 2) for every (row, bit) pair at once.
+
+    Reproduces numpy's SeedSequence entropy mixing and generate_state, PCG64
+    seeding and its first output (XSL-RR). Lemire's bounded draw for range 2
+    takes no rejection and returns bit 31 of that output. Returns int8 0/1.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    bits = np.asarray(bits, dtype=np.int64)
+    if rows.size == 0:
+        return np.zeros(0, dtype=np.int8)
+    seed = int(seed)
+    if seed < 0:
+        raise InvalidArgument(f"tie-break seed must be non-negative, got {seed}")
+    for name, values in (("row id", rows), ("bit index", bits)):
+        bad = values[(values < 0) | (values > _MASK32)]
+        if bad.size:
+            raise InvalidArgument(f"{name} {bad[0]} is outside [0, 2^32)")
+    # SeedSequence splits each entropy integer into little-endian 32-bit words
+    words = []
+    while True:
+        words.append(np.array([seed & _MASK32], dtype=np.uint32))
+        seed >>= 32
+        if not seed:
+            break
+    words += [rows.astype(np.uint32), bits.astype(np.uint32)]
+    w = _generate_state(_mix_entropy(words))
+    # PCG64 seeds from state words (s_hi, s_lo, seq_hi, seq_lo) as 128-bit s and seq
+    initstate = [w[2], w[3], w[0], w[1]]
+    seq = [w[6], w[7], w[4], w[5]]
+    inc = [((seq[k] << 1) & _MASK32) | (seq[k - 1] >> 31 if k else 1) for k in range(4)]
+    # srandom: state = inc; state += initstate; step. Then the first draw steps once more.
+    state = _carry([a + b for a, b in zip(inc, initstate)])
+    state = _lcg_step(_lcg_step(state, inc), inc)
+    # XSL-RR: rotate (hi64 ^ lo64) right by the top 6 state bits; keep output bit 31
+    xored = ((state[3] ^ state[1]) << 32) | (state[2] ^ state[0])
+    rotation = state[3] >> 26
+    return ((xored >> ((rotation + 31) & 63)) & 1).astype(np.int8)
+
+
+def _majority_vote(
+    labels: np.ndarray, centers: HashCenterSet, seed: int, first_id: int
+) -> np.ndarray:
+    """Semantic centers of the label rows; row r has sample id first_id + r."""
+    labels = np.asarray(labels)
+    if labels.ndim != 2 or labels.shape[1] != centers.num_classes:
+        raise InvalidArgument(
+            f"labels shape {labels.shape} does not have num_classes={centers.num_classes} columns"
+        )
+    active = labels != 0
+    empty = np.flatnonzero(~active.any(axis=1))
+    if empty.size:
+        raise InvalidArgument(f"label row {first_id + int(empty[0])} has no active label")
+    sums = active.astype(np.int64) @ centers.centers.astype(np.int64)
+    code = np.sign(sums).astype(np.int8)
+    rows, bits = np.nonzero(sums == 0)
+    code[rows, bits] = 2 * _tie_coins(seed, rows + first_id, bits) - 1
+    return code
+
+
 def semantic_center(
     label_vector: np.ndarray,
     centers: HashCenterSet,
@@ -174,33 +307,21 @@ def semantic_center(
 
     Single-label: the class center verbatim. Multi-label: element-wise
     majority vote over the active labels' centers; a zero column sum is
-    broken by a coin seeded with (seed, sample_id, bit) so results are
-    reproducible.
+    broken by the coin ``default_rng([seed, sample_id, bit]).integers(0, 2)``
+    (1 -> +1, 0 -> -1), so results are reproducible.
     """
     labels = np.asarray(label_vector)
-    active = np.flatnonzero(labels)
-    if active.size == 0:
-        raise InvalidArgument("label vector has no active label")
-    if labels.shape[0] != centers.num_classes:
-        raise InvalidArgument(
-            f"label vector length {labels.shape[0]} != num_classes {centers.num_classes}"
-        )
-    if active.size == 1:
-        return centers.centers[active[0]].copy()
-
-    sums = centers.centers[active].astype(np.int64).sum(axis=0)
-    code = np.sign(sums).astype(np.int8)
-    for bit in np.flatnonzero(sums == 0):
-        coin = np.random.default_rng([int(seed), int(sample_id), int(bit)])
-        code[bit] = 1 if coin.integers(0, 2) else -1
-    return code
+    if labels.ndim != 1:
+        raise InvalidArgument(f"label vector must be 1-D, got shape {labels.shape}")
+    return _majority_vote(labels[None, :], centers, seed, int(sample_id))[0]
 
 
 def semantic_centers_for(
     labels: np.ndarray, centers: HashCenterSet, seed: int = 0
 ) -> np.ndarray:
-    """semantic_center applied row-wise; sample_id is the row index."""
-    return np.array(
-        [semantic_center(row, centers, i, seed) for i, row in enumerate(labels)],
-        dtype=np.int8,
-    )
+    """semantic_center applied row-wise; sample_id is the row index.
+
+    One vectorised pass: the vote is one integer product and every tied bit's
+    coin is evaluated at once.
+    """
+    return _majority_vote(labels, centers, seed, 0)

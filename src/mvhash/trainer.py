@@ -176,13 +176,18 @@ def train(
             he, cache = net.forward(
                 params, img[idx], txt[idx], dropout_masks=masks, fusion=config.fusion
             )
+            if not np.isfinite(he).all():
+                raise DivergenceError(f"non-finite hash logits at epoch {epoch}")
             batch_report, grad_he = _batch_loss(he, targets[idx], config)
             if not np.isfinite(batch_report.l_total):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}")
             grads = net.backward(params, cache, grad_he)
             step += 1
             adam_step(params, grads, state, step, config)
-            params.check_finite()
+            try:
+                params.check_finite()
+            except InvalidArgument as exc:
+                raise DivergenceError(f"after Adam step {step}: {exc}") from exc
             for key in sums:
                 sums[key] += getattr(batch_report, key) * idx.size
             seen += idx.size

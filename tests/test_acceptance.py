@@ -378,6 +378,7 @@ def _replay(manifest_path, src, dst):
                  "--lam", str(cfg["lambda"]),
                  "--dropout", str(cfg["dropout_p"]),
                  "--hidden-dim", str(cfg["hidden_dim"]),
+                 "--eval-every", str(cfg["eval_every"]),
                  "--seed", str(m["seed"])]
         return argv
     if sub == "encode":
@@ -411,7 +412,8 @@ def test_criterion_10_determinism(tmp_path):
                     "--splits", str(data / "splits.json"),
                     "--centers", str(run_a / "centers.cshc"),
                     "--out", str(run_a / "model.csmv"),
-                    "--epochs", "10", "--hidden-dim", "8", "--seed", "7"]) == 0
+                    "--epochs", "10", "--hidden-dim", "8", "--seed", "7",
+                    "--eval-every", "5"]) == 0
     for split in ("retrieval", "query"):
         assert cli.run(["encode", "--checkpoint", str(run_a / "model.csmv"),
                         "--image-features", str(data / "image_features.csft"),
@@ -438,6 +440,8 @@ def test_criterion_10_determinism(tmp_path):
         assert cli.run(argv) == 0
         m = json.loads(mpath.read_text())
         outputs.extend(m["outputs"].values())
+        if m["subcommand"] == "train":  # the checkpoint's JSON sidecar records the config
+            outputs.append(m["outputs"]["checkpoint"] + ".json")
 
     diffs = []
     for out in outputs:

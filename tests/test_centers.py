@@ -172,3 +172,98 @@ def test_semantic_center_idempotent_over_one_element():
         lab = np.zeros(6)
         lab[c] = 1
         assert (C.semantic_center(lab, cs, sample_id=c) == cs.centers[c]).all()
+
+
+def _oracle_semantic_center(label_vector, centers, sample_id, seed=0):
+    """The per-bit default_rng loop that the batched semantic centers replace."""
+    labels = np.asarray(label_vector)
+    active = np.flatnonzero(labels)
+    if active.size == 0:
+        raise InvalidArgument("label vector has no active label")
+    if labels.shape[0] != centers.num_classes:
+        raise InvalidArgument(
+            f"label vector length {labels.shape[0]} != num_classes {centers.num_classes}"
+        )
+    if active.size == 1:
+        return centers.centers[active[0]].copy()
+
+    sums = centers.centers[active].astype(np.int64).sum(axis=0)
+    code = np.sign(sums).astype(np.int8)
+    for bit in np.flatnonzero(sums == 0):
+        coin = np.random.default_rng([int(seed), int(sample_id), int(bit)])
+        code[bit] = 1 if coin.integers(0, 2) else -1
+    return code
+
+
+def _oracle_semantic_centers_for(labels, centers, seed=0):
+    return np.array(
+        [_oracle_semantic_center(row, centers, i, seed) for i, row in enumerate(labels)],
+        dtype=np.int8,
+    )
+
+
+def _multi_hot(rows, num_classes, seed):
+    """1-4 active labels per row, every count present; even counts give ties."""
+    rng = np.random.default_rng(seed)
+    labels = np.zeros((rows, num_classes), dtype=np.uint8)
+    for r in range(rows):
+        labels[r, rng.choice(num_classes, size=r % 4 + 1, replace=False)] = 1
+    return labels
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 + 7, 2**64 + 3])
+@pytest.mark.parametrize("k", [8, 37, 63, 64, 65, 128])
+def test_semantic_centers_for_matches_per_bit_loop(k, seed):
+    cs = C.generate_centers(12, k, seed=3)
+    labels = _multi_hot(96, 12, seed=k)
+    sums = labels.astype(np.int64) @ cs.centers.astype(np.int64)
+    assert (sums == 0).any()  # the coin is exercised at every K
+    out = C.semantic_centers_for(labels, cs, seed=seed)
+    assert out.dtype == np.int8 and out.shape == (96, k)
+    assert (out == _oracle_semantic_centers_for(labels, cs, seed=seed)).all()
+    single = labels.sum(axis=1) == 1
+    assert (out[single] == cs.centers[labels[single].argmax(axis=1)]).all()
+    for i in (1, 3, 50, 95):
+        assert (C.semantic_center(labels[i], cs, sample_id=i, seed=seed) == out[i]).all()
+
+
+def test_semantic_center_coins_at_largest_sample_id():
+    cs = C.generate_centers(4, 4, seed=0)
+    lab = np.array([1, 1, 0, 0])
+    for sample_id in (2**31, 2**32 - 1):
+        got = C.semantic_center(lab, cs, sample_id=sample_id, seed=9)
+        assert (got == _oracle_semantic_center(lab, cs, sample_id, seed=9)).all()
+
+
+def test_tie_coins_reject_ids_outside_32_bits():
+    with pytest.raises(InvalidArgument, match="4294967296"):
+        C._tie_coins(0, np.array([2**32]), np.array([0]))
+    with pytest.raises(InvalidArgument, match="-1"):
+        C._tie_coins(0, np.array([0]), np.array([-1]))
+    cs = C.generate_centers(4, 4, seed=0)
+    with pytest.raises(InvalidArgument, match="4294967296"):
+        C.semantic_center(np.array([1, 1, 0, 0]), cs, sample_id=2**32)
+
+
+def test_negative_seed_rejected_when_a_coin_is_needed():
+    cs = C.generate_centers(4, 4, seed=0)
+    with pytest.raises(ValueError):
+        C.semantic_centers_for(np.array([[1, 1, 0, 0]]), cs, seed=-1)
+    # no tie, no coin: the vote alone decides
+    assert (C.semantic_centers_for(np.array([[0, 1, 0, 0]]), cs, seed=-1) == cs.centers[1]).all()
+
+
+def test_semantic_centers_for_names_the_empty_row():
+    cs = C.generate_centers(4, 8, seed=0)
+    labels = np.eye(4, dtype=np.uint8)
+    labels[2] = 0
+    with pytest.raises(InvalidArgument, match="label row 2 "):
+        C.semantic_centers_for(labels, cs)
+
+
+def test_semantic_centers_reject_wrong_label_width():
+    cs = C.generate_centers(4, 8, seed=0)
+    with pytest.raises(InvalidArgument, match="num_classes=4"):
+        C.semantic_centers_for(np.ones((3, 5), dtype=np.uint8), cs)
+    with pytest.raises(InvalidArgument, match="num_classes=4"):
+        C.semantic_center(np.ones(3), cs, sample_id=0)

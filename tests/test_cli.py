@@ -182,6 +182,21 @@ def test_bad_split_index_rejected(pipeline, tmp_path, capsys, stage, bad, messag
     assert str(path) in err and "'query'" in err and message in err
 
 
+def test_diverged_train_exits_one_tagged_divergence(pipeline, tmp_path, capsys):
+    data = pipeline / "data"
+    out = tmp_path / "m.csmv"
+    with np.errstate(all="ignore"):
+        code = run("train", "--image-features", str(data / "image_features.csft"),
+                   "--text-features", str(data / "text_features.csft"),
+                   "--labels", str(data / "labels.cslb"),
+                   "--splits", str(data / "splits.json"),
+                   "--centers", str(pipeline / "centers.cshc"),
+                   "--out", str(out), "--epochs", "5", "--learning-rate", "1e308")
+    assert code == 1
+    assert "[errors.DivergenceError]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_conflicting_ablation_flags(tmp_path):
     assert run("train", "--image-features", "x", "--text-features", "x",
                "--labels", "x", "--splits", "x", "--centers", "x",

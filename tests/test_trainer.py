@@ -137,12 +137,24 @@ def test_csv_log_keeps_finished_epochs_when_training_diverges(tmp_path):
     path = tmp_path / "log.csv"
     # one step per epoch; steps of 1e308 overflow the hash logits in epoch 2
     cfg = _config(epochs=5, batch_size=1000, learning_rate=1e308)
-    with np.errstate(all="ignore"), pytest.raises((DivergenceError, InvalidArgument)):
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError):
         trainer.train(ds, cs, cfg, dims_hidden=8, log_csv_path=path)
     lines = path.read_bytes().split(b"\r\n")
     assert lines[0] == b"epoch,l_central,l_quant,l_total,test_map"
     assert lines[1].startswith(b"1,") and len(lines[1].split(b",")) == 5
     assert lines[2:] == [b""]
+
+
+def test_non_finite_parameters_after_adam_step_raise_divergence(monkeypatch):
+    ds = _tiny_dataset()
+    cs = generate_centers(4, 8, seed=0)
+
+    def overflowing_step(params, grads, state, step_index, config):
+        params.b_hash[0] = np.inf
+
+    monkeypatch.setattr(trainer, "adam_step", overflowing_step)
+    with pytest.raises(DivergenceError, match="b_hash"):
+        trainer.train(ds, cs, _config(epochs=1), dims_hidden=8)
 
 
 def test_encode_deterministic_and_pure():
