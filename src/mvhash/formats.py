@@ -7,8 +7,8 @@
   CSCD  codes+labels:  magic, u32 version=1, u32 R, u32 K, R x ceil(K/8) packed
         codes, u32 V, R x ceil(V/8) packed multi-hot rows
   CSMV  checkpoint:    magic, u32 version=1, u32 d_img, u32 d_txt, u32 d,
-        u32 K, u32 num_views, u64 init_seed, parameter blocks as f64 in
-        PARAM_NAMES order; JSON sidecar written next to it
+        u32 K, u32 num_views=2, u64 init_seed, parameter blocks as finite f64
+        in PARAM_NAMES order (ModelParams.flat); JSON sidecar written next to it
 """
 
 import json
@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import centers as centers_mod
-from .errors import FormatError, ShapeMismatch
-from .net import PARAM_NAMES, Dims, ModelParams
+from .errors import FormatError, InvalidArgument, ShapeMismatch
+from .net import Dims, ModelParams, first_non_finite
 from .retrieval import pack_codes, unpack_codes
 
 _METHOD_TAGS = {
@@ -211,11 +211,7 @@ def save_checkpoint(params: ModelParams, path, sidecar: dict | None = None) -> N
         "<4sIIIIIIQ", b"CSMV", 1, d.d_img, d.d_txt, d.d, d.code_length,
         d.num_views, params.init_seed & 0xFFFFFFFFFFFFFFFF,
     )
-    body = b"".join(
-        np.ascontiguousarray(params.blocks()[name], dtype="<f8").tobytes()
-        for name in PARAM_NAMES
-    )
-    _atomic_write(path, head + body)
+    _atomic_write(path, head + params.flat.astype("<f8", copy=False).tobytes())
     meta = {"dims": {"d_img": d.d_img, "d_txt": d.d_txt, "d": d.d,
                      "code_length": d.code_length, "num_views": d.num_views},
             "init_seed": params.init_seed}
@@ -232,16 +228,17 @@ def load_checkpoint(path) -> ModelParams:
     d_img, d_txt, d, k, views = (r.u32(x) for x in
                                  ("d_img", "d_txt", "d", "code_length", "num_views"))
     seed = r.u64("init_seed")
-    dims = Dims(d_img=d_img, d_txt=d_txt, d=d, code_length=k, num_views=views)
-    shapes = {
-        "W_vnorm": (d, d_img), "b_vnorm": (d,),
-        "W_tnorm": (d, d_txt), "b_tnorm": (d,),
-        "W_i": (d, d), "W_t": (d, d), "W_z": (d, 2 * d),
-        "W_hash": (k, d), "b_hash": (k,),
-    }
-    blocks = {}
-    for name in PARAM_NAMES:
-        shape = shapes[name]
-        blocks[name] = r.array("<f8", int(np.prod(shape)), name).reshape(shape)
+    try:
+        dims = Dims(d_img=d_img, d_txt=d_txt, d=d, code_length=k, num_views=views)
+    except InvalidArgument as exc:
+        raise FormatError(f"{r.path}: {exc}") from exc
+    body = r.pos
+    params = ModelParams(dims, seed, r.array("<f8", dims.param_count(), "parameters"))
     r.done()
-    return ModelParams(dims=dims, init_seed=seed, **blocks)
+    bad = first_non_finite(params.flat, dims)
+    if bad is not None:
+        name, index = bad
+        raise FormatError(
+            f"{r.path}: non-finite parameter in block {name} at byte offset {body + 8 * index}"
+        )
+    return params

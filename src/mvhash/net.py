@@ -14,6 +14,7 @@ Fusion variants for ablations: "image" forces z = 1, "text" forces z = 0,
 "concat" replaces the gate with a plain linear map h_f = [x_i, x_t] @ W_z.T.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,12 +42,53 @@ class Dims:
         for name in ("d_img", "d_txt", "d", "code_length"):
             if getattr(self, name) < 1:
                 raise InvalidArgument(f"{name} must be >= 1")
+        if self.num_views != 2:
+            raise InvalidArgument(f"num_views must be 2, got {self.num_views}")
+
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Shape of every parameter block, in PARAM_NAMES order."""
+        d, k = self.d, self.code_length
+        return {
+            "W_vnorm": (d, self.d_img), "b_vnorm": (d,),
+            "W_tnorm": (d, self.d_txt), "b_tnorm": (d,),
+            "W_i": (d, d), "W_t": (d, d), "W_z": (d, 2 * d),
+            "W_hash": (k, d), "b_hash": (k,),
+        }
+
+    def param_count(self) -> int:
+        return sum(math.prod(shape) for shape in self.param_shapes().values())
 
 
-@dataclass
+def block_views(flat: np.ndarray, dims: Dims) -> dict[str, np.ndarray]:
+    """The named blocks of a PARAM_NAMES-ordered vector, as reshaped views of it."""
+    views, start = {}, 0
+    for name, shape in dims.param_shapes().items():
+        stop = start + math.prod(shape)
+        views[name] = flat[start:stop].reshape(shape)
+        start = stop
+    return views
+
+
+def first_non_finite(flat: np.ndarray, dims: Dims) -> tuple[str, int] | None:
+    """(block name, flat index) of the first NaN/Inf in a PARAM_NAMES-ordered
+    vector, or None when every value is finite."""
+    finite = np.isfinite(flat)
+    if finite.all():
+        return None
+    index = int(np.argmin(finite))
+    stop = 0
+    for name, block in block_views(flat, dims).items():
+        stop += block.size
+        if index < stop:
+            return name, index
+
+
 class ModelParams:
-    dims: Dims
-    init_seed: int
+    """Every parameter in one contiguous float64 vector, `flat`, laid out in
+    PARAM_NAMES order (the .csmv body). Each named block is a reshaped view
+    of it, so writing a block writes `flat`; rebinding a block attribute
+    would break that."""
+
     W_vnorm: np.ndarray
     b_vnorm: np.ndarray
     W_tnorm: np.ndarray
@@ -57,37 +99,35 @@ class ModelParams:
     W_hash: np.ndarray
     b_hash: np.ndarray
 
+    def __init__(self, dims: Dims, init_seed: int, flat: np.ndarray):
+        if flat.dtype != np.float64 or flat.shape != (dims.param_count(),):
+            raise ShapeMismatch(
+                f"flat parameters: expected float64 ({dims.param_count()},), "
+                f"got {flat.dtype} {flat.shape}"
+            )
+        self.dims = dims
+        self.init_seed = init_seed
+        self.flat = np.ascontiguousarray(flat)
+        self.__dict__.update(block_views(self.flat, dims))
+
     def blocks(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in PARAM_NAMES}
 
     def check_finite(self):
-        for name, arr in self.blocks().items():
-            if not np.isfinite(arr).all():
-                raise InvalidArgument(f"parameter block {name} contains NaN/Inf")
+        bad = first_non_finite(self.flat, self.dims)
+        if bad is not None:
+            raise InvalidArgument(f"parameter block {bad[0]} contains NaN/Inf")
 
 
 def init_params(dims: Dims, seed: int) -> ModelParams:
     """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights, zero biases."""
     rng = np.random.default_rng(seed)
-
-    def w(rows, cols):
-        bound = 1.0 / np.sqrt(cols)
-        return rng.uniform(-bound, bound, size=(rows, cols))
-
-    d, k = dims.d, dims.code_length
-    return ModelParams(
-        dims=dims,
-        init_seed=int(seed),
-        W_vnorm=w(d, dims.d_img),
-        b_vnorm=np.zeros(d),
-        W_tnorm=w(d, dims.d_txt),
-        b_tnorm=np.zeros(d),
-        W_i=w(d, d),
-        W_t=w(d, d),
-        W_z=w(d, 2 * d),
-        W_hash=w(k, d),
-        b_hash=np.zeros(k),
-    )
+    params = ModelParams(dims, int(seed), np.zeros(dims.param_count()))
+    for name, block in params.blocks().items():
+        if name.startswith("W_"):  # drawn in PARAM_NAMES order
+            bound = 1.0 / np.sqrt(block.shape[1])
+            block[...] = rng.uniform(-bound, bound, size=block.shape)
+    return params
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Mini-batch Adam training of the fusion head under the central-similarity loss."""
 
 import csv
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -10,7 +11,7 @@ from . import loss as loss_mod
 from . import net, retrieval
 from .centers import HashCenterSet, semantic_centers_for
 from .data import MultiViewDataset
-from .errors import DivergenceError, InvalidArgument
+from .errors import DivergenceError, InvalidArgument, ShapeMismatch
 
 LOSS_MODES = ("full", "central", "quant")
 
@@ -34,16 +35,20 @@ class TrainConfig:
             raise InvalidArgument("epochs must be >= 1")
         if self.batch_size < 1:
             raise InvalidArgument("batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise InvalidArgument("learning_rate must be > 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise InvalidArgument(f"learning_rate must be finite and > 0: {self.learning_rate}")
+        if len(self.adam_betas) != 2 or not all(0.0 <= b < 1.0 for b in self.adam_betas):
+            raise InvalidArgument(f"adam_betas must be two values in [0, 1): {self.adam_betas}")
+        if not (math.isfinite(self.adam_epsilon) and self.adam_epsilon > 0):
+            raise InvalidArgument(f"adam_epsilon must be finite and > 0: {self.adam_epsilon}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise InvalidArgument("dropout_p must be in [0, 1)")
         if self.fusion not in net.FUSION_MODES:
             raise InvalidArgument(f"unknown fusion mode {self.fusion!r}")
         if self.loss_mode not in LOSS_MODES:
             raise InvalidArgument(f"unknown loss mode {self.loss_mode!r}")
-        if self.lam < 0:
-            raise InvalidArgument("lambda must be >= 0")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise InvalidArgument(f"lambda (lam) must be finite and >= 0: {self.lam}")
 
 
 @dataclass
@@ -60,11 +65,17 @@ class TrainReport:
 
 
 class AdamState:
-    """First/second moment estimates, one pair per parameter block."""
+    """First/second moment estimates as flat vectors laid out like
+    `params.flat`, with per-block views `m[name]`/`v[name]`, plus the scratch
+    vectors one update needs."""
 
     def __init__(self, params: net.ModelParams):
-        self.m = {k: np.zeros_like(v) for k, v in params.blocks().items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.blocks().items()}
+        self.m_flat = np.zeros_like(params.flat)
+        self.v_flat = np.zeros_like(params.flat)
+        self.m = net.block_views(self.m_flat, params.dims)
+        self.v = net.block_views(self.v_flat, params.dims)
+        self.grad = np.empty_like(params.flat)
+        self.scratch = np.empty_like(params.flat)
 
 
 def adam_step(
@@ -74,20 +85,35 @@ def adam_step(
     step_index: int,
     config: TrainConfig,
 ) -> None:
-    """One bias-corrected Adam update, in place."""
+    """One bias-corrected Adam update of `params.flat`, in place.
+
+    Per element, in this order: m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
+    p -= (lr * m/(1-b1**t)) / (sqrt(v/(1-b2**t)) + eps).
+    """
     if step_index < 1:
         raise InvalidArgument("step_index must be >= 1")
     b1, b2 = config.adam_betas
     lr, eps = config.learning_rate, config.adam_epsilon
-    for name, p in params.blocks().items():
-        g = grads[name]
-        if not np.isfinite(g).all():
-            raise DivergenceError(f"non-finite gradient in block {name}")
-        state.m[name] = b1 * state.m[name] + (1 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
-        m_hat = state.m[name] / (1 - b1**step_index)
-        v_hat = state.v[name] / (1 - b2**step_index)
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    g, tmp = state.grad, state.scratch
+    np.concatenate([grads[name].reshape(-1) for name in net.PARAM_NAMES], out=g)
+    bad = net.first_non_finite(g, params.dims)
+    if bad is not None:
+        raise DivergenceError(f"non-finite gradient in block {bad[0]}")
+    m, v = state.m_flat, state.v_flat
+    np.multiply(g, 1 - b1, out=tmp)
+    m *= b1
+    m += tmp
+    np.multiply(g, 1 - b2, out=tmp)
+    tmp *= g
+    v *= b2
+    v += tmp
+    np.divide(m, 1 - b1**step_index, out=tmp)  # m_hat
+    tmp *= lr
+    np.divide(v, 1 - b2**step_index, out=g)  # v_hat
+    np.sqrt(g, out=g)
+    g += eps
+    tmp /= g
+    params.flat -= tmp
 
 
 def _batch_loss(he, target_centers, config):
@@ -113,10 +139,28 @@ def evaluate_map(params, dataset: MultiViewDataset, fusion="gmu") -> float:
     return retrieval.mean_average_precision(q_codes, ql, index)
 
 
+# rows per forward pass in encode. Single-threaded over 100k rows (K=64,
+# hidden 84, 2-core x86-64, OpenBLAS) 512-1024 rows were fastest: 0.43 s,
+# against 0.66 s at 4096 and 0.93 s in one pass, whose float64
+# intermediates also peak at about 600 MB.
+_ENCODE_ROWS = 1024
+
+
 def encode(params, image_feats, text_feats, fusion="gmu") -> np.ndarray:
-    """Inference path: forward without dropout, then sign binarization."""
-    he, _ = net.forward(params, image_feats, text_feats, fusion=fusion)
-    return net.binarize(he)
+    """Inference path: forward without dropout, then sign binarization, over
+    blocks of _ENCODE_ROWS rows."""
+    img = np.atleast_2d(image_feats)
+    txt = np.atleast_2d(text_feats)
+    n = img.shape[0]
+    if txt.shape[0] != n:
+        raise ShapeMismatch(f"batch sizes differ: {n} vs {txt.shape[0]}")
+    codes = np.empty((n, params.dims.code_length), dtype=np.int8)
+    # at least one pass, so that forward checks the widths of an empty input too
+    for start in range(0, max(n, 1), _ENCODE_ROWS):
+        rows = slice(start, start + _ENCODE_ROWS)
+        he, _ = net.forward(params, img[rows], txt[rows], fusion=fusion)
+        codes[rows] = net.binarize(he)
+    return codes
 
 
 def encode_dataset(params, dataset: MultiViewDataset, fusion="gmu") -> np.ndarray:

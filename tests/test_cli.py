@@ -197,6 +197,23 @@ def test_diverged_train_exits_one_tagged_divergence(pipeline, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--learning-rate", "nan"), ("--learning-rate", "inf"),
+                                         ("--lam", "nan"), ("--beta1", "1.0"),
+                                         ("--adam-epsilon", "0")])
+def test_train_rejects_bad_numbers_before_training(pipeline, tmp_path, capsys, flag, value):
+    data = pipeline / "data"
+    out, log = tmp_path / "m.csmv", tmp_path / "log.csv"
+    code = run("train", "--image-features", str(data / "image_features.csft"),
+               "--text-features", str(data / "text_features.csft"),
+               "--labels", str(data / "labels.cslb"),
+               "--splits", str(data / "splits.json"),
+               "--centers", str(pipeline / "centers.cshc"),
+               "--out", str(out), "--log-csv", str(log), "--epochs", "1", flag, value)
+    assert code == 1
+    assert "[errors.InvalidArgument]" in capsys.readouterr().err
+    assert not out.exists() and not log.exists()
+
+
 def test_conflicting_ablation_flags(tmp_path):
     assert run("train", "--image-features", "x", "--text-features", "x",
                "--labels", "x", "--splits", "x", "--centers", "x",

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -161,3 +163,94 @@ def test_checkpoint_bad_version(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(FormatError, match="version"):
         formats.load_checkpoint(path)
+
+
+def test_checkpoint_bytes_equal_per_block_body(tmp_path):
+    dims = net.Dims(d_img=5, d_txt=7, d=4, code_length=37)
+    p = net.init_params(dims, seed=2**64 - 1)
+    rng = np.random.default_rng(3)
+    p.flat[:] = rng.normal(size=p.flat.size)
+    path = tmp_path / "model.csmv"
+    formats.save_checkpoint(p, path)
+    head = struct.pack("<4sIIIIIIQ", b"CSMV", 1, 5, 7, 4, 37, 2, 2**64 - 1)
+    body = b"".join(np.ascontiguousarray(p.blocks()[name], dtype="<f8").tobytes()
+                    for name in net.PARAM_NAMES)
+    assert path.read_bytes() == head + body
+
+
+def test_checkpoint_blocks_are_views_after_load(tmp_path):
+    dims = net.Dims(d_img=5, d_txt=7, d=4, code_length=6)
+    path = tmp_path / "model.csmv"
+    formats.save_checkpoint(net.init_params(dims, seed=1), path)
+    back = formats.load_checkpoint(path)
+    assert back.flat.shape == (dims.param_count(),)
+    for name, block in back.blocks().items():
+        assert np.shares_memory(block, back.flat), name
+
+
+@pytest.mark.parametrize("name, index, value", [
+    ("W_vnorm", (0, 0), np.nan), ("W_z", (1, 3), -np.inf), ("b_hash", (5,), np.inf),
+])
+def test_checkpoint_rejects_non_finite_parameter(tmp_path, name, index, value):
+    dims = net.Dims(d_img=5, d_txt=7, d=4, code_length=6)
+    p = net.init_params(dims, seed=1)
+    p.blocks()[name][index] = value
+    path = tmp_path / "model.csmv"
+    formats.save_checkpoint(p, path)
+    offset = 36 + 8 * int(np.flatnonzero(~np.isfinite(p.flat))[0])
+    with pytest.raises(FormatError, match=rf"model\.csmv: non-finite parameter in block "
+                                          rf"{name} at byte offset {offset}$"):
+        formats.load_checkpoint(path)
+
+
+def test_checkpoint_rejects_num_views_other_than_two(tmp_path):
+    path = tmp_path / "m.csmv"
+    formats.save_checkpoint(net.init_params(net.Dims(2, 2, 2, 2), seed=0), path)
+    raw = bytearray(path.read_bytes())
+    raw[24:28] = struct.pack("<I", 7)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=r"m\.csmv: num_views must be 2, got 7"):
+        formats.load_checkpoint(path)
+
+
+def _mutation_files(tmp_path):
+    """(loader, path, header bytes that hold magic, version and sizes) per format.
+    The CSHC and CSMV seed fields are left out: no checksum covers them."""
+    from mvhash.retrieval import pack_codes
+
+    rng = np.random.default_rng(7)
+    files = tmp_path / "files"
+    files.mkdir()
+    centers, feats, labels = files / "c.cshc", files / "f.csft", files / "l.cslb"
+    codes, ckpt = files / "c.cscd", files / "m.csmv"
+    formats.save_centers(generate_centers(4, 12, seed=1), centers)
+    formats.save_features(rng.normal(size=(3, 5)), feats)
+    formats.save_labels((rng.random((3, 10)) < 0.5).astype(np.uint8), labels)
+    formats.save_codes(pack_codes(np.ones((3, 12), np.int8)), np.ones((3, 5), np.uint8), 12,
+                       codes)
+    formats.save_checkpoint(net.init_params(net.Dims(2, 3, 2, 4), seed=5), ckpt)
+    return {
+        "centers": (formats.load_centers, centers, [*range(16), 24]),
+        "features": (formats.load_features, feats, range(16)),
+        "labels": (formats.load_labels, labels, range(16)),
+        # the label width u32 sits after the 3 x 2 code bytes
+        "codes": (formats.load_codes, codes, [*range(16), *range(22, 26)]),
+        "checkpoint": (formats.load_checkpoint, ckpt, range(28)),
+    }
+
+
+@pytest.mark.parametrize("kind", ["centers", "features", "labels", "codes", "checkpoint"])
+def test_byte_mutations_rejected_naming_the_file(tmp_path, kind):
+    load, path, header = _mutation_files(tmp_path)[kind]
+    good = path.read_bytes()
+    load(path)
+    mutants = [("truncated", good[:-1]), ("extended", good + b"\0")]
+    for offset in header:
+        flipped = bytearray(good)
+        flipped[offset] ^= 0xFF
+        mutants.append((f"byte {offset} flipped", bytes(flipped)))
+    for what, data in mutants:
+        path.write_bytes(data)
+        with pytest.raises(FormatError) as exc:
+            load(path)
+        assert str(path) in str(exc.value), what

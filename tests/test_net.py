@@ -16,6 +16,33 @@ def test_init_deterministic():
         assert (arr == b.blocks()[name]).all()
 
 
+def _seed_init_blocks(dims, seed):
+    """The per-block initialisation the flat buffer replaced, kept as its oracle."""
+    rng = np.random.default_rng(seed)
+
+    def w(rows, cols):
+        bound = 1.0 / np.sqrt(cols)
+        return rng.uniform(-bound, bound, size=(rows, cols))
+
+    d, k = dims.d, dims.code_length
+    return {
+        "W_vnorm": w(d, dims.d_img), "b_vnorm": np.zeros(d),
+        "W_tnorm": w(d, dims.d_txt), "b_tnorm": np.zeros(d),
+        "W_i": w(d, d), "W_t": w(d, d), "W_z": w(d, 2 * d),
+        "W_hash": w(k, d), "b_hash": np.zeros(k),
+    }
+
+
+@pytest.mark.parametrize("dims", [SMALL, net.Dims(d_img=64, d_txt=48, d=84, code_length=37)])
+def test_init_matches_per_block_draws(dims):
+    p = net.init_params(dims, seed=2**63 + 5)
+    want = _seed_init_blocks(dims, 2**63 + 5)
+    assert list(p.blocks()) == list(want) == list(net.PARAM_NAMES)
+    for name, block in p.blocks().items():
+        assert block.shape == want[name].shape and (block == want[name]).all(), name
+    assert (p.flat == np.concatenate([a.ravel() for a in want.values()])).all()
+
+
 def test_init_biases_zero_and_scale():
     p = net.init_params(net.Dims(64, 64, 64, 16), seed=1)
     assert (p.b_vnorm == 0).all() and (p.b_hash == 0).all()

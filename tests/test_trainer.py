@@ -4,7 +4,7 @@ import pytest
 from mvhash import net, trainer
 from mvhash.centers import generate_centers
 from mvhash.data import SynthSpec, make_synthetic
-from mvhash.errors import DivergenceError, InvalidArgument
+from mvhash.errors import DivergenceError, InvalidArgument, ShapeMismatch
 
 SMALL = net.Dims(d_img=8, d_txt=8, d=6, code_length=4)
 
@@ -71,6 +71,85 @@ def test_adam_rejects_nonfinite_gradient():
         trainer.adam_step(p, g, state, 1, _config())
 
 
+def _seed_adam_step(blocks, grads, m, v, step_index, config):
+    """The per-block Adam loop the flat update replaced, kept as its oracle."""
+    b1, b2 = config.adam_betas
+    lr, eps = config.learning_rate, config.adam_epsilon
+    for name, p in blocks.items():
+        g = grads[name]
+        m[name] = b1 * m[name] + (1 - b1) * g
+        v[name] = b2 * v[name] + (1 - b2) * g * g
+        m_hat = m[name] / (1 - b1**step_index)
+        v_hat = v[name] / (1 - b2**step_index)
+        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+# SMALL, and the train-multilabel benchmark head (44,584 parameters)
+@pytest.mark.parametrize("dims", [SMALL, net.Dims(d_img=64, d_txt=64, d=84, code_length=64)],
+                         ids=["small", "train_multilabel"])
+def test_flat_adam_step_matches_per_block_loop(dims):
+    p = net.init_params(dims, seed=3)
+    blocks = {k: a.copy() for k, a in p.blocks().items()}
+    m = {k: np.zeros_like(a) for k, a in blocks.items()}
+    v = {k: np.zeros_like(a) for k, a in blocks.items()}
+    state = trainer.AdamState(p)
+    cfg = _config(learning_rate=3e-3, adam_betas=(0.8, 0.99), adam_epsilon=1e-7)
+    rng = np.random.default_rng(4)
+    for step in range(1, 8):
+        scale = 10.0 ** rng.integers(-6, 3)
+        grads = {k: scale * rng.normal(size=a.shape) for k, a in blocks.items()}
+        trainer.adam_step(p, grads, state, step, cfg)
+        _seed_adam_step(blocks, grads, m, v, step, cfg)
+        for name in net.PARAM_NAMES:
+            assert (p.blocks()[name] == blocks[name]).all(), (step, name)
+            assert (state.m[name] == m[name]).all() and (state.v[name] == v[name]).all()
+
+
+def test_blocks_are_views_of_flat_after_init_and_train():
+    def assert_views(params):
+        assert params.flat.flags.c_contiguous and params.flat.dtype == np.float64
+        for name, block in params.blocks().items():
+            assert np.shares_memory(block, params.flat), name
+        params.flat[:] = np.arange(params.flat.size)
+        assert np.concatenate([b.ravel() for b in params.blocks().values()]).tolist() \
+            == list(range(params.flat.size))
+
+    assert_views(net.init_params(SMALL, seed=0))
+    state = trainer.AdamState(net.init_params(SMALL, seed=0))
+    for moments, flat in ((state.m, state.m_flat), (state.v, state.v_flat)):
+        assert all(np.shares_memory(block, flat) for block in moments.values())
+    ds = _tiny_dataset()
+    report = trainer.train(ds, generate_centers(4, 8, seed=0), _config(epochs=2), dims_hidden=8)
+    assert_views(report.params)
+
+
+@pytest.mark.parametrize("rows", ["1d", 1, "R-1", "R", "R+1", "2R+3"])
+def test_encode_in_row_blocks_equals_one_forward(rows):
+    R = trainer._ENCODE_ROWS
+    n = {"1d": 1, "R-1": R - 1, "R": R, "R+1": R + 1, "2R+3": 2 * R + 3}.get(rows, rows)
+    dims = net.Dims(d_img=8, d_txt=8, d=6, code_length=37)
+    p = net.init_params(dims, seed=5)
+    rng = np.random.default_rng(6)
+    img, txt = rng.normal(size=(n, 8)), rng.normal(size=(n, 8))
+    if rows == "1d":
+        img, txt = img[0], txt[0]
+    for fusion in ("gmu", "concat"):
+        want = net.binarize(net.forward(p, img, txt, fusion=fusion)[0])
+        got = trainer.encode(p, img, txt, fusion=fusion)
+        assert got.dtype == np.int8 and got.shape == (n, 37)
+        assert (got == want).all()
+
+
+def test_encode_checks_row_counts_and_widths():
+    p = net.init_params(SMALL, seed=0)
+    R = trainer._ENCODE_ROWS
+    with pytest.raises(ShapeMismatch, match="batch sizes differ"):
+        trainer.encode(p, np.ones((R, 8)), np.ones((R + 1, 8)))
+    with pytest.raises(ShapeMismatch):
+        trainer.encode(p, np.ones((0, 7)), np.ones((0, 8)))
+    assert trainer.encode(p, np.ones((0, 8)), np.ones((0, 8))).shape == (0, 4)
+
+
 def test_config_validation():
     with pytest.raises(InvalidArgument):
         trainer.TrainConfig(epochs=0)
@@ -82,6 +161,29 @@ def test_config_validation():
         trainer.TrainConfig(dropout_p=1.0)
     with pytest.raises(InvalidArgument):
         trainer.TrainConfig(fusion="sum")
+
+
+@pytest.mark.parametrize("field, value, name", [
+    ("learning_rate", float("nan"), "learning_rate"),
+    ("learning_rate", float("inf"), "learning_rate"),
+    ("lam", float("nan"), "lam"),
+    ("lam", float("inf"), "lam"),
+    ("adam_betas", (1.0, 0.999), "adam_betas"),
+    ("adam_betas", (0.9, float("nan")), "adam_betas"),
+    ("adam_betas", (float("nan"), 0.999), "adam_betas"),
+    ("adam_betas", (-0.1, 0.999), "adam_betas"),
+    ("adam_epsilon", 0.0, "adam_epsilon"),
+    ("adam_epsilon", -1e-8, "adam_epsilon"),
+    ("adam_epsilon", float("nan"), "adam_epsilon"),
+    ("dropout_p", float("nan"), "dropout_p"),
+])
+def test_config_rejects_bad_numbers(field, value, name):
+    with pytest.raises(InvalidArgument, match=name):
+        trainer.TrainConfig(**{field: value})
+
+
+def test_config_keeps_large_finite_learning_rate():
+    assert trainer.TrainConfig(learning_rate=1e307).learning_rate == 1e307
 
 
 def _tiny_dataset(seed=0, consistency=1.0):
