@@ -11,7 +11,7 @@ from .centers import (
     semantic_center,
     sylvester_hadamard,
 )
-from .data import MultiViewDataset, SynthSpec, make_synthetic, split_protocol
+from .data import MultiViewDataset, SynthSpec, make_synthetic
 from .loss import LossReport, central_similarity_loss, quantization_loss, total_loss
 from .net import Dims, ModelParams, binarize, forward, backward, gate_values, init_params
 from .retrieval import (
@@ -19,21 +19,20 @@ from .retrieval import (
     RetrievalIndex,
     average_precision,
     curves,
-    hamming_distance,
     mean_average_precision,
     pack_codes,
     unpack_codes,
 )
-from .trainer import TrainConfig, TrainReport, adam_step, encode_dataset, train
+from .trainer import TrainConfig, TrainReport, adam_step, train
 
 __all__ = [
     "HashCenterSet", "generate_centers", "hamming_from_inner",
     "min_pairwise_distance", "semantic_center", "sylvester_hadamard",
-    "MultiViewDataset", "SynthSpec", "make_synthetic", "split_protocol",
+    "MultiViewDataset", "SynthSpec", "make_synthetic",
     "LossReport", "central_similarity_loss", "quantization_loss", "total_loss",
     "Dims", "ModelParams", "binarize", "forward", "backward", "gate_values",
     "init_params",
     "QueryResult", "RetrievalIndex", "average_precision", "curves",
-    "hamming_distance", "mean_average_precision", "pack_codes", "unpack_codes",
-    "TrainConfig", "TrainReport", "adam_step", "encode_dataset", "train",
+    "mean_average_precision", "pack_codes", "unpack_codes",
+    "TrainConfig", "TrainReport", "adam_step", "train",
 ]

@@ -227,10 +227,14 @@ def cmd_encode(args):
         img, txt, labels = img[take], txt[take], labels[take]
     codes = trainer.encode(params, img, txt, fusion=fusion)
     formats.save_codes(retrieval.pack_codes(codes), labels, params.dims.code_length, args.out)
-    _write_manifest(args.out, "encode", {"split": args.split, "fusion": fusion}, {
+    inputs = {
         "checkpoint": args.checkpoint, "image_features": args.image_features,
         "text_features": args.text_features, "labels": args.labels,
-    }, {"codes": args.out}, None)
+    }
+    if args.splits:
+        inputs["splits"] = args.splits
+    _write_manifest(args.out, "encode", {"split": args.split, "fusion": fusion}, inputs,
+                    {"codes": args.out}, None)
     print(f"encoded {codes.shape[0]} samples at K={params.dims.code_length} -> {args.out}")
     return 0
 

@@ -116,41 +116,3 @@ def make_synthetic(spec: SynthSpec) -> MultiViewDataset:
         retrieval_mask=retrieval,
         query_mask=query,
     )
-
-
-def split_protocol(
-    dataset: MultiViewDataset, train_n: int, query_per_class: int, seed: int
-) -> MultiViewDataset:
-    """Re-tag splits: per-class stratified query, remainder retrieval,
-    train_n samples drawn from the retrieval set."""
-    rng = np.random.default_rng(seed)
-    n = len(dataset)
-    labels = dataset.labels
-    v = dataset.num_classes
-
-    query = np.zeros(n, dtype=bool)
-    for c in range(v):
-        members = np.flatnonzero(labels[:, c] & ~query)
-        if members.size < query_per_class:
-            raise InvalidArgument(
-                f"class {c} has {members.size} unclaimed samples, need {query_per_class}"
-            )
-        query[rng.choice(members, size=query_per_class, replace=False)] = True
-
-    retrieval = ~query
-    retr_idx = np.flatnonzero(retrieval)
-    if train_n > retr_idx.size:
-        raise InvalidArgument(
-            f"train_n={train_n} exceeds retrieval size {retr_idx.size}"
-        )
-    train = np.zeros(n, dtype=bool)
-    train[rng.choice(retr_idx, size=train_n, replace=False)] = True
-
-    return MultiViewDataset(
-        image_features=dataset.image_features,
-        text_features=dataset.text_features,
-        labels=dataset.labels,
-        train_mask=train,
-        retrieval_mask=retrieval,
-        query_mask=query,
-    )

@@ -153,9 +153,15 @@ def load_features(path, expected_dim: int | None = None) -> np.ndarray:
     dim = r.u32("dim")
     if expected_dim is not None and dim != expected_dim:
         raise ShapeMismatch(f"{r.path}: file dim {dim} != expected {expected_dim}")
-    m = r.array("<f4", n * dim, "feature rows").reshape(n, dim)
+    body = r.pos
+    m = r.array("<f4", n * dim, "feature rows")
     r.done()
-    return m.astype(np.float64)
+    finite = np.isfinite(m)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise FormatError(f"{r.path}: non-finite feature at row {i // dim}, column {i % dim}, "
+                          f"byte offset {body + 4 * i}")
+    return m.reshape(n, dim).astype(np.float64)
 
 
 # ---- CSLB: multi-hot labels ----

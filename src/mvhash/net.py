@@ -209,10 +209,18 @@ def forward(
     return he, cache
 
 
+def _through_tanh(g_h, h, x, W, gW):
+    """Back through h = tanh(x @ W.T): writes dL/dW into gW, returns dL/dx."""
+    g_p = g_h * (1.0 - h**2)
+    np.matmul(g_p.T, x, out=gW)
+    return g_p @ W
+
+
 def backward(
     params: ModelParams, cache: ForwardCache, grad_he: np.ndarray
-) -> dict[str, np.ndarray]:
-    """Exact gradients of sum(grad_he * he) w.r.t. every parameter block."""
+) -> np.ndarray:
+    """Exact gradient of sum(grad_he * he) w.r.t. every parameter, as one
+    float64 vector laid out like params.flat; block_views names its blocks."""
     if cache.dims != params.dims:
         raise CacheMismatch("cache was produced under different dims")
     g_he = np.asarray(grad_he, dtype=np.float64)
@@ -220,63 +228,41 @@ def backward(
         raise CacheMismatch(f"grad_he shape {g_he.shape} != he shape {cache.he.shape}")
 
     d = params.dims.d
+    grad = np.zeros_like(params.flat)  # blocks no path reaches stay exactly zero
+    g = block_views(grad, params.dims)
     g_a = g_he * (1.0 - cache.he**2)  # through final tanh
-    gW_hash = g_a.T @ cache.h_f
-    gb_hash = g_a.sum(axis=0)
+    np.matmul(g_a.T, cache.h_f, out=g["W_hash"])
+    np.sum(g_a, axis=0, out=g["b_hash"])
     g_hf = g_a @ params.W_hash
 
-    g_xi = np.zeros_like(cache.x_i)
-    g_xt = np.zeros_like(cache.x_t)
-    gW_z = np.zeros_like(params.W_z)
-    gW_i = np.zeros_like(params.W_i)
-    gW_t = np.zeros_like(params.W_t)
-
-    def through_hi(g_hi):
-        nonlocal gW_i, g_xi
-        g_p = g_hi * (1.0 - cache.h_i**2)
-        gW_i = g_p.T @ cache.x_i
-        g_xi += g_p @ params.W_i
-
-    def through_ht(g_ht):
-        nonlocal gW_t, g_xt
-        g_p = g_ht * (1.0 - cache.h_t**2)
-        gW_t = g_p.T @ cache.x_t
-        g_xt += g_p @ params.W_t
-
+    tower_i = (cache.h_i, cache.x_i, params.W_i, g["W_i"])
+    tower_t = (cache.h_t, cache.x_t, params.W_t, g["W_t"])
+    g_xi = g_xt = None  # dL/dx of each view; None where no path reaches it
     if cache.fusion == "gmu":
         g_z = g_hf * (cache.h_i - cache.h_t)
         g_u = g_z * cache.z * (1.0 - cache.z)
         xc = np.concatenate([cache.x_i, cache.x_t], axis=1)
-        gW_z = g_u.T @ xc
-        g_xi += g_u @ params.W_z[:, :d]
-        g_xt += g_u @ params.W_z[:, d:]
-        through_hi(g_hf * cache.z)
-        through_ht(g_hf * (1.0 - cache.z))
+        np.matmul(g_u.T, xc, out=g["W_z"])
+        g_xi = g_u @ params.W_z[:, :d] + _through_tanh(g_hf * cache.z, *tower_i)
+        g_xt = g_u @ params.W_z[:, d:] + _through_tanh(g_hf * (1.0 - cache.z), *tower_t)
     elif cache.fusion == "image":
-        through_hi(g_hf)
+        g_xi = _through_tanh(g_hf, *tower_i)
     elif cache.fusion == "text":
-        through_ht(g_hf)
+        g_xt = _through_tanh(g_hf, *tower_t)
     else:  # concat
         hc = np.concatenate([cache.h_i, cache.h_t], axis=1)
-        gW_z = g_hf.T @ hc
-        through_hi(g_hf @ params.W_z[:, :d])
-        through_ht(g_hf @ params.W_z[:, d:])
+        np.matmul(g_hf.T, hc, out=g["W_z"])
+        g_xi = _through_tanh(g_hf @ params.W_z[:, :d], *tower_i)
+        g_xt = _through_tanh(g_hf @ params.W_z[:, d:], *tower_t)
 
-    if cache.mask_i is not None:
-        g_xi = g_xi * cache.mask_i
-        g_xt = g_xt * cache.mask_t
-
-    return {
-        "W_vnorm": g_xi.T @ cache.img,
-        "b_vnorm": g_xi.sum(axis=0),
-        "W_tnorm": g_xt.T @ cache.txt,
-        "b_tnorm": g_xt.sum(axis=0),
-        "W_i": gW_i,
-        "W_t": gW_t,
-        "W_z": gW_z,
-        "W_hash": gW_hash,
-        "b_hash": gb_hash,
-    }
+    for g_x, mask, feats, gW, gb in ((g_xi, cache.mask_i, cache.img, g["W_vnorm"], g["b_vnorm"]),
+                                     (g_xt, cache.mask_t, cache.txt, g["W_tnorm"], g["b_tnorm"])):
+        if g_x is not None:
+            if mask is not None:
+                g_x *= mask
+            np.matmul(g_x.T, feats, out=gW)
+            np.sum(g_x, axis=0, out=gb)
+    return grad
 
 
 def binarize(he: np.ndarray) -> np.ndarray:

@@ -40,17 +40,6 @@ def _to_words(packed: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(packed).view(np.uint64)
 
 
-def hamming_distance(a: np.ndarray, b: np.ndarray) -> int:
-    """Number of differing bits between two +-1 codes of equal length."""
-    av = np.asarray(a).ravel()
-    bv = np.asarray(b).ravel()
-    if av.shape != bv.shape:
-        raise InvalidArgument(f"code lengths differ: {av.shape[0]} vs {bv.shape[0]}")
-    wa = _to_words(pack_codes(av))
-    wb = _to_words(pack_codes(bv))
-    return int(np.bitwise_count(wa ^ wb).sum())
-
-
 @dataclass(frozen=True)
 class QueryResult:
     """Top-k items, ascending distance, ties broken by ascending id."""
@@ -85,7 +74,6 @@ class RetrievalIndex:
             )
         self.code_length = int(code_length)
         self.size = packed.shape[0]
-        self._packed = packed
         self._words = _to_words(packed)
         self.labels = labels.astype(np.uint8)
 
@@ -93,10 +81,6 @@ class RetrievalIndex:
     def from_signs(cls, codes: np.ndarray, labels: np.ndarray) -> "RetrievalIndex":
         c = np.atleast_2d(np.asarray(codes))
         return cls(pack_codes(c), labels, c.shape[1])
-
-    @property
-    def packed_codes(self) -> np.ndarray:
-        return self._packed
 
     def _scan(self, query_code: np.ndarray) -> np.ndarray:
         """Hamming distance to every row, as np.min_scalar_type(K), in row-major chunks.
@@ -186,6 +170,17 @@ def average_precision(
     return float(np.sum(_precision_terms(rel)) / m) if m else 0.0
 
 
+def _query_rows(query_codes, query_labels) -> tuple[np.ndarray, np.ndarray]:
+    """Query codes and labels as rows: at least one query, one label row per code."""
+    qc = np.atleast_2d(np.asarray(query_codes))
+    ql = np.atleast_2d(np.asarray(query_labels))
+    if qc.shape[0] < 1:
+        raise InvalidArgument("empty query set")
+    if qc.shape[0] != ql.shape[0]:
+        raise InvalidArgument(f"{qc.shape[0]} query codes but {ql.shape[0]} query label rows")
+    return qc, ql
+
+
 def mean_average_precision(
     query_codes: np.ndarray,
     query_labels: np.ndarray,
@@ -193,10 +188,7 @@ def mean_average_precision(
     r_cap: int | None = None,
 ) -> float:
     """Mean AP over queries; query codes are +-1 rows."""
-    qc = np.atleast_2d(np.asarray(query_codes))
-    ql = np.atleast_2d(np.asarray(query_labels))
-    if qc.shape[0] < 1:
-        raise InvalidArgument("empty query set")
+    qc, ql = _query_rows(query_codes, query_labels)
     cap = index.size if r_cap is None else min(r_cap, index.size)
     return float(np.mean([
         average_precision(label, index.query_topk(code, cap), index)
@@ -214,8 +206,7 @@ def curves(
     ks = list(k_grid)
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise InvalidArgument("k_grid must be strictly increasing")
-    qc = np.atleast_2d(np.asarray(query_codes))
-    ql = np.atleast_2d(np.asarray(query_labels))
+    qc, ql = _query_rows(query_codes, query_labels)
     caps = [min(k, index.size) for k in ks]
     aps, recalls = np.zeros((2, len(ks), qc.shape[0]))
     for j, (code, label) in enumerate(zip(qc, ql)):

@@ -65,54 +65,52 @@ class TrainReport:
 
 
 class AdamState:
-    """First/second moment estimates as flat vectors laid out like
-    `params.flat`, with per-block views `m[name]`/`v[name]`, plus the scratch
-    vectors one update needs."""
+    """First/second moment estimates `m`/`v` and the scratch vectors one
+    update needs, as flat vectors laid out like `params.flat`."""
 
     def __init__(self, params: net.ModelParams):
-        self.m_flat = np.zeros_like(params.flat)
-        self.v_flat = np.zeros_like(params.flat)
-        self.m = net.block_views(self.m_flat, params.dims)
-        self.v = net.block_views(self.v_flat, params.dims)
-        self.grad = np.empty_like(params.flat)
+        self.m = np.zeros_like(params.flat)
+        self.v = np.zeros_like(params.flat)
         self.scratch = np.empty_like(params.flat)
+        self.denom = np.empty_like(params.flat)
 
 
 def adam_step(
     params: net.ModelParams,
-    grads: dict[str, np.ndarray],
+    grad: np.ndarray,
     state: AdamState,
     step_index: int,
     config: TrainConfig,
 ) -> None:
-    """One bias-corrected Adam update of `params.flat`, in place.
+    """One bias-corrected Adam update of `params.flat`, in place, from a
+    gradient laid out like it (as net.backward returns it); `grad` is only read.
 
     Per element, in this order: m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
     p -= (lr * m/(1-b1**t)) / (sqrt(v/(1-b2**t)) + eps).
     """
     if step_index < 1:
         raise InvalidArgument("step_index must be >= 1")
+    if np.shape(grad) != params.flat.shape:  # a 1-element one would broadcast
+        raise ShapeMismatch(f"gradient shape {np.shape(grad)} != parameters {params.flat.shape}")
     b1, b2 = config.adam_betas
     lr, eps = config.learning_rate, config.adam_epsilon
-    g, tmp = state.grad, state.scratch
-    np.concatenate([grads[name].reshape(-1) for name in net.PARAM_NAMES], out=g)
-    bad = net.first_non_finite(g, params.dims)
+    bad = net.first_non_finite(grad, params.dims)
     if bad is not None:
         raise DivergenceError(f"non-finite gradient in block {bad[0]}")
-    m, v = state.m_flat, state.v_flat
-    np.multiply(g, 1 - b1, out=tmp)
+    m, v, tmp, denom = state.m, state.v, state.scratch, state.denom
+    np.multiply(grad, 1 - b1, out=tmp)
     m *= b1
     m += tmp
-    np.multiply(g, 1 - b2, out=tmp)
-    tmp *= g
+    np.multiply(grad, 1 - b2, out=tmp)
+    tmp *= grad
     v *= b2
     v += tmp
     np.divide(m, 1 - b1**step_index, out=tmp)  # m_hat
     tmp *= lr
-    np.divide(v, 1 - b2**step_index, out=g)  # v_hat
-    np.sqrt(g, out=g)
-    g += eps
-    tmp /= g
+    np.divide(v, 1 - b2**step_index, out=denom)  # v_hat
+    np.sqrt(denom, out=denom)
+    denom += eps
+    tmp /= denom
     params.flat -= tmp
 
 
@@ -161,10 +159,6 @@ def encode(params, image_feats, text_feats, fusion="gmu") -> np.ndarray:
         he, _ = net.forward(params, img[rows], txt[rows], fusion=fusion)
         codes[rows] = net.binarize(he)
     return codes
-
-
-def encode_dataset(params, dataset: MultiViewDataset, fusion="gmu") -> np.ndarray:
-    return encode(params, dataset.image_features, dataset.text_features, fusion)
 
 
 def _log_row(path, row, mode="a"):
@@ -225,9 +219,9 @@ def train(
             batch_report, grad_he = _batch_loss(he, targets[idx], config)
             if not np.isfinite(batch_report.l_total):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}")
-            grads = net.backward(params, cache, grad_he)
+            grad = net.backward(params, cache, grad_he)
             step += 1
-            adam_step(params, grads, state, step, config)
+            adam_step(params, grad, state, step, config)
             try:
                 params.check_finite()
             except InvalidArgument as exc:

@@ -16,11 +16,10 @@ from mvhash import cli
 from mvhash.centers import generate_centers, min_pairwise_distance
 from mvhash.data import MultiViewDataset, SynthSpec, make_synthetic
 from mvhash.loss import central_similarity_loss, quantization_loss, total_loss
-from mvhash.net import Dims, PARAM_NAMES, forward, init_params, backward
+from mvhash.net import Dims, PARAM_NAMES, block_views, forward, init_params, backward
 from mvhash.retrieval import (
     RetrievalIndex,
     curves,
-    hamming_distance,
     mean_average_precision,
     pack_codes,
     random_ranking_map,
@@ -95,9 +94,10 @@ def test_criterion_01_hamming_identity():
     for k in (16, 32, 64, 128):
         a = rng.choice((-1, 1), size=(1000, k)).astype(np.int8)
         b = rng.choice((-1, 1), size=(1000, k)).astype(np.int8)
+        index = RetrievalIndex.from_signs(b, np.ones((1000, 1), dtype=np.uint8))
         for i in range(1000):
             inner = int(a[i].astype(np.int64) @ b[i].astype(np.int64))
-            if hamming_distance(a[i], b[i]) != (k - inner) // 2:
+            if index.distances(a[i])[i] != (k - inner) // 2:
                 verdict(1, False, f"mismatch at K={k}, pair {i}")
             checked += 1
     verdict(1, True, f"popcount == (K - <a,b>)/2 on {checked} random pairs")
@@ -147,7 +147,7 @@ def test_criterion_03_gradients():
 
         he, cache = forward(params, xi, xt)
         _, grad_he = total_loss(he, targets, lam)
-        analytic = backward(params, cache, grad_he)
+        analytic = block_views(backward(params, cache, grad_he), dims)
         for name in PARAM_NAMES:
             block = getattr(params, name)
             fd = np.zeros_like(block)
@@ -386,7 +386,7 @@ def _replay(manifest_path, src, dst):
                 "--image-features", swap(m["inputs"]["image_features"]),
                 "--text-features", swap(m["inputs"]["text_features"]),
                 "--labels", swap(m["inputs"]["labels"]),
-                "--splits", swap(str(Path(m["inputs"]["image_features"]).parent / "splits.json")),
+                "--splits", swap(m["inputs"]["splits"]),
                 "--split", cfg["split"],
                 "--out", swap(m["outputs"]["codes"])]
     if sub == "eval":

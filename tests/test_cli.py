@@ -139,6 +139,26 @@ def test_curves_subcommand(pipeline):
     assert recalls[-1] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("stage", ["eval", "curves"])
+def test_empty_query_file_exits_one(pipeline, tmp_path, capsys, stage):
+    queries, out = tmp_path / "empty.cscd", tmp_path / "out.csv"
+    formats.save_codes(np.zeros((0, 1), dtype=np.uint8), np.zeros((0, 4)), 8, queries)
+    extra = ["--k-grid", "1", "5"] if stage == "curves" else []
+    assert run(stage, "--codes", str(pipeline / "retrieval.cscd"),
+               "--queries", str(queries), "--out", str(out), *extra) == 1
+    assert "empty query set" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_encode_manifest_records_splits(pipeline, tmp_path):
+    for split in ("retrieval", "query"):
+        manifest = json.loads((pipeline / f"{split}.cscd.manifest.json").read_text())
+        assert manifest["inputs"]["splits"] == str(pipeline / "data" / "splits.json")
+    out = tmp_path / "all.cscd"
+    assert run(*_encode_args(pipeline, out)) == 0
+    assert "splits" not in json.loads((tmp_path / "all.cscd.manifest.json").read_text())["inputs"]
+
+
 def _encode_args(pipeline, out, *extra):
     data = pipeline / "data"
     return ["encode", "--checkpoint", str(pipeline / "model.csmv"),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mvhash.data import MultiViewDataset, SynthSpec, make_synthetic, split_protocol
+from mvhash.data import MultiViewDataset, SynthSpec, make_synthetic
 from mvhash.errors import InvalidArgument
 
 
@@ -65,27 +65,6 @@ def test_synthetic_consistency_controls_text_view():
 
     assert text_mismatch_rate(clean) < 0.05
     assert text_mismatch_rate(noisy) > 0.2
-
-
-def test_split_protocol_counts_and_subsets():
-    ds = make_synthetic(SynthSpec(10, 30, 4, 4, 0.3, 1.0, seed=2))
-    out = split_protocol(ds, train_n=100, query_per_class=2, seed=9)
-    assert out.query_mask.sum() == 20
-    assert out.train_mask.sum() == 100
-    # train drawn from retrieval; query disjoint from retrieval
-    assert (out.train_mask & ~out.retrieval_mask).sum() == 0
-    assert not (out.query_mask & out.retrieval_mask).any()
-    again = split_protocol(ds, train_n=100, query_per_class=2, seed=9)
-    assert (out.query_mask == again.query_mask).all()
-    assert (out.train_mask == again.train_mask).all()
-
-
-def test_split_protocol_infeasible_counts():
-    ds = make_synthetic(SynthSpec(4, 10, 4, 4, 0.3, 1.0, seed=2))
-    with pytest.raises(InvalidArgument):
-        split_protocol(ds, train_n=5, query_per_class=11, seed=0)
-    with pytest.raises(InvalidArgument):
-        split_protocol(ds, train_n=1000, query_per_class=1, seed=0)
 
 
 def test_dataset_rejects_unlabeled_samples():

@@ -68,6 +68,21 @@ def test_features_truncated(tmp_path):
         formats.load_features(path)
 
 
+@pytest.mark.parametrize("row, col, value", [(1, 2, np.nan), (0, 0, np.inf), (3, 4, -np.inf)])
+def test_features_reject_non_finite_value(tmp_path, row, col, value):
+    m = np.arange(20, dtype=np.float64).reshape(4, 5)
+    m[row, col] = value
+    m[3, 4] = value  # only the first bad cell is named
+    path = tmp_path / "f.csft"
+    formats.save_features(m, path)
+    offset = 16 + 4 * (row * 5 + col)
+    assert np.isnan(np.frombuffer(path.read_bytes()[offset:offset + 4], "<f4")[0]) \
+        == np.isnan(value)
+    with pytest.raises(FormatError, match=rf"f\.csft: non-finite feature at row {row}, "
+                                          rf"column {col}, byte offset {offset}$"):
+        formats.load_features(path)
+
+
 def test_labels_roundtrip(tmp_path):
     rng = np.random.default_rng(1)
     labels = (rng.random((9, 21)) < 0.3).astype(np.uint8)

@@ -156,7 +156,7 @@ def finite_difference_grads(p, img, txt, grad_he, fusion, masks=None, eps=1e-5):
 
 
 def assert_grads_close(analytic, numeric, rtol=1e-4):
-    for name, g in analytic.items():
+    for name, g in net.block_views(analytic, SMALL).items():
         ref = numeric[name]
         denom = max(np.abs(ref).max(), np.abs(g).max(), 1e-8)
         assert np.abs(g - ref).max() / denom < rtol, name
@@ -191,8 +191,8 @@ def test_backward_zero_upstream_gives_zero_grads():
     rng = np.random.default_rng(14)
     p = net.init_params(SMALL, seed=15)
     he, cache = net.forward(p, rng.normal(size=(2, 8)), rng.normal(size=(2, 8)))
-    grads = net.backward(p, cache, np.zeros_like(he))
-    assert all((g == 0).all() for g in grads.values())
+    grad = net.backward(p, cache, np.zeros_like(he))
+    assert grad.shape == p.flat.shape and (grad == 0).all()
 
 
 def test_backward_gate_grad_vanishes_when_views_agree():
@@ -205,8 +205,98 @@ def test_backward_gate_grad_vanishes_when_views_agree():
     x = rng.normal(size=(3, 8))
     he, cache = net.forward(p, x, x)
     assert np.allclose(cache.h_i, cache.h_t)
-    grads = net.backward(p, cache, rng.normal(size=(3, 4)))
-    assert np.abs(grads["W_z"]).max() < 1e-12
+    grad = net.backward(p, cache, rng.normal(size=(3, 4)))
+    assert np.abs(net.block_views(grad, SMALL)["W_z"]).max() < 1e-12
+
+
+def _seed_backward(params, cache, grad_he):
+    """The dict-of-blocks backward the flat gradient replaced, kept as its oracle."""
+    d = params.dims.d
+    g_a = grad_he * (1.0 - cache.he**2)
+    gW_hash = g_a.T @ cache.h_f
+    gb_hash = g_a.sum(axis=0)
+    g_hf = g_a @ params.W_hash
+    g_xi = np.zeros_like(cache.x_i)
+    g_xt = np.zeros_like(cache.x_t)
+    gW_z = np.zeros_like(params.W_z)
+    gW_i = np.zeros_like(params.W_i)
+    gW_t = np.zeros_like(params.W_t)
+
+    def through_hi(g_hi):
+        nonlocal gW_i, g_xi
+        g_p = g_hi * (1.0 - cache.h_i**2)
+        gW_i = g_p.T @ cache.x_i
+        g_xi += g_p @ params.W_i
+
+    def through_ht(g_ht):
+        nonlocal gW_t, g_xt
+        g_p = g_ht * (1.0 - cache.h_t**2)
+        gW_t = g_p.T @ cache.x_t
+        g_xt += g_p @ params.W_t
+
+    if cache.fusion == "gmu":
+        g_z = g_hf * (cache.h_i - cache.h_t)
+        g_u = g_z * cache.z * (1.0 - cache.z)
+        xc = np.concatenate([cache.x_i, cache.x_t], axis=1)
+        gW_z = g_u.T @ xc
+        g_xi += g_u @ params.W_z[:, :d]
+        g_xt += g_u @ params.W_z[:, d:]
+        through_hi(g_hf * cache.z)
+        through_ht(g_hf * (1.0 - cache.z))
+    elif cache.fusion == "image":
+        through_hi(g_hf)
+    elif cache.fusion == "text":
+        through_ht(g_hf)
+    else:
+        hc = np.concatenate([cache.h_i, cache.h_t], axis=1)
+        gW_z = g_hf.T @ hc
+        through_hi(g_hf @ params.W_z[:, :d])
+        through_ht(g_hf @ params.W_z[:, d:])
+    if cache.mask_i is not None:
+        g_xi = g_xi * cache.mask_i
+        g_xt = g_xt * cache.mask_t
+    return {
+        "W_vnorm": g_xi.T @ cache.img, "b_vnorm": g_xi.sum(axis=0),
+        "W_tnorm": g_xt.T @ cache.txt, "b_tnorm": g_xt.sum(axis=0),
+        "W_i": gW_i, "W_t": gW_t, "W_z": gW_z, "W_hash": gW_hash, "b_hash": gb_hash,
+    }
+
+
+# SMALL, and the train-multilabel benchmark head with its batch of 64
+@pytest.mark.parametrize("dims, n", [(SMALL, 3), (net.Dims(64, 64, 84, 64), 64)],
+                         ids=["small", "train_multilabel"])
+@pytest.mark.parametrize("dropout", [False, True])
+@pytest.mark.parametrize("fusion", net.FUSION_MODES)
+def test_flat_backward_equals_per_block_oracle(fusion, dropout, dims, n):
+    rng = np.random.default_rng(30)
+    p = net.init_params(dims, seed=31)
+    img, txt = rng.normal(size=(n, dims.d_img)), rng.normal(size=(n, dims.d_txt))
+    masks = None
+    if dropout:
+        masks = tuple((rng.random((n, dims.d)) < 0.9) / 0.9 for _ in range(2))
+    he, cache = net.forward(p, img, txt, dropout_masks=masks, fusion=fusion)
+    grad_he = rng.normal(size=he.shape)
+    grad = net.backward(p, cache, grad_he)
+    assert grad.dtype == np.float64 and grad.shape == p.flat.shape
+    want = _seed_backward(p, cache, grad_he)
+    for name, block in net.block_views(grad, dims).items():
+        assert (block == want[name]).all(), name
+
+
+@pytest.mark.parametrize("fusion, unused", [("image", ("W_tnorm", "b_tnorm", "W_t")),
+                                            ("text", ("W_vnorm", "b_vnorm", "W_i"))])
+def test_backward_leaves_gate_and_unused_view_at_zero(fusion, unused):
+    rng = np.random.default_rng(32)
+    p = net.init_params(SMALL, seed=33)
+    masks = tuple((rng.random((4, 6)) < 0.9) / 0.9 for _ in range(2))
+    he, cache = net.forward(p, rng.normal(size=(4, 8)), rng.normal(size=(4, 8)),
+                            dropout_masks=masks, fusion=fusion)
+    grads = net.block_views(net.backward(p, cache, rng.normal(size=he.shape)), SMALL)
+    for name, block in grads.items():
+        if name == "W_z" or name in unused:
+            assert (block == 0).all(), name
+        else:
+            assert (block != 0).any(), name
 
 
 def test_backward_rejects_mismatched_cache():

@@ -13,18 +13,24 @@ def naive_distance(a, b):
     return int(sum(1 for x, y in zip(a.tolist(), b.tolist()) if x != y))
 
 
+def scan_distances(query, codes):
+    """Distances from `query` to every row of `codes` by the kernel every query uses."""
+    codes = np.atleast_2d(codes)
+    index = R.RetrievalIndex.from_signs(codes, np.ones((codes.shape[0], 1), dtype=np.uint8))
+    return index.distances(query).tolist()
+
+
 def test_hamming_distance_trivials():
     rng = np.random.default_rng(0)
     c = random_codes(rng, 1, 128)[0]
-    assert R.hamming_distance(c, c) == 0
-    assert R.hamming_distance(c, -c) == 128
+    assert scan_distances(c, [c, -c]) == [0, 128]
 
 
 def test_hamming_distance_non_word_aligned():
     rng = np.random.default_rng(1)
     for _ in range(50):
         a, b = random_codes(rng, 2, 37)
-        assert R.hamming_distance(a, b) == naive_distance(a, b)
+        assert scan_distances(a, b) == [naive_distance(a, b)]
 
 
 @pytest.mark.parametrize("k", [8, 16, 37, 63, 64, 65, 128])
@@ -32,22 +38,22 @@ def test_packed_distance_equals_bit_loop(k):
     rng = np.random.default_rng(k)
     for _ in range(20):
         a, b = random_codes(rng, 2, k)
-        assert R.hamming_distance(a, b) == naive_distance(a, b)
+        assert scan_distances(a, b) == [naive_distance(a, b)]
 
 
 def test_hamming_distance_length_mismatch():
     with pytest.raises(InvalidArgument):
-        R.hamming_distance(np.ones(8), np.ones(9))
+        scan_distances(np.ones(8), np.ones(9))
 
 
 def test_hamming_is_a_metric():
     rng = np.random.default_rng(2)
     for _ in range(200):
         a, b, c = random_codes(rng, 3, 21)
-        dab, dba = R.hamming_distance(a, b), R.hamming_distance(b, a)
+        (dab, dac), (dba, dbc) = scan_distances(a, [b, c]), scan_distances(b, [a, c])
         assert dab == dba
         assert (dab == 0) == (a == b).all()
-        assert dab <= R.hamming_distance(a, c) + R.hamming_distance(c, b)
+        assert dab <= dac + scan_distances(c, b)[0]
 
 
 def test_pack_unpack_roundtrip():
@@ -233,6 +239,23 @@ def test_curves_match_brute_force():
         )
         assert map_k == pytest.approx(ref_map, abs=1e-12)
         assert recall_k == pytest.approx(ref_recall, abs=1e-12)
+
+
+@pytest.mark.parametrize("metric", ["map", "curves"])
+def test_query_rows_checked(metric):
+    rng = np.random.default_rng(14)
+    codes, labels, index = _make_index(rng, n=10)
+    score = {
+        "map": lambda qc, ql: R.mean_average_precision(qc, ql, index),
+        "curves": lambda qc, ql: R.curves(qc, ql, index, [1, 5]),
+    }[metric]
+    with pytest.raises(InvalidArgument, match="empty query set"):
+        score(codes[:0], labels[:0])
+    # 5 query codes with 2 label rows used to score 2 queries (or 2 APs over 5 slots)
+    with pytest.raises(InvalidArgument, match="5 query codes but 2 query label rows"):
+        score(codes[:5], labels[:2])
+    with pytest.raises(InvalidArgument, match="2 query codes but 5 query label rows"):
+        score(codes[:2], labels[:5])
 
 
 def test_curves_rejects_non_increasing_grid():

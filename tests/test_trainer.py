@@ -17,58 +17,68 @@ def _config(**kw):
 
 def test_adam_zero_gradient_is_fixed_point():
     p = net.init_params(SMALL, seed=0)
-    before = {k: v.copy() for k, v in p.blocks().items()}
-    state = trainer.AdamState(p)
-    zeros = {k: np.zeros_like(v) for k, v in p.blocks().items()}
-    trainer.adam_step(p, zeros, state, 1, _config())
-    for name, arr in p.blocks().items():
-        assert (arr == before[name]).all()
+    before = p.flat.copy()
+    trainer.adam_step(p, np.zeros_like(p.flat), trainer.AdamState(p), 1, _config())
+    assert (p.flat == before).all()
 
 
 def test_adam_moments_decay_after_nonzero_step():
     p = net.init_params(SMALL, seed=0)
     state = trainer.AdamState(p)
-    g = {k: np.ones_like(v) for k, v in p.blocks().items()}
-    trainer.adam_step(p, g, state, 1, _config())
-    m_before = state.m["W_i"].copy()
-    zeros = {k: np.zeros_like(v) for k, v in p.blocks().items()}
-    trainer.adam_step(p, zeros, state, 2, _config())
-    assert np.allclose(state.m["W_i"], 0.9 * m_before)
+    trainer.adam_step(p, np.ones_like(p.flat), state, 1, _config())
+    m_before = state.m.copy()
+    trainer.adam_step(p, np.zeros_like(p.flat), state, 2, _config())
+    assert np.allclose(state.m, 0.9 * m_before)
 
 
 def test_adam_first_step_is_normalized_gradient():
     p = net.init_params(SMALL, seed=0)
-    before = {k: v.copy() for k, v in p.blocks().items()}
-    state = trainer.AdamState(p)
-    rng = np.random.default_rng(2)
-    g = {k: rng.normal(size=v.shape) for k, v in p.blocks().items()}
-    cfg = _config(learning_rate=1e-3)
-    trainer.adam_step(p, g, state, 1, cfg)
-    for name, arr in p.blocks().items():
-        # bias-corrected m_hat/sqrt(v_hat) = g/|g| on step one
-        expected = before[name] - 1e-3 * np.sign(g[name])
-        assert np.allclose(arr, expected, atol=1e-5)
+    before = p.flat.copy()
+    g = np.random.default_rng(2).normal(size=p.flat.shape)
+    trainer.adam_step(p, g, trainer.AdamState(p), 1, _config(learning_rate=1e-3))
+    # bias-corrected m_hat/sqrt(v_hat) = g/|g| on step one
+    assert np.allclose(p.flat, before - 1e-3 * np.sign(g), atol=1e-5)
 
 
 def test_adam_update_is_nonlinear_in_gradient():
     # doubling the gradient leaves the (normalized) update nearly unchanged,
     # unlike plain SGD where it would double
-    g = {k: np.full_like(v, 0.3) for k, v in net.init_params(SMALL, 0).blocks().items()}
-    g2 = {k: 2 * v for k, v in g.items()}
+    g = np.full(SMALL.param_count(), 0.3)
     p1 = net.init_params(SMALL, seed=0)
     trainer.adam_step(p1, g, trainer.AdamState(p1), 1, _config(learning_rate=1e-3))
     p2 = net.init_params(SMALL, seed=0)
-    trainer.adam_step(p2, g2, trainer.AdamState(p2), 1, _config(learning_rate=1e-3))
+    trainer.adam_step(p2, 2 * g, trainer.AdamState(p2), 1, _config(learning_rate=1e-3))
     assert np.allclose(p1.W_i, p2.W_i, atol=1e-8)
 
 
 def test_adam_rejects_nonfinite_gradient():
     p = net.init_params(SMALL, seed=0)
-    state = trainer.AdamState(p)
-    g = {k: np.zeros_like(v) for k, v in p.blocks().items()}
-    g["W_hash"][0, 0] = np.nan
+    g = np.zeros_like(p.flat)
+    net.block_views(g, SMALL)["W_hash"][0, 0] = np.nan
     with pytest.raises(DivergenceError, match="W_hash"):
-        trainer.adam_step(p, g, state, 1, _config())
+        trainer.adam_step(p, g, trainer.AdamState(p), 1, _config())
+
+
+@pytest.mark.parametrize("grad", [
+    np.array([0.5]), np.zeros(SMALL.param_count() - 1), 0.0, {"W_i": np.zeros((6, 6))},
+], ids=["one", "short", "scalar", "dict"])
+def test_adam_rejects_gradient_not_shaped_like_params(grad):
+    p = net.init_params(SMALL, seed=0)
+    before = p.flat.copy()
+    with pytest.raises(ShapeMismatch, match="gradient shape"):
+        trainer.adam_step(p, grad, trainer.AdamState(p), 1, _config())
+    assert (p.flat == before).all()
+
+
+def test_adam_step_leaves_the_gradient_unchanged():
+    p = net.init_params(SMALL, seed=0)
+    state = trainer.AdamState(p)
+    g = np.random.default_rng(5).normal(size=p.flat.shape)
+    g_copy = g.copy()
+    for step in (1, 2):
+        trainer.adam_step(p, g, state, step, _config())
+        assert g.tobytes() == g_copy.tobytes()
+        assert not np.shares_memory(g, state.scratch) and not np.shares_memory(g, state.denom)
 
 
 def _seed_adam_step(blocks, grads, m, v, step_index, config):
@@ -97,12 +107,13 @@ def test_flat_adam_step_matches_per_block_loop(dims):
     rng = np.random.default_rng(4)
     for step in range(1, 8):
         scale = 10.0 ** rng.integers(-6, 3)
-        grads = {k: scale * rng.normal(size=a.shape) for k, a in blocks.items()}
-        trainer.adam_step(p, grads, state, step, cfg)
-        _seed_adam_step(blocks, grads, m, v, step, cfg)
+        grad = scale * rng.normal(size=p.flat.shape)
+        trainer.adam_step(p, grad, state, step, cfg)
+        _seed_adam_step(blocks, net.block_views(grad, dims), m, v, step, cfg)
+        state_m, state_v = net.block_views(state.m, dims), net.block_views(state.v, dims)
         for name in net.PARAM_NAMES:
             assert (p.blocks()[name] == blocks[name]).all(), (step, name)
-            assert (state.m[name] == m[name]).all() and (state.v[name] == v[name]).all()
+            assert (state_m[name] == m[name]).all() and (state_v[name] == v[name]).all()
 
 
 def test_blocks_are_views_of_flat_after_init_and_train():
@@ -115,9 +126,6 @@ def test_blocks_are_views_of_flat_after_init_and_train():
             == list(range(params.flat.size))
 
     assert_views(net.init_params(SMALL, seed=0))
-    state = trainer.AdamState(net.init_params(SMALL, seed=0))
-    for moments, flat in ((state.m, state.m_flat), (state.v, state.v_flat)):
-        assert all(np.shares_memory(block, flat) for block in moments.values())
     ds = _tiny_dataset()
     report = trainer.train(ds, generate_centers(4, 8, seed=0), _config(epochs=2), dims_hidden=8)
     assert_views(report.params)
@@ -251,7 +259,7 @@ def test_non_finite_parameters_after_adam_step_raise_divergence(monkeypatch):
     ds = _tiny_dataset()
     cs = generate_centers(4, 8, seed=0)
 
-    def overflowing_step(params, grads, state, step_index, config):
+    def overflowing_step(params, grad, state, step_index, config):
         params.b_hash[0] = np.inf
 
     monkeypatch.setattr(trainer, "adam_step", overflowing_step)
@@ -263,8 +271,8 @@ def test_encode_deterministic_and_pure():
     ds = _tiny_dataset()
     cs = generate_centers(4, 8, seed=0)
     report = trainer.train(ds, cs, _config(epochs=5), dims_hidden=8)
-    c1 = trainer.encode_dataset(report.params, ds)
-    c2 = trainer.encode_dataset(report.params, ds)
+    c1 = trainer.encode(report.params, ds.image_features, ds.text_features)
+    c2 = trainer.encode(report.params, ds.image_features, ds.text_features)
     assert (c1 == c2).all()
     # duplicate samples encode identically
     img = np.vstack([ds.image_features[:1], ds.image_features[:1]])
