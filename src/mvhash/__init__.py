@@ -8,7 +8,6 @@ from .centers import (
     generate_centers,
     hamming_from_inner,
     min_pairwise_distance,
-    semantic_center,
     sylvester_hadamard,
 )
 from .data import MultiViewDataset, SynthSpec, make_synthetic
@@ -27,7 +26,7 @@ from .trainer import TrainConfig, TrainReport, adam_step, train
 
 __all__ = [
     "HashCenterSet", "generate_centers", "hamming_from_inner",
-    "min_pairwise_distance", "semantic_center", "sylvester_hadamard",
+    "min_pairwise_distance", "sylvester_hadamard",
     "MultiViewDataset", "SynthSpec", "make_synthetic",
     "LossReport", "central_similarity_loss", "quantization_loss", "total_loss",
     "Dims", "ModelParams", "binarize", "forward", "backward", "gate_values",

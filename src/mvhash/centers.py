@@ -277,10 +277,17 @@ def _tie_coins(seed: int, rows: np.ndarray, bits: np.ndarray) -> np.ndarray:
     return ((xored >> ((rotation + 31) & 63)) & 1).astype(np.int8)
 
 
-def _majority_vote(
-    labels: np.ndarray, centers: HashCenterSet, seed: int, first_id: int
+def semantic_centers_for(
+    labels: np.ndarray, centers: HashCenterSet, seed: int = 0
 ) -> np.ndarray:
-    """Semantic centers of the label rows; row r has sample id first_id + r."""
+    """Per-sample target centers of multi-hot label rows.
+
+    Single-label row: the class center verbatim. Multi-label row: element-wise
+    majority vote over the active labels' centers; row i's tied bit b (a zero
+    column sum) takes the coin ``default_rng([seed, i, b]).integers(0, 2)``
+    (1 -> +1, 0 -> -1), so results are reproducible. One vectorised pass: the
+    vote is one integer product and every tied bit's coin is evaluated at once.
+    """
     labels = np.asarray(labels)
     if labels.ndim != 2 or labels.shape[1] != centers.num_classes:
         raise InvalidArgument(
@@ -289,39 +296,9 @@ def _majority_vote(
     active = labels != 0
     empty = np.flatnonzero(~active.any(axis=1))
     if empty.size:
-        raise InvalidArgument(f"label row {first_id + int(empty[0])} has no active label")
+        raise InvalidArgument(f"label row {int(empty[0])} has no active label")
     sums = active.astype(np.int64) @ centers.centers.astype(np.int64)
     code = np.sign(sums).astype(np.int8)
     rows, bits = np.nonzero(sums == 0)
-    code[rows, bits] = 2 * _tie_coins(seed, rows + first_id, bits) - 1
+    code[rows, bits] = 2 * _tie_coins(seed, rows, bits) - 1
     return code
-
-
-def semantic_center(
-    label_vector: np.ndarray,
-    centers: HashCenterSet,
-    sample_id: int,
-    seed: int = 0,
-) -> np.ndarray:
-    """Per-sample target center.
-
-    Single-label: the class center verbatim. Multi-label: element-wise
-    majority vote over the active labels' centers; a zero column sum is
-    broken by the coin ``default_rng([seed, sample_id, bit]).integers(0, 2)``
-    (1 -> +1, 0 -> -1), so results are reproducible.
-    """
-    labels = np.asarray(label_vector)
-    if labels.ndim != 1:
-        raise InvalidArgument(f"label vector must be 1-D, got shape {labels.shape}")
-    return _majority_vote(labels[None, :], centers, seed, int(sample_id))[0]
-
-
-def semantic_centers_for(
-    labels: np.ndarray, centers: HashCenterSet, seed: int = 0
-) -> np.ndarray:
-    """semantic_center applied row-wise; sample_id is the row index.
-
-    One vectorised pass: the vote is one integer product and every tied bit's
-    coin is evaluated at once.
-    """
-    return _majority_vote(labels, centers, seed, 0)

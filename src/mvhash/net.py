@@ -164,7 +164,7 @@ def forward(
     params: ModelParams,
     image_feat: np.ndarray,
     text_feat: np.ndarray,
-    dropout_masks: tuple[np.ndarray, np.ndarray] | None = None,
+    dropout_masks: tuple[np.ndarray, np.ndarray] | np.ndarray | None = None,
     fusion: str = "gmu",
 ) -> tuple[np.ndarray, ForwardCache]:
     """Compute hash logits he in (-1,1)^K for a batch, caching intermediates."""
@@ -186,20 +186,16 @@ def forward(
 
     h_i = np.tanh(x_i @ params.W_i.T)
     h_t = np.tanh(x_t @ params.W_t.T)
-    xc = np.concatenate([x_i, x_t], axis=1)
-    if fusion == "gmu":
-        z = 1.0 / (1.0 + np.exp(-(xc @ params.W_z.T)))
-        h_f = z * h_i + (1.0 - z) * h_t
-    elif fusion == "image":
-        z = np.ones_like(h_i)
-        h_f = h_i
-    elif fusion == "text":
-        z = np.zeros_like(h_t)
-        h_f = h_t
-    else:  # concat: modulated views concatenated, linear map reusing the
-        # (d, 2d) gate matrix; the gate itself is gone
+    if fusion == "concat":  # modulated views concatenated, linear map reusing
+        # the (d, 2d) gate matrix; the gate itself is gone
         z = np.full_like(h_i, 0.5)
         h_f = np.concatenate([h_i, h_t], axis=1) @ params.W_z.T
+    else:  # gated; the image/text ablations pin the gate at 1/0
+        if fusion == "gmu":
+            z = 1.0 / (1.0 + np.exp(-(np.concatenate([x_i, x_t], axis=1) @ params.W_z.T)))
+        else:
+            z = np.full_like(h_i, 1.0 if fusion == "image" else 0.0)
+        h_f = z * h_i + (1.0 - z) * h_t
 
     he = np.tanh(h_f @ params.W_hash.T + params.b_hash)
     cache = ForwardCache(
@@ -228,7 +224,7 @@ def backward(
         raise CacheMismatch(f"grad_he shape {g_he.shape} != he shape {cache.he.shape}")
 
     d = params.dims.d
-    grad = np.zeros_like(params.flat)  # blocks no path reaches stay exactly zero
+    grad = np.empty_like(params.flat)  # each block is written once below
     g = block_views(grad, params.dims)
     g_a = g_he * (1.0 - cache.he**2)  # through final tanh
     np.matmul(g_a.T, cache.h_f, out=g["W_hash"])
@@ -237,31 +233,26 @@ def backward(
 
     tower_i = (cache.h_i, cache.x_i, params.W_i, g["W_i"])
     tower_t = (cache.h_t, cache.x_t, params.W_t, g["W_t"])
-    g_xi = g_xt = None  # dL/dx of each view; None where no path reaches it
-    if cache.fusion == "gmu":
+    if cache.fusion == "concat":
+        hc = np.concatenate([cache.h_i, cache.h_t], axis=1)
+        np.matmul(g_hf.T, hc, out=g["W_z"])
+        g_xi = _through_tanh(g_hf @ params.W_z[:, :d], *tower_i)
+        g_xt = _through_tanh(g_hf @ params.W_z[:, d:], *tower_t)
+    else:  # gated; a pinned gate has z(1 - z) = 0, so W_z and the unused
+        # view (factor z or 1 - z) get a zero gradient
         g_z = g_hf * (cache.h_i - cache.h_t)
         g_u = g_z * cache.z * (1.0 - cache.z)
         xc = np.concatenate([cache.x_i, cache.x_t], axis=1)
         np.matmul(g_u.T, xc, out=g["W_z"])
         g_xi = g_u @ params.W_z[:, :d] + _through_tanh(g_hf * cache.z, *tower_i)
         g_xt = g_u @ params.W_z[:, d:] + _through_tanh(g_hf * (1.0 - cache.z), *tower_t)
-    elif cache.fusion == "image":
-        g_xi = _through_tanh(g_hf, *tower_i)
-    elif cache.fusion == "text":
-        g_xt = _through_tanh(g_hf, *tower_t)
-    else:  # concat
-        hc = np.concatenate([cache.h_i, cache.h_t], axis=1)
-        np.matmul(g_hf.T, hc, out=g["W_z"])
-        g_xi = _through_tanh(g_hf @ params.W_z[:, :d], *tower_i)
-        g_xt = _through_tanh(g_hf @ params.W_z[:, d:], *tower_t)
 
     for g_x, mask, feats, gW, gb in ((g_xi, cache.mask_i, cache.img, g["W_vnorm"], g["b_vnorm"]),
                                      (g_xt, cache.mask_t, cache.txt, g["W_tnorm"], g["b_tnorm"])):
-        if g_x is not None:
-            if mask is not None:
-                g_x *= mask
-            np.matmul(g_x.T, feats, out=gW)
-            np.sum(g_x, axis=0, out=gb)
+        if mask is not None:
+            g_x *= mask
+        np.matmul(g_x.T, feats, out=gW)
+        np.sum(g_x, axis=0, out=gb)
     return grad
 
 

@@ -204,6 +204,8 @@ def curves(
 ) -> list[tuple[int, float, float]]:
     """(k, mAP@k, Recall@k) rows for a strictly increasing k grid, one ranked pass per query."""
     ks = list(k_grid)
+    if any(k < 1 for k in ks):
+        raise InvalidArgument(f"k_grid values must be >= 1, got {min(ks)}")
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise InvalidArgument("k_grid must be strictly increasing")
     qc, ql = _query_rows(query_codes, query_labels)

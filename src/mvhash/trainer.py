@@ -41,6 +41,8 @@ class TrainConfig:
             raise InvalidArgument(f"adam_betas must be two values in [0, 1): {self.adam_betas}")
         if not (math.isfinite(self.adam_epsilon) and self.adam_epsilon > 0):
             raise InvalidArgument(f"adam_epsilon must be finite and > 0: {self.adam_epsilon}")
+        if self.eval_every < 0:
+            raise InvalidArgument(f"eval_every must be >= 0 (0 disables it): {self.eval_every}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise InvalidArgument("dropout_p must be in [0, 1)")
         if self.fusion not in net.FUSION_MODES:
@@ -205,12 +207,9 @@ def train(
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
             masks = None
-            if config.dropout_p > 0:
+            if config.dropout_p > 0:  # (image mask, text mask) from one draw
                 keep = 1.0 - config.dropout_p
-                masks = (
-                    (rng.random((idx.size, dims.d)) < keep) / keep,
-                    (rng.random((idx.size, dims.d)) < keep) / keep,
-                )
+                masks = (rng.random((2, idx.size, dims.d)) < keep) / keep
             he, cache = net.forward(
                 params, img[idx], txt[idx], dropout_masks=masks, fusion=config.fusion
             )

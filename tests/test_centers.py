@@ -129,49 +129,46 @@ def test_min_pairwise_distance_needs_two():
 
 def test_semantic_center_single_label():
     cs = C.generate_centers(4, 4, seed=0)
-    lab = np.array([0, 0, 1, 0])
-    assert (C.semantic_center(lab, cs, sample_id=0) == cs.centers[2]).all()
+    lab = np.array([[0, 0, 1, 0]])
+    assert (C.semantic_centers_for(lab, cs)[0] == cs.centers[2]).all()
 
 
 def test_semantic_center_empty_label_rejected():
     cs = C.generate_centers(4, 4, seed=0)
     with pytest.raises(InvalidArgument):
-        C.semantic_center(np.zeros(4), cs, sample_id=0)
+        C.semantic_centers_for(np.zeros((1, 4)), cs)
 
 
 def test_semantic_center_unanimous_bits():
     cs = C.generate_centers(4, 4, seed=0)
-    lab = np.array([1, 1, 0, 0])
-    out = C.semantic_center(lab, cs, sample_id=1)
+    lab = np.array([[1, 1, 0, 0]] * 2)
+    out = C.semantic_centers_for(lab, cs)[1]
     agree = cs.centers[0] == cs.centers[1]
     assert (out[agree] == cs.centers[0][agree]).all()
 
 
 def test_semantic_center_majority_three_labels():
     cs = C.generate_centers(4, 4, seed=0)
-    lab = np.array([1, 1, 1, 0])
+    lab = np.array([[1, 1, 1, 0]] * 4)
     # oracle: column sums of the three known Hadamard rows
     sums = cs.centers[:3].astype(int).sum(axis=0)
-    out = C.semantic_center(lab, cs, sample_id=2, seed=5)
+    out = C.semantic_centers_for(lab, cs, seed=5)[2]
     for k in range(4):
         if sums[k] != 0:
             assert out[k] == np.sign(sums[k])
         else:
             assert out[k] in (-1, 1)
-    # tie fill is reproducible per (seed, sample_id, bit)
-    again = C.semantic_center(lab, cs, sample_id=2, seed=5)
+    # tie fill is reproducible per (seed, row, bit)
+    again = C.semantic_centers_for(lab, cs, seed=5)[2]
     assert (out == again).all()
-    # a different sample id may resolve ties differently but stays valid
-    other = C.semantic_center(lab, cs, sample_id=3, seed=5)
+    # a different row may resolve ties differently but stays valid
+    other = C.semantic_centers_for(lab, cs, seed=5)[3]
     assert np.isin(other, (-1, 1)).all()
 
 
 def test_semantic_center_idempotent_over_one_element():
     cs = C.generate_centers(6, 8, seed=2)
-    for c in range(6):
-        lab = np.zeros(6)
-        lab[c] = 1
-        assert (C.semantic_center(lab, cs, sample_id=c) == cs.centers[c]).all()
+    assert (C.semantic_centers_for(np.eye(6), cs) == cs.centers).all()
 
 
 def _oracle_semantic_center(label_vector, centers, sample_id, seed=0):
@@ -223,16 +220,14 @@ def test_semantic_centers_for_matches_per_bit_loop(k, seed):
     assert (out == _oracle_semantic_centers_for(labels, cs, seed=seed)).all()
     single = labels.sum(axis=1) == 1
     assert (out[single] == cs.centers[labels[single].argmax(axis=1)]).all()
-    for i in (1, 3, 50, 95):
-        assert (C.semantic_center(labels[i], cs, sample_id=i, seed=seed) == out[i]).all()
 
 
 def test_semantic_center_coins_at_largest_sample_id():
-    cs = C.generate_centers(4, 4, seed=0)
-    lab = np.array([1, 1, 0, 0])
+    bits = np.arange(4)
     for sample_id in (2**31, 2**32 - 1):
-        got = C.semantic_center(lab, cs, sample_id=sample_id, seed=9)
-        assert (got == _oracle_semantic_center(lab, cs, sample_id, seed=9)).all()
+        got = C._tie_coins(9, np.full(4, sample_id), bits)
+        want = [np.random.default_rng([9, sample_id, b]).integers(0, 2) for b in bits]
+        assert got.tolist() == want
 
 
 def test_tie_coins_reject_ids_outside_32_bits():
@@ -240,9 +235,6 @@ def test_tie_coins_reject_ids_outside_32_bits():
         C._tie_coins(0, np.array([2**32]), np.array([0]))
     with pytest.raises(InvalidArgument, match="-1"):
         C._tie_coins(0, np.array([0]), np.array([-1]))
-    cs = C.generate_centers(4, 4, seed=0)
-    with pytest.raises(InvalidArgument, match="4294967296"):
-        C.semantic_center(np.array([1, 1, 0, 0]), cs, sample_id=2**32)
 
 
 def test_negative_seed_rejected_when_a_coin_is_needed():
@@ -266,4 +258,4 @@ def test_semantic_centers_reject_wrong_label_width():
     with pytest.raises(InvalidArgument, match="num_classes=4"):
         C.semantic_centers_for(np.ones((3, 5), dtype=np.uint8), cs)
     with pytest.raises(InvalidArgument, match="num_classes=4"):
-        C.semantic_center(np.ones(3), cs, sample_id=0)
+        C.semantic_centers_for(np.ones(4), cs)

@@ -139,6 +139,16 @@ def test_curves_subcommand(pipeline):
     assert recalls[-1] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("grid", [["0", "5", "10"], ["-3", "5"]])
+def test_curves_rejects_k_below_one(pipeline, tmp_path, capsys, grid):
+    out = tmp_path / "curves.csv"
+    assert run("curves", "--codes", str(pipeline / "retrieval.cscd"),
+               "--queries", str(pipeline / "query.cscd"),
+               "--k-grid", *grid, "--out", str(out)) == 1
+    assert f"k_grid values must be >= 1, got {grid[0]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("stage", ["eval", "curves"])
 def test_empty_query_file_exits_one(pipeline, tmp_path, capsys, stage):
     queries, out = tmp_path / "empty.cscd", tmp_path / "out.csv"
@@ -219,7 +229,7 @@ def test_diverged_train_exits_one_tagged_divergence(pipeline, tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, value", [("--learning-rate", "nan"), ("--learning-rate", "inf"),
                                          ("--lam", "nan"), ("--beta1", "1.0"),
-                                         ("--adam-epsilon", "0")])
+                                         ("--adam-epsilon", "0"), ("--eval-every", "-1")])
 def test_train_rejects_bad_numbers_before_training(pipeline, tmp_path, capsys, flag, value):
     data = pipeline / "data"
     out, log = tmp_path / "m.csmv", tmp_path / "log.csv"

@@ -105,6 +105,29 @@ def test_forward_matches_scalar_oracle():
     assert np.allclose(he[0], he_ref, atol=1e-12, rtol=0)
 
 
+# SMALL, and the train-multilabel benchmark head with its batch of 64
+@pytest.mark.parametrize("dims, n", [(SMALL, 3), (net.Dims(64, 64, 84, 64), 64)],
+                         ids=["small", "train_multilabel"])
+@pytest.mark.parametrize("dropout", [False, True])
+@pytest.mark.parametrize("fusion, gate", [("image", 1.0), ("text", 0.0)])
+def test_pinned_gate_forward_is_the_kept_view_alone(fusion, gate, dropout, dims, n):
+    rng = np.random.default_rng(34)
+    p = net.init_params(dims, seed=35)
+    img, txt = rng.normal(size=(n, dims.d_img)), rng.normal(size=(n, dims.d_txt))
+    masks = (rng.random((2, n, dims.d)) < 0.9) / 0.9 if dropout else None
+    he, cache = net.forward(p, img, txt, dropout_masks=masks, fusion=fusion)
+    feats, W_norm, b_norm, W, view = {
+        "image": (img, p.W_vnorm, p.b_vnorm, p.W_i, 0),
+        "text": (txt, p.W_tnorm, p.b_tnorm, p.W_t, 1),
+    }[fusion]
+    x = feats @ W_norm.T + b_norm
+    if dropout:
+        x = x * masks[view]
+    h = np.tanh(x @ W.T)
+    assert (cache.z == gate).all()
+    assert (he == np.tanh(h @ p.W_hash.T + p.b_hash)).all()
+
+
 def test_forward_range_invariants():
     rng = np.random.default_rng(3)
     p = net.init_params(SMALL, seed=2)

@@ -265,6 +265,14 @@ def test_curves_rejects_non_increasing_grid():
         R.curves(codes[:1], labels[:1], index, [5, 5, 10])
 
 
+@pytest.mark.parametrize("grid, bad", [([0, 5, 10], "0"), ([-3, 5], "-3")])
+def test_curves_rejects_k_below_one(grid, bad):
+    rng = np.random.default_rng(13)
+    codes, labels, index = _make_index(rng, n=10)
+    with pytest.raises(InvalidArgument, match=f"got {bad}$"):
+        R.curves(codes[:1], labels[:1], index, grid)
+
+
 # ---- the ranked pass against the seed formulas and the brute-force ranking ----
 
 def seed_ap(rel_mask, ids, cap):

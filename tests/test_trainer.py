@@ -184,6 +184,8 @@ def test_config_validation():
     ("adam_epsilon", -1e-8, "adam_epsilon"),
     ("adam_epsilon", float("nan"), "adam_epsilon"),
     ("dropout_p", float("nan"), "dropout_p"),
+    ("eval_every", -1, "eval_every"),
+    ("eval_every", -3, "eval_every"),
 ])
 def test_config_rejects_bad_numbers(field, value, name):
     with pytest.raises(InvalidArgument, match=name):
