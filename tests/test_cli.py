@@ -122,9 +122,19 @@ def test_eval_subcommand(pipeline):
                "--out", str(out)) == 0
     header, row = out.read_text().strip().splitlines()
     assert header == "num_queries,retrieval_size,code_length,r_cap,map"
+    assert row.split(",")[3] == "24"  # the default --r-cap 0 means full R
     value = float(row.split(",")[4])
     assert 0.0 <= value <= 1.0
     assert value > 0.9  # clean separable data learns easily
+
+
+def test_eval_negative_r_cap_exits_one(pipeline, tmp_path, capsys):
+    out = tmp_path / "eval.csv"
+    assert run("eval", "--codes", str(pipeline / "retrieval.cscd"),
+               "--queries", str(pipeline / "query.cscd"),
+               "--r-cap", "-5", "--out", str(out)) == 1
+    assert "r_cap must be >= 1, got -5" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_curves_subcommand(pipeline):

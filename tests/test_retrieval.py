@@ -436,3 +436,139 @@ def test_scan_kernel_matches_oracles_at_real_chunk_size(k):
         order = np.lexsort((np.arange(n), d))  # (distance, ascending id)
         check_kernel(query, index, order.tolist(), d.tolist(),
                      [1, 10, n - 1, n, n + 5])
+
+
+# ---- the sampled select and the sparse AP terms against the oracles ----
+
+SELECT_KS = [8, 37, 63, 64, 65, 128]
+
+
+def select_case(rng, n, k, sampled):
+    """Tied codes from a few bases, and a query whose sampled rows (every
+    _SAMPLE_STRIDE-th) sit at distance `sampled`; other rows are never at 0."""
+    base = random_codes(rng, 3, k)
+    codes = base[rng.integers(0, 3, size=n)]
+    codes = np.where(rng.random((n, k)) < 0.1, -codes, codes).astype(np.int8)
+    query = random_codes(rng, 1, k)[0]
+    codes[(codes == query).all(axis=1), 0] *= -1
+    codes[::R._SAMPLE_STRIDE] = np.where(np.arange(k) < sampled, -query, query)
+    return codes, query
+
+
+def check_select(codes, query, tops):
+    n = len(codes)
+    index = R.RetrievalIndex.from_signs(codes, np.ones((n, 1), dtype=np.uint8))
+    order, d = brute_force_ranking(codes, query)
+    for top in tops:
+        res = index.query_topk(query, top)
+        assert res.ids.tolist() == order[:top]
+        assert res.distances.tolist() == [d[i] for i in order[:top]]
+
+
+@pytest.mark.parametrize("k", SELECT_KS)
+def test_sampled_select_matches_oracle(k, monkeypatch):
+    monkeypatch.setattr(R, "_SAMPLE_STRIDE", 4)
+    rng = np.random.default_rng(4000 + k)
+    for n in (1, 3, 4, 5, 13, 41):
+        tops = sorted({top for top in (1, 2, 5, 11, n - 1, n, n + 5) if top >= 1})
+        # under-guess: the sample sees only distance 0, which fewer than k rows
+        # hold once k > ceil(n / 4), so the exact fallback picks the threshold
+        check_select(*select_case(rng, n, k, 0), tops)
+        # over-guess: the sample sees only distance K, so every row is a candidate
+        check_select(*select_case(rng, n, k, k), tops)
+        # a sample of ordinary distances
+        check_select(*select_case(rng, n, k, k // 2), tops)
+        # every distance equal
+        codes, query = select_case(rng, n, k, k // 3)
+        check_select(np.repeat(codes[:1], n, axis=0), query, tops)
+
+
+def test_select_sorts_every_distance_only_after_an_under_guess(monkeypatch):
+    monkeypatch.setattr(R, "_SAMPLE_STRIDE", 4)
+    n, k = 41, 16  # 11 sampled rows
+    full_sorts, sort = [], np.sort
+
+    def counting_sort(a, *args, **kwargs):
+        full_sorts.extend([1] if np.size(a) == n else [])
+        return sort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "sort", counting_sort)
+    rng = np.random.default_rng(4200)
+    tops = [1, 11, 12, 30, 40]
+    check_select(*select_case(rng, n, k, k), tops)  # every row reaches t = K
+    assert full_sorts == []
+    check_select(*select_case(rng, n, k, 0), tops)  # only the 11 sampled rows reach t = 0
+    assert len(full_sorts) == 3
+
+
+@pytest.mark.parametrize("k", [8, 128])
+def test_sampled_select_falls_back_at_real_stride(k):
+    rng = np.random.default_rng(4100 + k)
+    n = 3 * R._SAMPLE_STRIDE + 5  # 4 sampled rows at distance 0
+    codes, query = select_case(rng, n, k, 0)
+    check_select(codes, query, [1, 4, 5, 10, n - 1])
+
+
+def seed_terms(rel):
+    """The seed's precision terms, dense: rel * cumsum(rel) / ranks."""
+    r = rel.astype(np.float64)
+    return r * np.cumsum(r) / np.arange(1, r.size + 1, dtype=np.float64)
+
+
+@pytest.mark.parametrize("k", SELECT_KS)
+def test_sparse_precision_terms_equal_seed_formula(k):
+    rng = np.random.default_rng(5000 + k)
+    n = 70
+    codes, labels, _ = tied_multilabel_index(rng, n, k, 5)
+    labels[:, 3] = 1  # class 3 is on every item, class 1 on none
+    index = R.RetrievalIndex.from_signs(codes, labels)
+    q_codes = np.vstack([random_codes(rng, 3, k), codes[[5, 6]]])
+    q_labels = labels[rng.integers(0, n, size=5)].copy()
+    q_labels[:, 3] = 0
+    q_labels[3] = np.eye(5, dtype=np.uint8)[1]  # no item relevant
+    q_labels[4] = np.eye(5, dtype=np.uint8)[3]  # every item relevant
+    for code, label in zip(q_codes, q_labels):
+        rel = R.relevance(label, index)[index.query_topk(code, n).ids]
+        assert R._precision_terms(rel).tolist() == seed_terms(rel).tolist()
+    grid = [1, 5, 17, 60, n, n + 10]
+    for r_cap in (None, 1, 20, n + 3):
+        want_map, want_rows = seed_metrics(codes, labels, q_codes, q_labels, r_cap, grid)
+        assert R.mean_average_precision(q_codes, q_labels, index, r_cap) == want_map
+    assert R.curves(q_codes, q_labels, index, grid) == want_rows
+    assert R.mean_average_precision(q_codes[4:], q_labels[4:], index) == 1.0
+
+
+# ---- labels and argument checks ----
+
+@pytest.mark.parametrize("active", [256, 0.5, -1])
+def test_index_label_active_when_non_zero(active):
+    codes = np.ones((3, 8), dtype=np.int8)
+    index = R.RetrievalIndex.from_signs(codes, np.array([[active], [1], [0]]))
+    assert index.labels.tolist() == [[1], [1], [0]]
+    for query_label in ([1], [active]):
+        assert R.mean_average_precision(codes[:1], np.array([query_label]), index) == 1.0
+
+
+def test_curves_rejects_empty_grid():
+    rng = np.random.default_rng(16)
+    codes, labels, index = _make_index(rng, n=10)
+    with pytest.raises(InvalidArgument, match="k_grid is empty"):
+        R.curves(codes[:1], labels[:1], index, [])
+
+
+def test_query_topk_k_must_be_an_integer():
+    rng = np.random.default_rng(17)
+    codes, labels, index = _make_index(rng, n=20)
+    with pytest.raises(InvalidArgument, match="k must be an integer, got 1.5"):
+        index.query_topk(codes[0], 1.5)
+    want = index.query_topk(codes[0], 3).ids.tolist()
+    for k in (np.int64(3), np.uint8(3), np.int32(3)):
+        assert index.query_topk(codes[0], k).ids.tolist() == want
+
+
+@pytest.mark.parametrize("r_cap", [0, -5])
+def test_map_r_cap_below_one_names_r_cap(r_cap):
+    rng = np.random.default_rng(18)
+    codes, labels, index = _make_index(rng, n=20)
+    with pytest.raises(InvalidArgument, match=f"r_cap must be >= 1, got {r_cap}$"):
+        R.mean_average_precision(codes[:2], labels[:2], index, r_cap)
