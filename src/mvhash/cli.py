@@ -18,7 +18,6 @@ import numpy as np
 from . import __version__, centers as centers_mod, formats, retrieval, trainer
 from .data import MultiViewDataset, SynthSpec, make_synthetic
 from .errors import FormatError, InvalidArgument
-from .net import FUSION_MODES
 
 SEED_ENV = "MVHASH_SEED"
 
@@ -149,21 +148,6 @@ def _load_dataset(args):
     )
 
 
-def ablation_config(args, config: trainer.TrainConfig) -> trainer.TrainConfig:
-    """Map the mutually exclusive ablation flags onto a TrainConfig."""
-    if args.central_only:
-        config.loss_mode = "central"
-    elif args.quant_only:
-        config.loss_mode = "quant"
-    elif args.image_only:
-        config.fusion = "image"
-    elif args.text_only:
-        config.fusion = "text"
-    elif args.concat_fusion:
-        config.fusion = "concat"
-    return config
-
-
 def cmd_train(args):
     dataset = _load_dataset(args)
     cset = formats.load_centers(args.centers)
@@ -177,8 +161,9 @@ def cmd_train(args):
         dropout_p=args.dropout,
         seed=args.seed,
         eval_every=args.eval_every,
+        fusion=args.fusion,
+        loss_mode=args.loss_mode,
     )
-    config = ablation_config(args, config)
     report = trainer.train(
         dataset, cset, config, dims_hidden=args.hidden_dim, log_csv_path=args.log_csv
     )
@@ -352,17 +337,17 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--eval-every", type=int, default=0)
     t.add_argument("--seed", type=int, default=_default_seed())
     ab = t.add_mutually_exclusive_group()
-    ab.add_argument("--central-only", action="store_true",
+    ab.add_argument("--central-only", dest="loss_mode", action="store_const", const="central",
                     help="drop the quantization loss (lambda = 0)")
-    ab.add_argument("--quant-only", action="store_true",
+    ab.add_argument("--quant-only", dest="loss_mode", action="store_const", const="quant",
                     help="drop the central-similarity loss")
-    ab.add_argument("--image-only", action="store_true",
+    ab.add_argument("--image-only", dest="fusion", action="store_const", const="image",
                     help="force the fusion gate to 1 (image view only)")
-    ab.add_argument("--text-only", action="store_true",
+    ab.add_argument("--text-only", dest="fusion", action="store_const", const="text",
                     help="force the fusion gate to 0 (text view only)")
-    ab.add_argument("--concat-fusion", action="store_true",
+    ab.add_argument("--concat-fusion", dest="fusion", action="store_const", const="concat",
                     help="replace gated fusion with concatenation + linear map")
-    t.set_defaults(func=cmd_train)
+    t.set_defaults(func=cmd_train, fusion="gmu", loss_mode="full")
 
     e = sub.add_parser("encode", help="binarize a dataset with a checkpoint (CSCD file)")
     e.add_argument("--checkpoint", required=True)

@@ -8,6 +8,7 @@ from .errors import InvalidArgument
 
 PROB_EPS = 1e-7  # tanh outputs can round to +-1; clamp before logs
 DEFAULT_LAMBDA = 0.25
+LOSS_MODES = ("full", "central", "quant")  # central: lam = 0; quant: BCE removed
 
 
 @dataclass(frozen=True)
@@ -15,8 +16,6 @@ class LossReport:
     l_central: float
     l_quant: float
     l_total: float
-    lam: float
-    batch_size: int
 
 
 def central_similarity_loss(
@@ -30,7 +29,7 @@ def central_similarity_loss(
     c = np.asarray(center_batch, dtype=np.float64)
     if he.shape != c.shape:
         raise InvalidArgument(f"shape mismatch: he {he.shape} vs centers {c.shape}")
-    if np.abs(he).max(initial=0.0) > 1.0:
+    if not np.abs(he).max(initial=0.0) <= 1.0:  # NaN fails this too
         raise InvalidArgument("hash logits outside [-1, 1]")
     n = he.shape[0]
     p = np.clip((1.0 + he) / 2.0, PROB_EPS, 1.0 - PROB_EPS)
@@ -58,17 +57,21 @@ def total_loss(
     he_batch: np.ndarray,
     center_batch: np.ndarray,
     lam: float = DEFAULT_LAMBDA,
+    mode: str = "full",
 ) -> tuple[LossReport, np.ndarray]:
-    """L_total = L_central + lam * L_quant, with the combined gradient."""
+    """L_total = L_central + lam * L_quant, with the combined gradient.
+
+    mode "central" uses lam = 0 (l_quant is still reported); "quant" drops the
+    BCE term: L_total = L_quant and L_central is reported as 0.
+    """
+    if mode not in LOSS_MODES:
+        raise InvalidArgument(f"unknown loss mode {mode!r}")
     if lam < 0:
         raise InvalidArgument(f"lambda must be >= 0, got {lam}")
-    l_c, g_c = central_similarity_loss(he_batch, center_batch)
     l_q, g_q = quantization_loss(he_batch)
-    report = LossReport(
-        l_central=l_c,
-        l_quant=l_q,
-        l_total=l_c + lam * l_q,
-        lam=float(lam),
-        batch_size=np.asarray(he_batch).shape[0],
-    )
-    return report, g_c + lam * g_q
+    if mode == "quant":
+        return LossReport(l_central=0.0, l_quant=l_q, l_total=l_q), g_q
+    if mode == "central":
+        lam = 0.0
+    l_c, g_c = central_similarity_loss(he_batch, center_batch)
+    return LossReport(l_central=l_c, l_quant=l_q, l_total=l_c + lam * l_q), g_c + lam * g_q

@@ -14,6 +14,14 @@ import numpy as np
 from .errors import InvalidArgument, InvalidState
 
 
+def _integer(value, name: str) -> int:
+    """`value` as a Python int (numpy integers included); anything else is InvalidArgument."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidArgument(f"{name} must be an integer, got {value!r}") from None
+
+
 def pack_codes(codes: np.ndarray) -> np.ndarray:
     """Pack (+-1)-valued rows into uint8 rows of ceil(K/8) bytes, LSB-first."""
     c = np.atleast_2d(np.asarray(codes))
@@ -125,10 +133,7 @@ class RetrievalIndex:
         return self._scan(query_code).astype(np.int64)
 
     def query_topk(self, query_code: np.ndarray, k: int) -> QueryResult:
-        try:
-            k = operator.index(k)
-        except TypeError:
-            raise InvalidArgument(f"k must be an integer, got {k!r}") from None
+        k = _integer(k, "k")
         if k < 1:
             raise InvalidArgument(f"k must be >= 1, got {k}")
         d = self._scan(query_code)
@@ -179,6 +184,7 @@ def _rank_cap(r_cap: int | None, n: int) -> int:
     """How many ranks AP reads: r_cap (at most n), or all n when r_cap is None."""
     if r_cap is None:
         return n
+    r_cap = _integer(r_cap, "r_cap")
     if r_cap < 1:
         raise InvalidArgument(f"r_cap must be >= 1, got {r_cap}")
     return min(r_cap, n)
@@ -232,7 +238,7 @@ def curves(
     k_grid: list[int],
 ) -> list[tuple[int, float, float]]:
     """(k, mAP@k, Recall@k) rows for a strictly increasing k grid, one ranked pass per query."""
-    ks = list(k_grid)
+    ks = [_integer(k, "k_grid value") for k in k_grid]
     if not ks:
         raise InvalidArgument("k_grid is empty")
     if any(k < 1 for k in ks):

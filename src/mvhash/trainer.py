@@ -13,8 +13,6 @@ from .centers import HashCenterSet, semantic_centers_for
 from .data import MultiViewDataset
 from .errors import DivergenceError, InvalidArgument, ShapeMismatch
 
-LOSS_MODES = ("full", "central", "quant")
-
 
 @dataclass
 class TrainConfig:
@@ -47,7 +45,7 @@ class TrainConfig:
             raise InvalidArgument("dropout_p must be in [0, 1)")
         if self.fusion not in net.FUSION_MODES:
             raise InvalidArgument(f"unknown fusion mode {self.fusion!r}")
-        if self.loss_mode not in LOSS_MODES:
+        if self.loss_mode not in loss_mod.LOSS_MODES:
             raise InvalidArgument(f"unknown loss mode {self.loss_mode!r}")
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise InvalidArgument(f"lambda (lam) must be finite and >= 0: {self.lam}")
@@ -114,19 +112,6 @@ def adam_step(
     denom += eps
     tmp /= denom
     params.flat -= tmp
-
-
-def _batch_loss(he, target_centers, config):
-    if config.loss_mode == "full":
-        return loss_mod.total_loss(he, target_centers, config.lam)
-    if config.loss_mode == "central":
-        return loss_mod.total_loss(he, target_centers, 0.0)
-    l_q, g_q = loss_mod.quantization_loss(he)
-    report = loss_mod.LossReport(
-        l_central=0.0, l_quant=l_q, l_total=l_q, lam=config.lam,
-        batch_size=he.shape[0],
-    )
-    return report, g_q
 
 
 def evaluate_map(params, dataset: MultiViewDataset, fusion="gmu") -> float:
@@ -215,7 +200,9 @@ def train(
             )
             if not np.isfinite(he).all():
                 raise DivergenceError(f"non-finite hash logits at epoch {epoch}")
-            batch_report, grad_he = _batch_loss(he, targets[idx], config)
+            batch_report, grad_he = loss_mod.total_loss(
+                he, targets[idx], config.lam, config.loss_mode
+            )
             if not np.isfinite(batch_report.l_total):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}")
             grad = net.backward(params, cache, grad_he)
@@ -228,13 +215,7 @@ def train(
             for key in sums:
                 sums[key] += getattr(batch_report, key) * idx.size
             seen += idx.size
-        epoch_report = loss_mod.LossReport(
-            l_central=sums["l_central"] / seen,
-            l_quant=sums["l_quant"] / seen,
-            l_total=sums["l_total"] / seen,
-            lam=config.lam,
-            batch_size=seen,
-        )
+        epoch_report = loss_mod.LossReport(**{key: sums[key] / seen for key in sums})
         report.epoch_losses.append(epoch_report)
         report.epoch_seconds.append(time.perf_counter() - t0)
 

@@ -266,19 +266,17 @@ def test_missing_input_file_exits_one(tmp_path):
 
 def test_ablation_flag_mapping():
     parser = cli.build_parser()
-    from mvhash.trainer import TrainConfig
-
-    for flag, field, value in [
-        ("--central-only", "loss_mode", "central"),
-        ("--quant-only", "loss_mode", "quant"),
-        ("--image-only", "fusion", "image"),
-        ("--text-only", "fusion", "text"),
-        ("--concat-fusion", "fusion", "concat"),
+    for flags, fusion, loss_mode in [
+        ([], "gmu", "full"),
+        (["--central-only"], "gmu", "central"),
+        (["--quant-only"], "gmu", "quant"),
+        (["--image-only"], "image", "full"),
+        (["--text-only"], "text", "full"),
+        (["--concat-fusion"], "concat", "full"),
     ]:
         args = parser.parse_args([
             "train", "--image-features", "x", "--text-features", "x",
             "--labels", "x", "--splits", "x", "--centers", "x", "--out", "x",
-            flag,
+            *flags,
         ])
-        cfg = cli.ablation_config(args, TrainConfig())
-        assert getattr(cfg, field) == value
+        assert (args.fusion, args.loss_mode) == (fusion, loss_mode)

@@ -47,8 +47,9 @@ def test_central_loss_grad_matches_finite_differences():
 
 
 def test_central_loss_rejects_out_of_range():
-    with pytest.raises(InvalidArgument):
-        L.central_similarity_loss(np.array([[1.2, 0.0]]), np.array([[1, 1]]))
+    for bad in (1.2, -1.0000001, np.nan, np.inf, -np.inf):  # NaN compares False
+        with pytest.raises(InvalidArgument, match=r"outside \[-1, 1\]"):
+            L.central_similarity_loss(np.array([[bad, 0.0]]), np.array([[1, 1]]))
 
 
 def test_central_loss_nonnegative_and_zero_only_at_center():
@@ -125,11 +126,44 @@ def test_total_loss_lambda_zero_is_central_only():
 
 def test_total_loss_arithmetic():
     # lam=0.25, L_c=0.5, L_q=0.2 -> 0.55 (checked through the report fields)
-    report = L.LossReport(l_central=0.5, l_quant=0.2, l_total=0.5 + 0.25 * 0.2,
-                          lam=0.25, batch_size=1)
+    report = L.LossReport(l_central=0.5, l_quant=0.2, l_total=0.5 + 0.25 * 0.2)
     assert report.l_total == pytest.approx(0.55)
 
 
 def test_total_loss_rejects_negative_lambda():
     with pytest.raises(InvalidArgument):
         L.total_loss(np.zeros((1, 2)), np.ones((1, 2)), lam=-0.1)
+
+
+def test_total_loss_rejects_unknown_mode():
+    with pytest.raises(InvalidArgument, match="unknown loss mode 'bce'"):
+        L.total_loss(np.zeros((1, 2)), np.ones((1, 2)), mode="bce")
+
+
+def _seed_batch_loss(he, target_centers, lam, loss_mode):
+    """The trainer's per-mode loss from before total_loss took the mode, with
+    that total_loss inlined: the oracle for the mode argument."""
+    if loss_mode == "quant":
+        l_q, g_q = L.quantization_loss(he)
+        return L.LossReport(l_central=0.0, l_quant=l_q, l_total=l_q), g_q
+    if loss_mode == "central":
+        lam = 0.0
+    l_c, g_c = L.central_similarity_loss(he, target_centers)
+    l_q, g_q = L.quantization_loss(he)
+    return L.LossReport(l_central=l_c, l_quant=l_q, l_total=l_c + lam * l_q), g_c + lam * g_q
+
+
+@pytest.mark.parametrize("mode", L.LOSS_MODES)
+@pytest.mark.parametrize("lam", [0.0, 0.25, 3.0])
+def test_total_loss_mode_matches_seed_dispatch(mode, lam):
+    rng = np.random.default_rng(8)
+    he = np.tanh(rng.normal(size=(64, 37)))
+    he[0, :3] = [1.0, -1.0, 0.0]  # the clamped corners and the quantization subgradient
+    c = np.sign(rng.normal(size=(64, 37)))
+    report, g = L.total_loss(he, c, lam, mode)
+    want, want_g = _seed_batch_loss(he, c, lam, mode)
+    assert (report.l_central, report.l_quant, report.l_total) == (
+        want.l_central, want.l_quant, want.l_total)
+    assert np.array_equal(g, want_g)
+    if mode == "central":  # lam = 0, but the quantization term is still reported
+        assert report.l_quant == L.quantization_loss(he)[0] > 0

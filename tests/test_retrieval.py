@@ -572,3 +572,33 @@ def test_map_r_cap_below_one_names_r_cap(r_cap):
     codes, labels, index = _make_index(rng, n=20)
     with pytest.raises(InvalidArgument, match=f"r_cap must be >= 1, got {r_cap}$"):
         R.mean_average_precision(codes[:2], labels[:2], index, r_cap)
+
+
+def test_map_r_cap_must_be_an_integer():
+    rng = np.random.default_rng(19)
+    codes, labels, index = _make_index(rng, n=20)
+    with pytest.raises(InvalidArgument, match="r_cap must be an integer, got 2.5"):
+        R.mean_average_precision(codes[:2], labels[:2], index, r_cap=2.5)
+    want = R.mean_average_precision(codes[:2], labels[:2], index, 5)
+    for r_cap in (np.int64(5), np.uint8(5)):
+        assert R.mean_average_precision(codes[:2], labels[:2], index, r_cap) == want
+
+
+def test_average_precision_r_cap_must_be_an_integer():
+    rng = np.random.default_rng(19)
+    codes, labels, index = _make_index(rng, n=20)
+    ranking = index.query_topk(codes[0], 20)
+    with pytest.raises(InvalidArgument, match="r_cap must be an integer, got 2.5"):
+        R.average_precision(labels[0], ranking, index, r_cap=2.5)
+    want = R.average_precision(labels[0], ranking, index, 5)
+    for r_cap in (np.int64(5), np.uint8(5)):
+        assert R.average_precision(labels[0], ranking, index, r_cap) == want
+
+
+def test_curves_k_grid_values_must_be_integers():
+    rng = np.random.default_rng(20)
+    codes, labels, index = _make_index(rng, n=20)
+    with pytest.raises(InvalidArgument, match="k_grid value must be an integer, got 1.5"):
+        R.curves(codes[:2], labels[:2], index, [1.5, 3])
+    assert R.curves(codes[:2], labels[:2], index, [np.int32(1), np.int64(3)]) == \
+        R.curves(codes[:2], labels[:2], index, [1, 3])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mvhash import net, trainer
+from mvhash import loss, net, trainer
 from mvhash.centers import generate_centers
 from mvhash.data import SynthSpec, make_synthetic
 from mvhash.errors import DivergenceError, InvalidArgument, ShapeMismatch
@@ -267,6 +267,31 @@ def test_non_finite_parameters_after_adam_step_raise_divergence(monkeypatch):
     monkeypatch.setattr(trainer, "adam_step", overflowing_step)
     with pytest.raises(DivergenceError, match="b_hash"):
         trainer.train(ds, cs, _config(epochs=1), dims_hidden=8)
+
+
+@pytest.mark.parametrize("loss_mode", loss.LOSS_MODES)
+def test_each_step_calls_the_traced_functions_once(monkeypatch, loss_mode):
+    # the benchmark's trace wraps these module attributes; train must reach
+    # every one of them once per step, in every loss mode
+    calls = {}
+
+    def counting(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in [(net, "forward"), (net, "backward"),
+                         (loss, "total_loss"), (trainer, "adam_step")]:
+        counting(module, name)
+    ds = _tiny_dataset()
+    cfg = _config(epochs=2, batch_size=16, loss_mode=loss_mode)
+    trainer.train(ds, generate_centers(4, 8, seed=0), cfg, dims_hidden=8)
+    steps = 2 * -(-int(ds.train_mask.sum()) // 16)
+    assert calls == dict.fromkeys(["forward", "total_loss", "backward", "adam_step"], steps)
 
 
 def test_encode_deterministic_and_pure():
