@@ -1,12 +1,13 @@
 """Command-line pipeline: centers, synth, train, encode, index, query, eval, curves.
 
-Every subcommand writes a RunManifest JSON next to its first output so a run
-can be reproduced bit-exactly: resolved config, input/output paths, seed, and
-sha256 checksums of the outputs. Exit codes: 0 success, 1 pipeline failure,
-2 usage error.
+Every subcommand but index writes a JSON manifest next to its first output:
+the resolved command line (`argv`, every default spelled out), the input and
+output paths, and sha256 checksums of the outputs. `mvhash <argv...>` re-runs
+the stage bit-exactly. Exit codes: 0 success, 1 pipeline failure, 2 usage error.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -32,19 +33,32 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(anchor_path, subcommand, config, inputs, outputs, seed):
+def _argv(args):
+    """The parsed arguments written back as a command line, defaults included."""
+    argv = [args.subcommand]
+    for action in args.parser._actions:
+        flag, value = action.option_strings[:1], getattr(args, action.dest, None)
+        if not flag or value is None:  # --help, or an optional left unset
+            continue
+        if action.nargs == 0:  # store_const: the flag whose const was chosen
+            argv += flag if value == action.const else []
+        elif isinstance(value, list):  # --k-grid
+            argv += [*flag, *map(str, value)]
+        else:  # one token, so a value that begins with "-" parses back
+            argv.append(f"{flag[0]}={value}")
+    return argv
+
+
+def _write_manifest(args, inputs, outputs):
     manifest = {
         "tool_version": __version__,
-        "subcommand": subcommand,
-        "config": config,
+        "argv": _argv(args),
         "inputs": {k: str(v) for k, v in inputs.items()},
         "outputs": {k: str(v) for k, v in outputs.items()},
-        "seed": seed,
         "checksums": {str(p): _sha256(p) for p in outputs.values()},
     }
-    path = Path(str(anchor_path) + ".manifest.json")
+    path = Path(str(next(iter(outputs.values()))) + ".manifest.json")
     formats._atomic_write(path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
-    return path
 
 
 def _write_csv(path, header, rows):
@@ -59,11 +73,7 @@ def _write_csv(path, header, rows):
 def cmd_centers(args):
     cset = centers_mod.generate_centers(args.classes, args.bits, args.seed)
     formats.save_centers(cset, args.out)
-    _write_manifest(
-        args.out, "centers",
-        {"classes": args.classes, "bits": args.bits},
-        {}, {"centers": args.out}, args.seed,
-    )
+    _write_manifest(args, {}, {"centers": args.out})
     mind = centers_mod.min_pairwise_distance(cset) if args.classes >= 2 else args.bits
     print(f"wrote {args.out}: V={cset.num_classes} K={cset.code_length} "
           f"method={cset.method} min_pairwise_distance={mind} "
@@ -100,24 +110,27 @@ def cmd_synth(args):
         "query": np.flatnonzero(ds.query_mask).tolist(),
     }
     formats._atomic_write(paths["splits"], (json.dumps(splits) + "\n").encode())
-    _write_manifest(
-        paths["image_features"], "synth",
-        {"classes": args.classes, "per_class": args.per_class,
-         "d_img": args.d_img, "d_txt": args.d_txt,
-         "sigma": args.sigma, "consistency": args.consistency,
-         "proto_scale": args.proto_scale},
-        {}, paths, args.seed,
-    )
+    _write_manifest(args, {}, paths)
     print(f"wrote synthetic dataset ({len(ds)} samples) to {out}")
     return 0
 
 
+def _load_json_object(path):
+    try:
+        obj = json.loads(Path(path).read_text())
+    except ValueError as exc:  # undecodable bytes or JSON
+        raise FormatError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise FormatError(f"{path}: expected a JSON object, got {type(obj).__name__}")
+    return obj
+
+
 def _load_splits(path, n, names):
     """Index arrays of the named splits; each must hold distinct integers in [0, n)."""
-    splits = json.loads(Path(path).read_text())
+    splits = _load_json_object(path)
     out = {}
     for name in names:
-        idx = splits.get(name) if isinstance(splits, dict) else None
+        idx = splits.get(name)
         if not isinstance(idx, list):
             raise FormatError(f"{path}: split {name!r} is missing or not a list")
         seen = set()
@@ -167,29 +180,16 @@ def cmd_train(args):
     report = trainer.train(
         dataset, cset, config, dims_hidden=args.hidden_dim, log_csv_path=args.log_csv
     )
-    sidecar = {
-        "fusion": config.fusion,
-        "loss_mode": config.loss_mode,
-        "train_config": {
-            "epochs": config.epochs, "batch_size": config.batch_size,
-            "learning_rate": config.learning_rate,
-            "adam_betas": list(config.adam_betas),
-            "adam_epsilon": config.adam_epsilon, "lambda": config.lam,
-            "dropout_p": config.dropout_p, "seed": config.seed,
-            "eval_every": config.eval_every,
-        },
-    }
+    # cmd_encode reads the top-level fusion, which older checkpoints carry too
+    sidecar = {"fusion": config.fusion, "train_config": dataclasses.asdict(config)}
     formats.save_checkpoint(report.params, args.out, sidecar=sidecar)
     outputs = {"checkpoint": args.out}
     if args.log_csv:
         outputs["log_csv"] = args.log_csv
-    _write_manifest(args.out, "train", sidecar["train_config"] | {
-        "fusion": config.fusion, "loss_mode": config.loss_mode,
-        "hidden_dim": args.hidden_dim,
-    }, {
+    _write_manifest(args, {
         "image_features": args.image_features, "text_features": args.text_features,
         "labels": args.labels, "splits": args.splits, "centers": args.centers,
-    }, outputs, args.seed)
+    }, outputs)
     first, last = report.epoch_losses[0].l_total, report.epoch_losses[-1].l_total
     line = f"trained {config.epochs} epochs: loss {first:.4f} -> {last:.4f}"
     if report.final_map is not None:
@@ -202,7 +202,7 @@ def cmd_encode(args):
     if args.split and not args.splits:
         raise InvalidArgument("--split needs --splits")
     params = formats.load_checkpoint(args.checkpoint)
-    side = json.loads(Path(str(args.checkpoint) + ".json").read_text())
+    side = _load_json_object(str(args.checkpoint) + ".json")
     fusion = side.get("fusion", "gmu")
     img = formats.load_features(args.image_features, expected_dim=params.dims.d_img)
     txt = formats.load_features(args.text_features, expected_dim=params.dims.d_txt)
@@ -218,8 +218,7 @@ def cmd_encode(args):
     }
     if args.splits:
         inputs["splits"] = args.splits
-    _write_manifest(args.out, "encode", {"split": args.split, "fusion": fusion}, inputs,
-                    {"codes": args.out}, None)
+    _write_manifest(args, inputs, {"codes": args.out})
     print(f"encoded {codes.shape[0]} samples at K={params.dims.code_length} -> {args.out}")
     return 0
 
@@ -255,9 +254,7 @@ def cmd_query(args):
         for rank, (item, dist) in enumerate(zip(result.ids, result.distances), 1):
             rows.append((qid, rank, int(item), int(dist)))
     _write_csv(args.out, ["query_id", "rank", "item_id", "hamming_distance"], rows)
-    _write_manifest(args.out, "query", {"k": args.k},
-                    {"codes": args.codes, "queries": args.queries},
-                    {"results": args.out}, None)
+    _write_manifest(args, {"codes": args.codes, "queries": args.queries}, {"results": args.out})
     print(f"wrote top-{args.k} results for {q_codes.shape[0]} queries -> {args.out}")
     return 0
 
@@ -268,21 +265,16 @@ def cmd_eval(args):
     value = retrieval.mean_average_precision(q_codes, q_labels, index, r_cap)
     _write_csv(args.out, ["num_queries", "retrieval_size", "code_length", "r_cap", "map"],
                [(q_codes.shape[0], index.size, index.code_length, r_cap, value)])
-    _write_manifest(args.out, "eval", {"r_cap": r_cap},
-                    {"codes": args.codes, "queries": args.queries},
-                    {"metrics": args.out}, None)
+    _write_manifest(args, {"codes": args.codes, "queries": args.queries}, {"metrics": args.out})
     print(f"mAP = {value:.6f} (Q={q_codes.shape[0]}, R={index.size}, K={index.code_length})")
     return 0
 
 
 def cmd_curves(args):
     index, q_codes, q_labels = _load_index_and_queries(args)
-    k_grid = sorted(set(args.k_grid))
-    rows = retrieval.curves(q_codes, q_labels, index, k_grid)
+    rows = retrieval.curves(q_codes, q_labels, index, sorted(set(args.k_grid)))
     _write_csv(args.out, ["k", "map_at_k", "recall_at_k"], rows)
-    _write_manifest(args.out, "curves", {"k_grid": k_grid},
-                    {"codes": args.codes, "queries": args.queries},
-                    {"curves": args.out}, None)
+    _write_manifest(args, {"codes": args.codes, "queries": args.queries}, {"curves": args.out})
     print(f"wrote {len(rows)} curve points -> {args.out}")
     return 0
 
@@ -383,6 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     cv.add_argument("--k-grid", type=int, nargs="+", required=True)
     cv.add_argument("--out", required=True)
     cv.set_defaults(func=cmd_curves)
+    for sp in sub.choices.values():  # _argv reads the subcommand's own actions
+        sp.set_defaults(parser=sp)
     return p
 
 

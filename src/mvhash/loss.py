@@ -1,5 +1,6 @@
 """Central-similarity BCE loss, log-cosh quantization loss, and their blend."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,8 +67,8 @@ def total_loss(
     """
     if mode not in LOSS_MODES:
         raise InvalidArgument(f"unknown loss mode {mode!r}")
-    if lam < 0:
-        raise InvalidArgument(f"lambda must be >= 0, got {lam}")
+    if not (math.isfinite(lam) and lam >= 0):
+        raise InvalidArgument(f"lambda (lam) must be finite and >= 0: {lam}")
     l_q, g_q = quantization_loss(he_batch)
     if mode == "quant":
         return LossReport(l_central=0.0, l_quant=l_q, l_total=l_q), g_q

@@ -344,56 +344,9 @@ def test_criterion_09_scan_performance():
 # ---- 10. manifest-driven determinism ------------------------------------------------
 
 def _replay(manifest_path, src, dst):
-    """Rebuild a subcommand's argv from its manifest, re-rooted under dst."""
-    m = json.loads(Path(manifest_path).read_text())
-    sub, cfg = m["subcommand"], m["config"]
-    swap = lambda p: p.replace(str(src), str(dst))
-    if sub == "synth":
-        out_dir = Path(swap(m["outputs"]["image_features"])).parent
-        return ["synth", "--classes", str(cfg["classes"]),
-                "--per-class", str(cfg["per_class"]),
-                "--d-img", str(cfg["d_img"]), "--d-txt", str(cfg["d_txt"]),
-                "--sigma", str(cfg["sigma"]),
-                "--consistency", str(cfg["consistency"]),
-                "--proto-scale", str(cfg["proto_scale"]),
-                "--seed", str(m["seed"]), "--out-dir", str(out_dir)]
-    if sub == "centers":
-        return ["centers", "--classes", str(cfg["classes"]),
-                "--bits", str(cfg["bits"]), "--seed", str(m["seed"]),
-                "--out", swap(m["outputs"]["centers"])]
-    if sub == "train":
-        argv = ["train"]
-        for key, flag in (("image_features", "--image-features"),
-                          ("text_features", "--text-features"),
-                          ("labels", "--labels"), ("splits", "--splits"),
-                          ("centers", "--centers")):
-            argv += [flag, swap(m["inputs"][key])]
-        argv += ["--out", swap(m["outputs"]["checkpoint"]),
-                 "--epochs", str(cfg["epochs"]),
-                 "--batch-size", str(cfg["batch_size"]),
-                 "--learning-rate", str(cfg["learning_rate"]),
-                 "--beta1", str(cfg["adam_betas"][0]),
-                 "--beta2", str(cfg["adam_betas"][1]),
-                 "--adam-epsilon", str(cfg["adam_epsilon"]),
-                 "--lam", str(cfg["lambda"]),
-                 "--dropout", str(cfg["dropout_p"]),
-                 "--hidden-dim", str(cfg["hidden_dim"]),
-                 "--eval-every", str(cfg["eval_every"]),
-                 "--seed", str(m["seed"])]
-        return argv
-    if sub == "encode":
-        return ["encode", "--checkpoint", swap(m["inputs"]["checkpoint"]),
-                "--image-features", swap(m["inputs"]["image_features"]),
-                "--text-features", swap(m["inputs"]["text_features"]),
-                "--labels", swap(m["inputs"]["labels"]),
-                "--splits", swap(m["inputs"]["splits"]),
-                "--split", cfg["split"],
-                "--out", swap(m["outputs"]["codes"])]
-    if sub == "eval":
-        return ["eval", "--codes", swap(m["inputs"]["codes"]),
-                "--queries", swap(m["inputs"]["queries"]),
-                "--out", swap(m["outputs"]["metrics"])]
-    raise AssertionError(f"no replay rule for {sub}")
+    """The manifest's recorded argv with its paths re-rooted from src to dst."""
+    argv = json.loads(Path(manifest_path).read_text())["argv"]
+    return [arg.replace(str(src), str(dst)) for arg in argv]
 
 
 def test_criterion_10_determinism(tmp_path):
@@ -422,9 +375,21 @@ def test_criterion_10_determinism(tmp_path):
                         "--splits", str(data / "splits.json"),
                         "--split", split,
                         "--out", str(run_a / f"{split}.cscd")]) == 0
-    assert cli.run(["eval", "--codes", str(run_a / "retrieval.cscd"),
-                    "--queries", str(run_a / "query.cscd"),
-                    "--out", str(run_a / "metrics.csv")]) == 0
+    codes = ["--codes", str(run_a / "retrieval.cscd"), "--queries", str(run_a / "query.cscd")]
+    assert cli.run(["query", *codes, "--k", "5", "--out", str(run_a / "top5.csv")]) == 0
+    assert cli.run(["eval", *codes, "--out", str(run_a / "metrics.csv")]) == 0
+    assert cli.run(["curves", *codes, "--k-grid", "10", "1", "5",
+                    "--out", str(run_a / "curves.csv")]) == 0
+    # an ablation run: the replayed argv must carry the flag and the log path
+    assert cli.run(["train",
+                    "--image-features", str(data / "image_features.csft"),
+                    "--text-features", str(data / "text_features.csft"),
+                    "--labels", str(data / "labels.cslb"),
+                    "--splits", str(data / "splits.json"),
+                    "--centers", str(run_a / "centers.cshc"),
+                    "--out", str(run_a / "image_only.csmv"), "--image-only",
+                    "--log-csv", str(run_a / "image_only.csv"),
+                    "--epochs", "5", "--hidden-dim", "8", "--seed", "7"]) == 0
 
     manifests = [
         data / "image_features.csft.manifest.json",
@@ -432,15 +397,20 @@ def test_criterion_10_determinism(tmp_path):
         run_a / "model.csmv.manifest.json",
         run_a / "retrieval.cscd.manifest.json",
         run_a / "query.cscd.manifest.json",
+        run_a / "top5.csv.manifest.json",
         run_a / "metrics.csv.manifest.json",
+        run_a / "curves.csv.manifest.json",
+        run_a / "image_only.csmv.manifest.json",
     ]
     outputs = []
     for mpath in manifests:
         argv = _replay(mpath, run_a, run_b)
         assert cli.run(argv) == 0
         m = json.loads(mpath.read_text())
+        replayed = Path(str(mpath).replace(str(run_a), str(run_b)))
+        assert json.loads(replayed.read_text())["argv"] == argv  # a fixed point
         outputs.extend(m["outputs"].values())
-        if m["subcommand"] == "train":  # the checkpoint's JSON sidecar records the config
+        if m["argv"][0] == "train":  # the checkpoint's JSON sidecar records the config
             outputs.append(m["outputs"]["checkpoint"] + ".json")
 
     diffs = []

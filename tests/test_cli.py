@@ -32,8 +32,9 @@ def test_centers_subcommand(tmp_path, capsys):
     assert min_pairwise_distance(cs) >= 16
     assert "min_pairwise_distance" in capsys.readouterr().out
     manifest = json.loads((tmp_path / "c.cshc.manifest.json").read_text())
-    assert manifest["subcommand"] == "centers"
-    assert manifest["seed"] == 7
+    assert set(manifest) == {"tool_version", "argv", "inputs", "outputs", "checksums"}
+    assert manifest["argv"] == ["centers", "--classes=21", "--bits=64", "--seed=7",
+                                f"--out={out}"]
     assert str(out) in manifest["checksums"]
 
 
@@ -87,16 +88,18 @@ def test_train_writes_log_and_manifest(pipeline):
     assert log[0] == "epoch,l_central,l_quant,l_total,test_map"
     assert len(log) == 41
     manifest = json.loads((pipeline / "model.csmv.manifest.json").read_text())
-    assert manifest["subcommand"] == "train"
-    assert manifest["config"]["lambda"] == 0.25
-    assert manifest["config"]["dropout_p"] == 0.1
+    assert manifest["argv"][0] == "train"
+    assert "--lam=0.25" in manifest["argv"] and "--dropout=0.1" in manifest["argv"]
+    assert manifest["outputs"]["log_csv"] == str(pipeline / "log.csv")
 
 
 def test_train_manifest_and_sidecar_record_eval_every(pipeline):
     manifest = json.loads((pipeline / "model.csmv.manifest.json").read_text())
     sidecar = json.loads((pipeline / "model.csmv.json").read_text())
-    assert manifest["config"]["eval_every"] == 25
+    assert "--eval-every=25" in manifest["argv"]
     assert sidecar["train_config"]["eval_every"] == 25
+    assert sidecar["train_config"]["lam"] == 0.25
+    assert sidecar["fusion"] == sidecar["train_config"]["fusion"] == "gmu"
 
 
 def test_index_subcommand(pipeline, capsys):
@@ -185,6 +188,43 @@ def _encode_args(pipeline, out, *extra):
             "--image-features", str(data / "image_features.csft"),
             "--text-features", str(data / "text_features.csft"),
             "--labels", str(data / "labels.cslb"), "--out", str(out), *extra]
+
+
+@pytest.mark.parametrize("target, text", [
+    ("splits", "{not json"), ("splits", "[1, 2]"), ("splits", "\xff"),
+    ("sidecar", "{not json"), ("sidecar", "[1, 2]"),
+], ids=["splits-undecodable", "splits-not-object", "splits-not-utf8",
+        "sidecar-undecodable", "sidecar-not-object"])
+def test_bad_json_input_exits_one_naming_the_file(pipeline, tmp_path, capsys, target, text):
+    data = pipeline / "data"
+    ckpt, splits = tmp_path / "m.csmv", tmp_path / "splits.json"
+    ckpt.write_bytes((pipeline / "model.csmv").read_bytes())
+    sidecar = tmp_path / "m.csmv.json"
+    sidecar.write_text((pipeline / "model.csmv.json").read_text())
+    splits.write_text((data / "splits.json").read_text())
+    bad = splits if target == "splits" else sidecar
+    bad.write_bytes(text.encode("latin-1"))
+    argv = ["encode", "--checkpoint", str(ckpt),
+            "--image-features", str(data / "image_features.csft"),
+            "--text-features", str(data / "text_features.csft"),
+            "--labels", str(data / "labels.cslb"), "--splits", str(splits),
+            "--split", "query", "--out", str(tmp_path / "q.cscd")]
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert "[errors.FormatError]" in err and str(bad) in err
+    assert not (tmp_path / "q.cscd").exists()
+
+
+def test_train_with_undecodable_splits_exits_one_naming_the_file(pipeline, tmp_path, capsys):
+    data, splits = pipeline / "data", tmp_path / "splits.json"
+    splits.write_text("{not json")
+    assert run("train", "--image-features", str(data / "image_features.csft"),
+               "--text-features", str(data / "text_features.csft"),
+               "--labels", str(data / "labels.cslb"), "--splits", str(splits),
+               "--centers", str(pipeline / "centers.cshc"),
+               "--out", str(tmp_path / "m.csmv"), "--epochs", "1") == 1
+    err = capsys.readouterr().err
+    assert "[errors.FormatError]" in err and f"{splits}: not valid JSON" in err
 
 
 def test_encode_split_without_splits_fails(pipeline, tmp_path, capsys):
@@ -280,3 +320,54 @@ def test_ablation_flag_mapping():
             *flags,
         ])
         assert (args.fusion, args.loss_mode) == (fusion, loss_mode)
+
+
+_TRAIN = ["train", "--image-features", "i.csft", "--text-features", "t.csft",
+          "--labels", "l.cslb", "--splits", "s.json", "--centers", "c.cshc",
+          "--out", "m.csmv"]
+_ENCODE = ["encode", "--checkpoint", "m.csmv", "--image-features", "i.csft",
+           "--text-features", "t.csft", "--labels", "l.cslb", "--out", "r.cscd"]
+_CODES = ["--codes", "r.cscd", "--queries", "q.cscd"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["centers", "--classes", "4", "--bits", "8", "--out=-x"],
+    ["synth", "--out-dir", "d", "--sigma", "0.25", "--proto-scale", "1e-08"],
+    _TRAIN,
+    [*_TRAIN, "--central-only"],
+    [*_TRAIN, "--quant-only", "--lam", "0.5"],
+    [*_TRAIN, "--image-only", "--log-csv", "log.csv"],
+    [*_TRAIN, "--text-only", "--learning-rate", "1e-08"],
+    [*_TRAIN, "--concat-fusion", "--seed", "3"],
+    _ENCODE,
+    [*_ENCODE, "--splits", "s.json", "--split", "query"],
+    ["index", "--codes=-c.cscd"],
+    ["query", *_CODES, "--k", "5", "--out", "top.csv"],
+    ["eval", *_CODES, "--r-cap", "7", "--out", "m.csv"],
+    ["curves", *_CODES, "--k-grid", "10", "1", "5", "1", "--out", "c.csv"],
+], ids=["centers", "synth", "train", "central-only", "quant-only", "image-only",
+        "text-only", "concat-fusion", "encode", "encode-split", "index", "query", "eval",
+        "curves"])
+def test_argv_round_trips_through_the_parser(monkeypatch, argv):
+    monkeypatch.setenv(cli.SEED_ENV, "11")
+    parser = cli.build_parser()
+    args = parser.parse_args(argv)
+    assert parser.parse_args(cli._argv(args)) == args
+
+
+def test_argv_spells_out_every_default(monkeypatch):
+    monkeypatch.setenv(cli.SEED_ENV, "11")
+    parser = cli.build_parser()
+    assert cli._argv(parser.parse_args(["centers", "--classes", "4", "--bits", "8",
+                                        "--out=-x"])) == \
+        ["centers", "--classes=4", "--bits=8", "--seed=11", "--out=-x"]
+    train = cli._argv(parser.parse_args([*_TRAIN, "--image-only", "--learning-rate", "1e-08"]))
+    assert "--image-only" in train and "--learning-rate=1e-08" in train
+    assert "--seed=11" in train and "--lam=0.25" in train and "--hidden-dim=84" in train
+    assert not any(a.startswith("--log-csv") for a in train)
+    assert not {"--central-only", "--quant-only", "--text-only", "--concat-fusion"} & set(train)
+    encode = cli._argv(parser.parse_args(_ENCODE))
+    assert not any(a.startswith(("--splits", "--split=")) for a in encode)
+    curves = cli._argv(parser.parse_args(["curves", *_CODES, "--k-grid", "10", "1", "5",
+                                          "--out", "c.csv"]))
+    assert curves[curves.index("--k-grid"):][:4] == ["--k-grid", "10", "1", "5"]
