@@ -20,7 +20,7 @@ import numpy as np
 from . import centers as centers_mod
 from .errors import FormatError, InvalidArgument, ShapeMismatch
 from .net import Dims, ModelParams, first_non_finite
-from .retrieval import pack_codes, unpack_codes
+from .retrieval import pack_bits, pack_codes, unpack_bits, unpack_codes
 
 _METHOD_TAGS = {
     centers_mod.METHOD_HADAMARD: 0,
@@ -95,14 +95,6 @@ def _atomic_write(path, data: bytes):
     tmp.replace(path)
 
 
-def pack_multihot(rows: np.ndarray) -> np.ndarray:
-    return np.packbits(np.atleast_2d(rows).astype(np.uint8), axis=1, bitorder="little")
-
-
-def unpack_multihot(packed: np.ndarray, width: int) -> np.ndarray:
-    return np.unpackbits(packed, axis=1, bitorder="little")[:, :width]
-
-
 # ---- CSHC: hash centers ----
 
 def save_centers(center_set: centers_mod.HashCenterSet, path) -> None:
@@ -169,7 +161,7 @@ def load_features(path, expected_dim: int | None = None) -> np.ndarray:
 def save_labels(labels: np.ndarray, path) -> None:
     rows = np.atleast_2d(labels).astype(np.uint8)
     head = struct.pack("<4sIII", b"CSLB", 1, rows.shape[0], rows.shape[1])
-    _atomic_write(path, head + pack_multihot(rows).tobytes())
+    _atomic_write(path, head + pack_bits(rows).tobytes())
 
 
 def load_labels(path) -> np.ndarray:
@@ -180,7 +172,7 @@ def load_labels(path) -> np.ndarray:
     v = r.u32("num_classes")
     packed = r.packed_rows(n, v, "label rows")
     r.done()
-    return unpack_multihot(packed, v)
+    return unpack_bits(packed, v)
 
 
 # ---- CSCD: packed codes with labels ----
@@ -192,7 +184,7 @@ def save_codes(packed_codes: np.ndarray, labels: np.ndarray, code_length: int, p
         raise ShapeMismatch(f"codes rows {pc.shape[0]} != label rows {rows.shape[0]}")
     head = struct.pack("<4sIII", b"CSCD", 1, pc.shape[0], code_length)
     mid = struct.pack("<I", rows.shape[1])
-    _atomic_write(path, head + pc.tobytes() + mid + pack_multihot(rows).tobytes())
+    _atomic_write(path, head + pc.tobytes() + mid + pack_bits(rows).tobytes())
 
 
 def load_codes(path) -> tuple[np.ndarray, np.ndarray, int]:
@@ -206,7 +198,7 @@ def load_codes(path) -> tuple[np.ndarray, np.ndarray, int]:
     v = r.u32("num_classes")
     lab = r.packed_rows(n, v, "label rows")
     r.done()
-    return packed, unpack_multihot(lab, v), k
+    return packed, unpack_bits(lab, v), k
 
 
 # ---- CSMV: model checkpoint ----

@@ -2,8 +2,8 @@
 
 Codes are K-bit vectors over {-1,+1}; bit b = 1 in the packed form means
 code value +1, with the LSB of byte 0 holding bit 0. Distances run over
-uint64 words with a vectorized popcount; padding bits are packed as zero
-on both sides so they never contribute.
+uint64 words with a vectorized popcount; padding bits are zero on both
+sides (the index rejects code rows that set them) so they never contribute.
 """
 
 import operator
@@ -22,20 +22,28 @@ def _integer(value, name: str) -> int:
         raise InvalidArgument(f"{name} must be an integer, got {value!r}") from None
 
 
+def pack_bits(rows: np.ndarray) -> np.ndarray:
+    """Pack rows (non-zero = 1) into uint8 rows of ceil(width/8) bytes, LSB-first."""
+    return np.packbits(np.atleast_2d(rows), axis=1, bitorder="little")
+
+
+def unpack_bits(packed: np.ndarray, width: int) -> np.ndarray:
+    """Inverse of pack_bits; returns uint8 rows over {0, 1}."""
+    p = np.atleast_2d(np.asarray(packed, dtype=np.uint8))
+    return np.unpackbits(p, axis=1, bitorder="little")[:, :width]
+
+
 def pack_codes(codes: np.ndarray) -> np.ndarray:
-    """Pack (+-1)-valued rows into uint8 rows of ceil(K/8) bytes, LSB-first."""
+    """Pack (+-1)-valued rows into uint8 rows of ceil(K/8) bytes, bit 1 = +1."""
     c = np.atleast_2d(np.asarray(codes))
-    if not np.isin(c, (-1, 1)).all():
+    if not ((c == 1) | (c == -1)).all():
         raise InvalidArgument("codes must be +-1 valued")
-    bits = (c > 0).astype(np.uint8)
-    return np.packbits(bits, axis=1, bitorder="little")
+    return pack_bits(c > 0)
 
 
 def unpack_codes(packed: np.ndarray, code_length: int) -> np.ndarray:
     """Inverse of pack_codes; returns int8 rows over {-1,+1}."""
-    p = np.atleast_2d(np.asarray(packed, dtype=np.uint8))
-    bits = np.unpackbits(p, axis=1, bitorder="little")[:, :code_length]
-    return (bits.astype(np.int8) * 2 - 1).astype(np.int8)
+    return (unpack_bits(packed, code_length).astype(np.int8) * 2 - 1).astype(np.int8)
 
 
 def _to_words(packed: np.ndarray) -> np.ndarray:
@@ -84,10 +92,15 @@ class RetrievalIndex:
             raise InvalidArgument(
                 f"packed width {packed.shape[1]} inconsistent with K={code_length}"
             )
+        bad = np.flatnonzero(packed[:, -1] >> (code_length % 8)) if code_length % 8 else ()
+        if len(bad):
+            raise InvalidArgument(f"code row {bad[0]} has non-zero padding bits (K={code_length})")
         self.code_length = int(code_length)
         self.size = packed.shape[0]
         self._words = _to_words(packed)
-        self.labels = (labels != 0).astype(np.uint8)  # non-zero = active, as for queries
+        # one class-major copy, non-zero = active as for queries; labels is its (size, C) view
+        self._by_class = (labels != 0).T.copy()
+        self.labels = self._by_class.T.view(np.uint8)
 
     @classmethod
     def from_signs(cls, codes: np.ndarray, labels: np.ndarray) -> "RetrievalIndex":
@@ -98,7 +111,8 @@ class RetrievalIndex:
         """Hamming distance to every row, as np.min_scalar_type(K), in row-major chunks.
 
         Per chunk: XOR the flat word stream with the query words tiled to the
-        chunk, popcount to uint8, then add the W word lanes with strided adds.
+        chunk, popcount through a transposed view into W contiguous uint8 lanes,
+        then sum the lanes with contiguous adds.
         """
         q = np.asarray(query_code).ravel()
         if q.shape[0] != self.code_length:
@@ -111,21 +125,18 @@ class RetrievalIndex:
         rows = min(self.size, max(1, _CHUNK_WORDS // w))
         tiled = np.tile(qw, rows)
         xor = np.empty(rows * w, dtype=np.uint64)
-        bits = np.empty(rows * w, dtype=np.uint8)
+        lanes = np.empty((w, rows), dtype=np.uint8)
         dist = np.empty(self.size, dtype=np.min_scalar_type(self.code_length))
         for start in range(0, self.size, rows):
             n = min(rows, self.size - start)
             m = n * w
             np.bitwise_xor(words[start * w:start * w + m], tiled[:m], out=xor[:m])
-            np.bitwise_count(xor[:m], out=bits[:m])
-            lanes = bits[:m].reshape(n, w)
             out = dist[start:start + n]
             if w == 1:
-                out[:] = lanes[:, 0]
+                np.bitwise_count(xor[:m], out=out)
             else:
-                np.add(lanes[:, 0], lanes[:, 1], out=out, dtype=out.dtype)
-            for j in range(2, w):
-                np.add(out, lanes[:, j], out=out)
+                np.bitwise_count(xor[:m].reshape(n, w).T, out=lanes[:, :n])
+                np.add.reduce(lanes[:, :n], axis=0, dtype=out.dtype, out=out)
         return dist
 
     def distances(self, query_code: np.ndarray) -> np.ndarray:
@@ -159,7 +170,7 @@ def relevance(query_label: np.ndarray, index: RetrievalIndex) -> np.ndarray:
     q = np.asarray(query_label).ravel()
     if q.shape[0] != index.labels.shape[1]:
         raise InvalidArgument(f"query has {q.shape[0]} classes, index {index.labels.shape[1]}")
-    return index.labels[:, np.flatnonzero(q)].any(axis=1)
+    return index._by_class[np.flatnonzero(q)].any(axis=0)
 
 
 def _ranked_relevance(query_label, ids, index) -> tuple[np.ndarray, int]:

@@ -91,6 +91,13 @@ def test_labels_roundtrip(tmp_path):
     assert (formats.load_labels(path) == labels).all()
 
 
+def test_label_rows_pack_lsb_first(tmp_path):
+    labels = np.array([[1, 0, 0, 1, 0, 0, 0, 0, 1], [0, 1, 0, 0, 0, 0, 0, 0, 0]], np.uint8)
+    path = tmp_path / "l.cslb"
+    formats.save_labels(labels, path)
+    assert path.read_bytes() == struct.pack("<4sIII", b"CSLB", 1, 2, 9) + bytes([9, 1, 2, 0])
+
+
 def test_codes_roundtrip(tmp_path):
     rng = np.random.default_rng(2)
     from mvhash.retrieval import pack_codes, unpack_codes

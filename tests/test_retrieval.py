@@ -63,6 +63,39 @@ def test_pack_unpack_roundtrip():
         assert (R.unpack_codes(R.pack_codes(codes), k) == codes).all()
 
 
+@pytest.mark.parametrize("codes, bits", [
+    (np.array([[1, -1, -1, 1]], dtype=np.int8), [1, 0, 0, 1]),
+    (np.array([1.0, -1.0, 1.0]), [1, 0, 1]),
+    (np.array([True, True]), [1, 1]),
+])
+def test_pack_codes_accepts_plus_minus_one(codes, bits):
+    assert R.pack_codes(codes).tolist() == [[sum(b << i for i, b in enumerate(bits))]]
+
+
+@pytest.mark.parametrize("codes", [
+    np.array([1, 0, -1]),
+    np.array([True, False]),
+    np.array([1, 2, -1]),
+    np.array([1.0, 0.5, -1.0]),
+    np.array([1.0, np.nan, -1.0]),
+])
+def test_pack_codes_rejects_other_values(codes):
+    with pytest.raises(InvalidArgument, match="codes must be"):
+        R.pack_codes(codes)
+
+
+@pytest.mark.parametrize("k", [5, 37])
+def test_index_rejects_non_zero_padding_bits(k):
+    # rows 0 and 1 hold the same code, row 1 with its padding bits set: they would scan
+    # 8 - k % 8 apart
+    packed = R.pack_codes(np.ones((3, k), dtype=np.int8))
+    packed[1, -1] |= 0xFF
+    with pytest.raises(InvalidArgument, match="code row 1 has non-zero padding bits"):
+        R.RetrievalIndex(packed, np.ones((3, 1)), k)
+    packed[1, -1] = R.pack_codes(np.ones(k))[0, -1]
+    assert R.RetrievalIndex(packed, np.ones((3, 1)), k).distances(np.ones(k)).tolist() == [0, 0, 0]
+
+
 def _make_index(rng, n=100, k=16, v=5):
     codes = random_codes(rng, n, k)
     labels = np.zeros((n, v), dtype=np.uint8)
