@@ -12,7 +12,7 @@ from .centers import (
 )
 from .data import MultiViewDataset, SynthSpec, make_synthetic
 from .loss import LossReport, central_similarity_loss, quantization_loss, total_loss
-from .net import Dims, ModelParams, binarize, forward, backward, gate_values, init_params
+from .net import Dims, ModelParams, binarize, forward, backward, init_params
 from .retrieval import (
     QueryResult,
     RetrievalIndex,
@@ -29,8 +29,7 @@ __all__ = [
     "min_pairwise_distance", "sylvester_hadamard",
     "MultiViewDataset", "SynthSpec", "make_synthetic",
     "LossReport", "central_similarity_loss", "quantization_loss", "total_loss",
-    "Dims", "ModelParams", "binarize", "forward", "backward", "gate_values",
-    "init_params",
+    "Dims", "ModelParams", "binarize", "forward", "backward", "init_params",
     "QueryResult", "RetrievalIndex", "average_precision", "curves",
     "mean_average_precision", "pack_codes", "unpack_codes",
     "TrainConfig", "TrainReport", "adam_step", "train",

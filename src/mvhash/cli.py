@@ -21,6 +21,9 @@ from .data import MultiViewDataset, SynthSpec, make_synthetic
 from .errors import FormatError, InvalidArgument
 
 SEED_ENV = "MVHASH_SEED"
+# dests of the file arguments a manifest records as inputs, when the stage was given them
+_INPUTS = ("checkpoint", "image_features", "text_features", "labels", "splits", "centers",
+           "codes", "queries")
 
 
 def _default_seed():
@@ -49,16 +52,22 @@ def _argv(args):
     return argv
 
 
-def _write_manifest(args, inputs, outputs):
+def _write_manifest(args, outputs):
     manifest = {
         "tool_version": __version__,
         "argv": _argv(args),
-        "inputs": {k: str(v) for k, v in inputs.items()},
+        "inputs": {k: getattr(args, k) for k in _INPUTS if getattr(args, k, None)},
         "outputs": {k: str(v) for k, v in outputs.items()},
         "checksums": {str(p): _sha256(p) for p in outputs.values()},
     }
     path = Path(str(next(iter(outputs.values()))) + ".manifest.json")
     formats._atomic_write(path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
+
+
+def _from_flags(cls, args, **given):
+    """A `cls` dataclass: each field not in `given` is read from the flag with that dest."""
+    names = {f.name for f in dataclasses.fields(cls)} - set(given)
+    return cls(**{name: getattr(args, name) for name in names}, **given)
 
 
 def _write_csv(path, header, rows):
@@ -68,31 +77,20 @@ def _write_csv(path, header, rows):
     formats._atomic_write(path, "".join(line + "\n" for line in lines).encode())
 
 
-# ---- subcommand implementations ----
+# ---- subcommand implementations: each returns its outputs, or None for no manifest ----
 
 def cmd_centers(args):
     cset = centers_mod.generate_centers(args.classes, args.bits, args.seed)
     formats.save_centers(cset, args.out)
-    _write_manifest(args, {}, {"centers": args.out})
     mind = centers_mod.min_pairwise_distance(cset) if args.classes >= 2 else args.bits
     print(f"wrote {args.out}: V={cset.num_classes} K={cset.code_length} "
           f"method={cset.method} min_pairwise_distance={mind} "
           f"mean_pairwise_inner={cset.mean_pairwise_inner() if args.classes >= 2 else 0.0:.4f}")
-    return 0
+    return {"centers": args.out}
 
 
 def cmd_synth(args):
-    spec = SynthSpec(
-        num_classes=args.classes,
-        samples_per_class=args.per_class,
-        d_img=args.d_img,
-        d_txt=args.d_txt,
-        cluster_spread=args.sigma,
-        cross_view_consistency=args.consistency,
-        seed=args.seed,
-        prototype_scale=args.proto_scale,
-    )
-    ds = make_synthetic(spec)
+    ds = make_synthetic(_from_flags(SynthSpec, args))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -110,9 +108,8 @@ def cmd_synth(args):
         "query": np.flatnonzero(ds.query_mask).tolist(),
     }
     formats._atomic_write(paths["splits"], (json.dumps(splits) + "\n").encode())
-    _write_manifest(args, {}, paths)
     print(f"wrote synthetic dataset ({len(ds)} samples) to {out}")
-    return 0
+    return paths
 
 
 def _load_json_object(path):
@@ -164,19 +161,7 @@ def _load_dataset(args):
 def cmd_train(args):
     dataset = _load_dataset(args)
     cset = formats.load_centers(args.centers)
-    config = trainer.TrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        learning_rate=args.learning_rate,
-        adam_betas=(args.beta1, args.beta2),
-        adam_epsilon=args.adam_epsilon,
-        lam=args.lam,
-        dropout_p=args.dropout,
-        seed=args.seed,
-        eval_every=args.eval_every,
-        fusion=args.fusion,
-        loss_mode=args.loss_mode,
-    )
+    config = _from_flags(trainer.TrainConfig, args, adam_betas=(args.beta1, args.beta2))
     report = trainer.train(
         dataset, cset, config, dims_hidden=args.hidden_dim, log_csv_path=args.log_csv
     )
@@ -186,16 +171,12 @@ def cmd_train(args):
     outputs = {"checkpoint": args.out}
     if args.log_csv:
         outputs["log_csv"] = args.log_csv
-    _write_manifest(args, {
-        "image_features": args.image_features, "text_features": args.text_features,
-        "labels": args.labels, "splits": args.splits, "centers": args.centers,
-    }, outputs)
     first, last = report.epoch_losses[0].l_total, report.epoch_losses[-1].l_total
     line = f"trained {config.epochs} epochs: loss {first:.4f} -> {last:.4f}"
     if report.final_map is not None:
         line += f", test mAP {report.final_map:.4f}"
     print(line)
-    return 0
+    return outputs
 
 
 def cmd_encode(args):
@@ -212,15 +193,8 @@ def cmd_encode(args):
         img, txt, labels = img[take], txt[take], labels[take]
     codes = trainer.encode(params, img, txt, fusion=fusion)
     formats.save_codes(retrieval.pack_codes(codes), labels, params.dims.code_length, args.out)
-    inputs = {
-        "checkpoint": args.checkpoint, "image_features": args.image_features,
-        "text_features": args.text_features, "labels": args.labels,
-    }
-    if args.splits:
-        inputs["splits"] = args.splits
-    _write_manifest(args, inputs, {"codes": args.out})
     print(f"encoded {codes.shape[0]} samples at K={params.dims.code_length} -> {args.out}")
-    return 0
+    return {"codes": args.out}
 
 
 def _load_index(path):
@@ -243,7 +217,6 @@ def cmd_index(args):
     print(f"{args.codes}: R={index.size} K={index.code_length} "
           f"classes={index.labels.shape[1]} "
           f"label_counts=[{counts.min()}..{counts.max()}]")
-    return 0
 
 
 def cmd_query(args):
@@ -254,9 +227,8 @@ def cmd_query(args):
         for rank, (item, dist) in enumerate(zip(result.ids, result.distances), 1):
             rows.append((qid, rank, int(item), int(dist)))
     _write_csv(args.out, ["query_id", "rank", "item_id", "hamming_distance"], rows)
-    _write_manifest(args, {"codes": args.codes, "queries": args.queries}, {"results": args.out})
     print(f"wrote top-{args.k} results for {q_codes.shape[0]} queries -> {args.out}")
-    return 0
+    return {"results": args.out}
 
 
 def cmd_eval(args):
@@ -265,18 +237,16 @@ def cmd_eval(args):
     value = retrieval.mean_average_precision(q_codes, q_labels, index, r_cap)
     _write_csv(args.out, ["num_queries", "retrieval_size", "code_length", "r_cap", "map"],
                [(q_codes.shape[0], index.size, index.code_length, r_cap, value)])
-    _write_manifest(args, {"codes": args.codes, "queries": args.queries}, {"metrics": args.out})
     print(f"mAP = {value:.6f} (Q={q_codes.shape[0]}, R={index.size}, K={index.code_length})")
-    return 0
+    return {"metrics": args.out}
 
 
 def cmd_curves(args):
     index, q_codes, q_labels = _load_index_and_queries(args)
     rows = retrieval.curves(q_codes, q_labels, index, sorted(set(args.k_grid)))
     _write_csv(args.out, ["k", "map_at_k", "recall_at_k"], rows)
-    _write_manifest(args, {"codes": args.codes, "queries": args.queries}, {"curves": args.out})
     print(f"wrote {len(rows)} curve points -> {args.out}")
-    return 0
+    return {"curves": args.out}
 
 
 # ---- argument parsing ----
@@ -298,13 +268,13 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_centers)
 
     s = sub.add_parser("synth", help="generate a synthetic two-view dataset")
-    s.add_argument("--classes", type=int, default=10)
-    s.add_argument("--per-class", type=int, default=100)
+    s.add_argument("--classes", dest="num_classes", type=int, default=10)
+    s.add_argument("--per-class", dest="samples_per_class", type=int, default=100)
     s.add_argument("--d-img", type=int, default=64)
     s.add_argument("--d-txt", type=int, default=64)
-    s.add_argument("--sigma", type=float, default=0.3)
-    s.add_argument("--consistency", type=float, default=0.9)
-    s.add_argument("--proto-scale", type=float, default=0.16)
+    s.add_argument("--sigma", dest="cluster_spread", type=float, default=0.3)
+    s.add_argument("--consistency", dest="cross_view_consistency", type=float, default=0.9)
+    s.add_argument("--proto-scale", dest="prototype_scale", type=float, default=0.16)
     s.add_argument("--seed", type=int, default=_default_seed())
     s.add_argument("--out-dir", required=True)
     s.set_defaults(func=cmd_synth)
@@ -324,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--beta2", type=float, default=0.999)
     t.add_argument("--adam-epsilon", type=float, default=1e-8)
     t.add_argument("--lam", type=float, default=0.25)
-    t.add_argument("--dropout", type=float, default=0.1)
+    t.add_argument("--dropout", dest="dropout_p", type=float, default=0.1)
     t.add_argument("--hidden-dim", type=int, default=84)
     t.add_argument("--eval-every", type=int, default=0)
     t.add_argument("--seed", type=int, default=_default_seed())
@@ -392,7 +362,10 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        outputs = args.func(args)
+        if outputs:
+            _write_manifest(args, outputs)
+        return 0
     except Exception as exc:  # pipeline failure -> exit 1, module-tagged
         module = type(exc).__module__.rsplit(".", 1)[-1]
         print(f"error [{module}.{type(exc).__name__}]: {exc}", file=sys.stderr)

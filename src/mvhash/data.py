@@ -28,7 +28,7 @@ class MultiViewDataset:
         for name in ("text_features", "labels", "train_mask", "retrieval_mask", "query_mask"):
             if getattr(self, name).shape[0] != n:
                 raise InvalidArgument(f"{name} length != {n}")
-        if (self.labels.sum(axis=1) == 0).any():
+        if not (self.labels != 0).any(axis=1).all():
             raise InvalidArgument("every sample needs at least one active label")
         if (self.query_mask & self.retrieval_mask).any() or (self.query_mask & self.train_mask).any():
             raise InvalidArgument("query split must be disjoint from train/retrieval")

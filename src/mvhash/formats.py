@@ -20,7 +20,8 @@ import numpy as np
 from . import centers as centers_mod
 from .errors import FormatError, InvalidArgument, ShapeMismatch
 from .net import Dims, ModelParams, first_non_finite
-from .retrieval import pack_bits, pack_codes, unpack_bits, unpack_codes
+from .retrieval import (check_code_rows, pack_bits, pack_codes, padding_bits_set, unpack_bits,
+                        unpack_codes)
 
 _METHOD_TAGS = {
     centers_mod.METHOD_HADAMARD: 0,
@@ -31,10 +32,18 @@ _METHOD_NAMES = {v: k for k, v in _METHOD_TAGS.items()}
 
 
 class _Reader:
-    def __init__(self, path):
+    """A file's bytes, read in order; opening checks the magic and version 1."""
+
+    def __init__(self, path, magic):
         self.path = Path(path)
         self.buf = self.path.read_bytes()
         self.pos = 0
+        got = self.take(4, "magic")
+        if got != magic:
+            raise FormatError(f"{self.path}: bad magic {got!r}, expected {magic!r}")
+        ver = self.u32("version")
+        if ver != 1:
+            raise FormatError(f"{self.path}: unsupported version {ver}")
 
     def take(self, n, what):
         if self.pos + n > len(self.buf):
@@ -44,11 +53,6 @@ class _Reader:
         out = self.buf[self.pos:self.pos + n]
         self.pos += n
         return out
-
-    def magic(self, expected):
-        got = self.take(4, "magic")
-        if got != expected:
-            raise FormatError(f"{self.path}: bad magic {got!r}, expected {expected!r}")
 
     def u32(self, what):
         return struct.unpack("<I", self.take(4, what))[0]
@@ -67,7 +71,7 @@ class _Reader:
         """n rows of ceil(width/8) LSB-first bytes whose padding bits must be zero."""
         nbytes, start = -(-width // 8), self.pos
         rows = self.array(np.uint8, n * nbytes, what).reshape(n, nbytes)
-        bad = np.flatnonzero(rows[:, -1] >> (width % 8)) if width % 8 else ()
+        bad = padding_bits_set(rows, width)
         if len(bad):
             offset = start + int(bad[0]) * nbytes + nbytes - 1
             raise FormatError(
@@ -80,12 +84,6 @@ class _Reader:
             raise FormatError(
                 f"{self.path}: {len(self.buf) - self.pos} trailing bytes at offset {self.pos}"
             )
-
-
-def _version(r, expected=1):
-    ver = r.u32("version")
-    if ver != expected:
-        raise FormatError(f"{r.path}: unsupported version {ver}")
 
 
 def _atomic_write(path, data: bytes):
@@ -109,9 +107,7 @@ def save_centers(center_set: centers_mod.HashCenterSet, path) -> None:
 
 
 def load_centers(path) -> centers_mod.HashCenterSet:
-    r = _Reader(path)
-    r.magic(b"CSHC")
-    _version(r)
+    r = _Reader(path, b"CSHC")
     v = r.u32("num_classes")
     k = r.u32("code_length")
     seed = r.u64("seed")
@@ -138,9 +134,7 @@ def save_features(matrix: np.ndarray, path) -> None:
 
 
 def load_features(path, expected_dim: int | None = None) -> np.ndarray:
-    r = _Reader(path)
-    r.magic(b"CSFT")
-    _version(r)
+    r = _Reader(path, b"CSFT")
     n = r.u32("row count")
     dim = r.u32("dim")
     if expected_dim is not None and dim != expected_dim:
@@ -159,15 +153,13 @@ def load_features(path, expected_dim: int | None = None) -> np.ndarray:
 # ---- CSLB: multi-hot labels ----
 
 def save_labels(labels: np.ndarray, path) -> None:
-    rows = np.atleast_2d(labels).astype(np.uint8)
+    rows = np.atleast_2d(labels) != 0
     head = struct.pack("<4sIII", b"CSLB", 1, rows.shape[0], rows.shape[1])
     _atomic_write(path, head + pack_bits(rows).tobytes())
 
 
 def load_labels(path) -> np.ndarray:
-    r = _Reader(path)
-    r.magic(b"CSLB")
-    _version(r)
+    r = _Reader(path, b"CSLB")
     n = r.u32("row count")
     v = r.u32("num_classes")
     packed = r.packed_rows(n, v, "label rows")
@@ -179,9 +171,10 @@ def load_labels(path) -> np.ndarray:
 
 def save_codes(packed_codes: np.ndarray, labels: np.ndarray, code_length: int, path) -> None:
     pc = np.atleast_2d(packed_codes).astype(np.uint8)
-    rows = np.atleast_2d(labels).astype(np.uint8)
+    rows = np.atleast_2d(labels) != 0
     if pc.shape[0] != rows.shape[0]:
         raise ShapeMismatch(f"codes rows {pc.shape[0]} != label rows {rows.shape[0]}")
+    check_code_rows(pc, code_length)
     head = struct.pack("<4sIII", b"CSCD", 1, pc.shape[0], code_length)
     mid = struct.pack("<I", rows.shape[1])
     _atomic_write(path, head + pc.tobytes() + mid + pack_bits(rows).tobytes())
@@ -189,9 +182,7 @@ def save_codes(packed_codes: np.ndarray, labels: np.ndarray, code_length: int, p
 
 def load_codes(path) -> tuple[np.ndarray, np.ndarray, int]:
     """Returns (packed codes R x ceil(K/8), multi-hot labels R x V, K)."""
-    r = _Reader(path)
-    r.magic(b"CSCD")
-    _version(r)
+    r = _Reader(path, b"CSCD")
     n = r.u32("code count")
     k = r.u32("code_length")
     packed = r.packed_rows(n, k, "packed codes")
@@ -220,9 +211,7 @@ def save_checkpoint(params: ModelParams, path, sidecar: dict | None = None) -> N
 
 
 def load_checkpoint(path) -> ModelParams:
-    r = _Reader(path)
-    r.magic(b"CSMV")
-    _version(r)
+    r = _Reader(path, b"CSMV")
     d_img, d_txt, d, k, views = (r.u32(x) for x in
                                  ("d_img", "d_txt", "d", "code_length", "num_views"))
     seed = r.u64("init_seed")

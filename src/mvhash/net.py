@@ -263,13 +263,3 @@ def binarize(he: np.ndarray) -> np.ndarray:
         raise InvalidArgument("hash logits contain NaN/Inf")
     return np.where(a > 0, 1, -1).astype(np.int8)
 
-
-def gate_values(
-    params: ModelParams,
-    image_feat: np.ndarray,
-    text_feat: np.ndarray,
-    fusion: str = "gmu",
-) -> np.ndarray:
-    """The fusion gate z for a sample or batch (no dropout)."""
-    _, cache = forward(params, image_feat, text_feat, fusion=fusion)
-    return cache.z

@@ -33,6 +33,20 @@ def unpack_bits(packed: np.ndarray, width: int) -> np.ndarray:
     return np.unpackbits(p, axis=1, bitorder="little")[:, :width]
 
 
+def padding_bits_set(packed: np.ndarray, width: int):
+    """Indices of the packed rows that set a bit past `width` in their last byte."""
+    return np.flatnonzero(packed[:, -1] >> (width % 8)) if width % 8 else ()
+
+
+def check_code_rows(packed: np.ndarray, code_length: int) -> None:
+    """Reject packed code rows that are not ceil(K/8) bytes wide or that set padding bits."""
+    if packed.shape[1] != -(-code_length // 8):
+        raise InvalidArgument(f"packed width {packed.shape[1]} inconsistent with K={code_length}")
+    bad = padding_bits_set(packed, code_length)
+    if len(bad):
+        raise InvalidArgument(f"code row {bad[0]} has non-zero padding bits (K={code_length})")
+
+
 def pack_codes(codes: np.ndarray) -> np.ndarray:
     """Pack (+-1)-valued rows into uint8 rows of ceil(K/8) bytes, bit 1 = +1."""
     c = np.atleast_2d(np.asarray(codes))
@@ -88,13 +102,7 @@ class RetrievalIndex:
             )
         if packed.shape[0] < 1:
             raise InvalidState("index is empty")
-        if packed.shape[1] != -(-code_length // 8):
-            raise InvalidArgument(
-                f"packed width {packed.shape[1]} inconsistent with K={code_length}"
-            )
-        bad = np.flatnonzero(packed[:, -1] >> (code_length % 8)) if code_length % 8 else ()
-        if len(bad):
-            raise InvalidArgument(f"code row {bad[0]} has non-zero padding bits (K={code_length})")
+        check_code_rows(packed, code_length)
         self.code_length = int(code_length)
         self.size = packed.shape[0]
         self._words = _to_words(packed)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -371,3 +372,48 @@ def test_argv_spells_out_every_default(monkeypatch):
     curves = cli._argv(parser.parse_args(["curves", *_CODES, "--k-grid", "10", "1", "5",
                                           "--out", "c.csv"]))
     assert curves[curves.index("--k-grid"):][:4] == ["--k-grid", "10", "1", "5"]
+
+
+def _manifest_io(first_output):
+    manifest = json.loads(Path(str(first_output) + ".manifest.json").read_text())
+    return manifest["inputs"], manifest["outputs"]
+
+
+def test_manifest_inputs_and_outputs_are_pinned(pipeline, tmp_path):
+    """Each manifest names exactly the file arguments its stage was given, and its outputs."""
+    data = pipeline / "data"
+    views = {"image_features": str(data / "image_features.csft"),
+             "text_features": str(data / "text_features.csft"),
+             "labels": str(data / "labels.cslb")}
+    splits, centers = str(data / "splits.json"), str(pipeline / "centers.cshc")
+    ckpt = str(pipeline / "model.csmv")
+
+    assert _manifest_io(data / "image_features.csft") == ({}, {**views, "splits": splits})
+    assert _manifest_io(centers) == ({}, {"centers": centers})
+    train_inputs = {**views, "splits": splits, "centers": centers}
+    assert _manifest_io(ckpt) == (
+        train_inputs, {"checkpoint": ckpt, "log_csv": str(pipeline / "log.csv")})
+    bare = str(tmp_path / "bare.csmv")
+    assert run("train", *(f"--{k.replace('_', '-')}={v}" for k, v in train_inputs.items()),
+               f"--out={bare}", "--epochs=1", "--hidden-dim=8") == 0
+    assert _manifest_io(bare) == (train_inputs, {"checkpoint": bare})
+
+    for split in ("retrieval", "query"):
+        codes = str(pipeline / f"{split}.cscd")
+        assert _manifest_io(codes) == (
+            {"checkpoint": ckpt, **views, "splits": splits}, {"codes": codes})
+    everything = str(tmp_path / "all.cscd")
+    assert run(*_encode_args(pipeline, everything)) == 0
+    assert _manifest_io(everything) == ({"checkpoint": ckpt, **views}, {"codes": everything})
+
+    pair = {"codes": str(pipeline / "retrieval.cscd"), "queries": str(pipeline / "query.cscd")}
+    codes_args = ["--codes", pair["codes"], "--queries", pair["queries"]]
+    for stage, key, extra in [("query", "results", ["--k", "3"]), ("eval", "metrics", []),
+                              ("curves", "curves", ["--k-grid", "1", "5"])]:
+        out = str(tmp_path / f"{stage}.csv")
+        assert run(stage, *codes_args, *extra, "--out", out) == 0
+        assert _manifest_io(out) == (pair, {key: out})
+
+    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    assert run("index", "--codes", everything) == 0  # index writes no manifest
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before

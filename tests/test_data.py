@@ -89,3 +89,15 @@ def test_dataset_rejects_query_overlap():
             retrieval_mask=np.array([False, True]),
             query_mask=np.array([False, True]),
         )
+
+
+def test_any_non_zero_label_is_active():
+    # a row's labels count by the non-zero rule, so [1, -1] has two active classes
+    n = 3
+    labels = np.array([[1, -1], [0, 2], [-1, 0]])
+    ds = MultiViewDataset(np.zeros((n, 2)), np.zeros((n, 2)), labels, np.ones(n, bool),
+                          np.ones(n, bool), np.zeros(n, bool))
+    assert len(ds) == n
+    with pytest.raises(InvalidArgument, match="at least one active label"):
+        MultiViewDataset(np.zeros((n, 2)), np.zeros((n, 2)), np.array([[1, -1], [0, 0], [1, 0]]),
+                         np.ones(n, bool), np.ones(n, bool), np.zeros(n, bool))

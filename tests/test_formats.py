@@ -5,7 +5,7 @@ import pytest
 
 from mvhash import formats, net
 from mvhash.centers import generate_centers
-from mvhash.errors import FormatError, ShapeMismatch
+from mvhash.errors import FormatError, InvalidArgument, ShapeMismatch
 
 
 def test_centers_roundtrip(tmp_path):
@@ -111,6 +111,40 @@ def test_codes_roundtrip(tmp_path):
     assert k == 37
     assert (unpack_codes(packed, k) == codes).all()
     assert (lab == labels).all()
+
+
+@pytest.mark.parametrize("kind", ["labels", "codes"])
+def test_labels_written_by_the_non_zero_rule(tmp_path, kind):
+    # 256 wraps and 0.5 truncates to 0 under a uint8 cast; both are active labels
+    labels = np.array([[256, 0.5, -1, 1, 0], [0, 0, 0, 2, -0.25]])
+    active = (labels != 0).astype(np.uint8)
+    if kind == "labels":
+        path = tmp_path / "l.cslb"
+        formats.save_labels(labels, path)
+        back = formats.load_labels(path)
+        formats.save_labels(active, tmp_path / "ref.cslb")
+    else:
+        from mvhash.retrieval import pack_codes
+
+        packed = pack_codes(np.ones((2, 8), np.int8))
+        path = tmp_path / "c.cscd"
+        formats.save_codes(packed, labels, 8, path)
+        back = formats.load_codes(path)[1]
+        formats.save_codes(packed, active, 8, tmp_path / "ref.cscd")
+    assert back.tolist() == [[1, 1, 1, 1, 0], [0, 0, 0, 1, 1]]
+    assert path.read_bytes() == (tmp_path / f"ref{path.suffix}").read_bytes()
+
+
+@pytest.mark.parametrize("packed, k, message", [
+    (np.zeros((2, 3), np.uint8), 16, "packed width 3 inconsistent with K=16"),
+    (np.zeros((2, 1), np.uint8), 16, "packed width 1 inconsistent with K=16"),
+    (np.array([[0x1F], [0xFF]], np.uint8), 5, r"code row 1 has non-zero padding bits \(K=5\)"),
+], ids=["too-wide", "too-narrow", "padding-bits"])
+def test_save_codes_rejects_what_load_codes_rejects(tmp_path, packed, k, message):
+    path = tmp_path / "c.cscd"
+    with pytest.raises(InvalidArgument, match=message):
+        formats.save_codes(packed, np.ones((2, 3), np.uint8), k, path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def _set_bits(path, offset, mask):

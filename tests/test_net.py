@@ -342,11 +342,11 @@ def test_binarize():
 
 def test_gate_values():
     p = _zero_params()
-    z = net.gate_values(p, np.ones(8), np.ones(8))
+    z = net.forward(p, np.ones(8), np.ones(8))[1].z
     assert (z == 0.5).all()
     rng = np.random.default_rng(20)
     p2 = net.init_params(SMALL, seed=21)
-    z2 = net.gate_values(p2, rng.normal(size=8), rng.normal(size=8))
+    z2 = net.forward(p2, rng.normal(size=8), rng.normal(size=8))[1].z
     assert ((z2 > 0) & (z2 < 1)).all()
 
 
@@ -359,8 +359,8 @@ def test_gate_swap_symmetry():
     p.b_tnorm[:] = p.b_vnorm
     rng = np.random.default_rng(23)
     a, b = rng.normal(size=8), rng.normal(size=8)
-    z = net.gate_values(p, a, b)
+    z = net.forward(p, a, b)[1].z
     d = dims.d
     p.W_z[:] = -np.concatenate([p.W_z[:, d:], p.W_z[:, :d]], axis=1)
-    z_swapped = net.gate_values(p, b, a)
+    z_swapped = net.forward(p, b, a)[1].z
     assert np.allclose(z_swapped, 1.0 - z, atol=1e-12)
