@@ -91,7 +91,7 @@ def _min_separation(code_length: int) -> int:
 
 
 def _sample_bernoulli_centers(
-    existing: list[np.ndarray], count: int, code_length: int, rng: np.random.Generator
+    existing: list[np.ndarray], count: int, code_length: int, rng: "np.random.Generator"
 ) -> list[np.ndarray]:
     """Draw `count` centers, each kept only if it stays >= ceil(K/4) bits away
     from every accepted center and does not push the running pairwise inner

@@ -170,11 +170,10 @@ def load_labels(path) -> np.ndarray:
 # ---- CSCD: packed codes with labels ----
 
 def save_codes(packed_codes: np.ndarray, labels: np.ndarray, code_length: int, path) -> None:
-    pc = np.atleast_2d(packed_codes).astype(np.uint8)
+    pc = check_code_rows(packed_codes, code_length)
     rows = np.atleast_2d(labels) != 0
     if pc.shape[0] != rows.shape[0]:
         raise ShapeMismatch(f"codes rows {pc.shape[0]} != label rows {rows.shape[0]}")
-    check_code_rows(pc, code_length)
     head = struct.pack("<4sIII", b"CSCD", 1, pc.shape[0], code_length)
     mid = struct.pack("<I", rows.shape[1])
     _atomic_write(path, head + pc.tobytes() + mid + pack_bits(rows).tobytes())

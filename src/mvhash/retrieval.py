@@ -7,7 +7,7 @@ sides (the index rejects code rows that set them) so they never contribute.
 """
 
 import operator
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,13 +38,21 @@ def padding_bits_set(packed: np.ndarray, width: int):
     return np.flatnonzero(packed[:, -1] >> (width % 8)) if width % 8 else ()
 
 
-def check_code_rows(packed: np.ndarray, code_length: int) -> None:
-    """Reject packed code rows that are not ceil(K/8) bytes wide or that set padding bits."""
+def check_code_rows(codes, code_length: int) -> np.ndarray:
+    """Packed code rows as uint8, rejecting a value that is not a byte 0..255,
+    a width other than ceil(K/8) and set padding bits; uint8 rows cost no extra pass."""
+    c = np.atleast_2d(np.asarray(codes))
+    with np.errstate(invalid="ignore"):
+        packed = c.astype(np.uint8, copy=False)
+    bad = () if packed is c else np.flatnonzero((packed != c).any(axis=1))
+    if len(bad):
+        raise InvalidArgument(f"code row {bad[0]} holds a value that is not a byte 0..255")
     if packed.shape[1] != -(-code_length // 8):
         raise InvalidArgument(f"packed width {packed.shape[1]} inconsistent with K={code_length}")
     bad = padding_bits_set(packed, code_length)
     if len(bad):
         raise InvalidArgument(f"code row {bad[0]} has non-zero padding bits (K={code_length})")
+    return packed
 
 
 def pack_codes(codes: np.ndarray) -> np.ndarray:
@@ -71,12 +79,22 @@ def _to_words(packed: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(packed).view(np.uint64)
 
 
-@dataclass(frozen=True)
 class QueryResult:
     """Top-k items, ascending distance, ties broken by ascending id."""
 
-    ids: np.ndarray
-    distances: np.ndarray
+    def __init__(self, ids: np.ndarray, distances: np.ndarray):
+        self.ids, self.distances = ids, distances
+
+    @classmethod
+    def _of_scan(cls, ids: np.ndarray, narrow: np.ndarray, at: np.ndarray) -> "QueryResult":
+        """query_topk's result: its int64 distances, narrow[at], are gathered when first read."""
+        result = cls.__new__(cls)
+        result.ids, result._narrow, result._at = ids, narrow, at
+        return result
+
+    @cached_property
+    def distances(self) -> np.ndarray:
+        return self._narrow[self._at].astype(np.int64)
 
     def __len__(self):
         return len(self.ids)
@@ -94,7 +112,7 @@ class RetrievalIndex:
     """Immutable linear-scan index over packed codes with parallel labels."""
 
     def __init__(self, codes: np.ndarray, labels: np.ndarray, code_length: int):
-        packed = np.atleast_2d(np.asarray(codes, dtype=np.uint8))
+        packed = check_code_rows(codes, code_length)
         labels = np.atleast_2d(np.asarray(labels))
         if packed.shape[0] != labels.shape[0]:
             raise InvalidArgument(
@@ -102,7 +120,6 @@ class RetrievalIndex:
             )
         if packed.shape[0] < 1:
             raise InvalidState("index is empty")
-        check_code_rows(packed, code_length)
         self.code_length = int(code_length)
         self.size = packed.shape[0]
         self._words = _to_words(packed)
@@ -167,10 +184,12 @@ class RetrievalIndex:
             cand = np.flatnonzero(d <= t)
             if cand.size < k:
                 cand = np.flatnonzero(d <= np.sort(d, kind="stable")[k - 1])
-            ids = cand[np.argsort(d[cand], kind="stable")[:k]]
+            d = d[cand]
+            at = np.argsort(d, kind="stable")[:k]
+            ids = cand[at]
         else:
-            ids = np.argsort(d, kind="stable")
-        return QueryResult(ids=ids, distances=d[ids].astype(np.int64))
+            ids = at = np.argsort(d, kind="stable")
+        return QueryResult._of_scan(ids, d, at)
 
 
 def relevance(query_label: np.ndarray, index: RetrievalIndex) -> np.ndarray:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +120,30 @@ def test_query_subcommand(pipeline):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "query_id,rank,item_id,hamming_distance"
     assert len(lines) == 1 + 12 * 5  # 4 classes x 3 query samples, top 5 each
+
+
+@pytest.mark.parametrize("k", [10, 30])  # a select of 10 and the full ranking of R = 24
+def test_query_csv_bytes_hold_the_oracle_ranking(pipeline, tmp_path, k):
+    out = tmp_path / "top.csv"
+    assert run("query", "--codes", str(pipeline / "retrieval.cscd"),
+               "--queries", str(pipeline / "query.cscd"), "--k", str(k), "--out", str(out)) == 0
+    (codes, _, bits), (queries, _, _) = (formats.load_codes(pipeline / f"{split}.cscd")
+                                         for split in ("retrieval", "query"))
+    rows = np.unpackbits(codes, axis=1, bitorder="little")[:, :bits]
+    lines = ["query_id,rank,item_id,hamming_distance"]
+    for qid, q in enumerate(np.unpackbits(queries, axis=1, bitorder="little")[:, :bits]):
+        d = (rows != q).sum(axis=1)
+        order = np.lexsort((np.arange(len(d)), d))[:k]  # (distance, ascending id)
+        lines += [f"{qid},{rank},{item},{d[item]}" for rank, item in enumerate(order, 1)]
+    assert out.read_bytes() == "".join(line + "\n" for line in lines).encode()
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # only synth, centers and train draw random numbers; every other process skips the import
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    code = "import sys, mvhash.cli; sys.exit('numpy.random' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_eval_subcommand(pipeline):

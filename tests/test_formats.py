@@ -147,6 +147,23 @@ def test_save_codes_rejects_what_load_codes_rejects(tmp_path, packed, k, message
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("bad", [256, 300, -1, 1.7, np.nan])
+def test_save_codes_rejects_values_that_are_not_bytes(tmp_path, bad):
+    # a uint8 cast would write 256 as 0, 300 as 44, -1 as 255 and 1.7 as 1
+    path = tmp_path / "c.cscd"
+    with pytest.raises(InvalidArgument, match="code row 1 holds a value that is not a byte"):
+        formats.save_codes(np.array([[3], [bad], [255]]), np.ones((3, 2), np.uint8), 8, path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_save_codes_writes_in_range_int64_rows_as_their_bytes(tmp_path):
+    packed = np.array([[0, 255], [7, 128]])  # int64 rows, K = 16
+    formats.save_codes(packed, np.ones((2, 3)), 16, tmp_path / "wide.cscd")
+    formats.save_codes(packed.astype(np.uint8), np.ones((2, 3)), 16, tmp_path / "u8.cscd")
+    assert (tmp_path / "wide.cscd").read_bytes() == (tmp_path / "u8.cscd").read_bytes()
+    assert formats.load_codes(tmp_path / "wide.cscd")[0].tolist() == packed.tolist()
+
+
 def _set_bits(path, offset, mask):
     data = bytearray(path.read_bytes())
     data[offset] |= mask

@@ -635,3 +635,69 @@ def test_curves_k_grid_values_must_be_integers():
         R.curves(codes[:2], labels[:2], index, [1.5, 3])
     assert R.curves(codes[:2], labels[:2], index, [np.int32(1), np.int64(3)]) == \
         R.curves(codes[:2], labels[:2], index, [1, 3])
+
+
+# ---- packed code values, and query_topk's int64 distances gathered when first read ----
+
+@pytest.mark.parametrize("bad", [256, 300, -1, 1.7, np.nan])
+def test_index_rejects_code_values_that_are_not_bytes(bad):
+    # a uint8 cast would index 256 as 0, 300 as 44, -1 as 255 and 1.7 as 1
+    with pytest.raises(InvalidArgument, match="code row 1 holds a value that is not a byte"):
+        R.RetrievalIndex(np.array([[3], [bad], [255]]), np.ones((3, 1)), 8)
+
+
+def test_index_accepts_in_range_int64_codes():
+    rng = np.random.default_rng(21)
+    packed = R.pack_codes(random_codes(rng, 30, 37))
+    assert R.check_code_rows(packed, 37) is packed  # uint8 rows: no copy
+    wide = R.RetrievalIndex(packed.astype(np.int64), np.ones((30, 1)), 37)
+    narrow = R.RetrievalIndex(packed, np.ones((30, 1)), 37)
+    assert wide._words.tobytes() == narrow._words.tobytes()
+    query = random_codes(rng, 1, 37)[0]
+    assert wide.distances(query).tolist() == narrow.distances(query).tolist()
+
+
+@pytest.mark.parametrize("k", [8, 37, 63, 64, 65, 128])
+def test_lazy_distances_match_the_oracle_and_read_the_same_twice(k, monkeypatch):
+    rng = np.random.default_rng(5000 + k)
+    for stride in (R._SAMPLE_STRIDE, 4):  # no sample, and a sample that guesses
+        monkeypatch.setattr(R, "_SAMPLE_STRIDE", stride)
+        for n in (1, 13, 41):
+            # tied codes, and a sample at distance 0 that under-guesses (the exact fallback)
+            for codes, query in (kernel_case(rng, n, k), select_case(rng, n, k, 0)):
+                index = R.RetrievalIndex.from_signs(codes, np.ones((n, 1), dtype=np.uint8))
+                order, d = brute_force_ranking(codes, query)
+                for top in sorted({t for t in (1, 10, n - 1, n, n + 5) if t >= 1}):
+                    res = index.query_topk(query, top)
+                    first = res.distances
+                    assert first.dtype == np.int64
+                    assert first.tolist() == [d[i] for i in order[:top]]
+                    assert res.distances is first
+                    assert res.ids.tolist() == order[:top]
+
+
+def test_query_result_returns_the_distances_it_was_given():
+    ids, dist = np.array([2, 0, 1]), np.array([1, 1, 4], dtype=np.uint8)
+    res = R.QueryResult(ids=ids, distances=dist)
+    assert res.ids is ids and res.distances is dist and len(res) == 3
+    assert R.QueryResult(ids, dist).distances is dist
+
+
+def test_map_and_curves_never_build_distances(monkeypatch):
+    rng = np.random.default_rng(22)
+    codes, labels, index = _make_index(rng, n=60)
+    reads, gather = [], R.QueryResult.distances.func
+
+    def counting(result):
+        reads.append(1)
+        return gather(result)
+
+    monkeypatch.setattr(R.QueryResult.distances, "func", counting)
+    R.mean_average_precision(codes[:5], labels[:5], index)
+    R.mean_average_precision(codes[:5], labels[:5], index, r_cap=20)
+    R.curves(codes[:5], labels[:5], index, [1, 5, 20, 60])
+    assert reads == []
+    res = index.query_topk(codes[0], 60)
+    assert "distances" not in vars(res)  # nothing is gathered before the first read
+    assert res.distances[0] == 0 and "distances" in vars(res)
+    assert reads == [1]
