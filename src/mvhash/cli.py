@@ -26,10 +26,6 @@ _INPUTS = ("checkpoint", "image_features", "text_features", "labels", "splits", 
            "codes", "queries")
 
 
-def _default_seed():
-    return int(os.environ.get(SEED_ENV, "0"))
-
-
 def _sha256(path) -> str:
     h = hashlib.sha256()
     h.update(Path(path).read_bytes())
@@ -112,19 +108,9 @@ def cmd_synth(args):
     return paths
 
 
-def _load_json_object(path):
-    try:
-        obj = json.loads(Path(path).read_text())
-    except ValueError as exc:  # undecodable bytes or JSON
-        raise FormatError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise FormatError(f"{path}: expected a JSON object, got {type(obj).__name__}")
-    return obj
-
-
 def _load_splits(path, n, names):
     """Index arrays of the named splits; each must hold distinct integers in [0, n)."""
-    splits = _load_json_object(path)
+    splits = formats.load_json_object(path)
     out = {}
     for name in names:
         idx = splits.get(name)
@@ -165,9 +151,8 @@ def cmd_train(args):
     report = trainer.train(
         dataset, cset, config, dims_hidden=args.hidden_dim, log_csv_path=args.log_csv
     )
-    # cmd_encode reads the top-level fusion, which older checkpoints carry too
-    sidecar = {"fusion": config.fusion, "train_config": dataclasses.asdict(config)}
-    formats.save_checkpoint(report.params, args.out, sidecar=sidecar)
+    formats.save_checkpoint(report.params, args.out,
+                            sidecar={"train_config": dataclasses.asdict(config)})
     outputs = {"checkpoint": args.out}
     if args.log_csv:
         outputs["log_csv"] = args.log_csv
@@ -183,15 +168,13 @@ def cmd_encode(args):
     if args.split and not args.splits:
         raise InvalidArgument("--split needs --splits")
     params = formats.load_checkpoint(args.checkpoint)
-    side = _load_json_object(str(args.checkpoint) + ".json")
-    fusion = side.get("fusion", "gmu")
     img = formats.load_features(args.image_features, expected_dim=params.dims.d_img)
     txt = formats.load_features(args.text_features, expected_dim=params.dims.d_txt)
     labels = formats.load_labels(args.labels)
     if args.split:
         take = _load_splits(args.splits, img.shape[0], (args.split,))[args.split]
         img, txt, labels = img[take], txt[take], labels[take]
-    codes = trainer.encode(params, img, txt, fusion=fusion)
+    codes = trainer.encode(params, img, txt)
     formats.save_codes(retrieval.pack_codes(codes), labels, params.dims.code_length, args.out)
     print(f"encoded {codes.shape[0]} samples at K={params.dims.code_length} -> {args.out}")
     return {"codes": args.out}
@@ -258,12 +241,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "Hamming retrieval, and evaluation.",
     )
     p.add_argument("--version", action="version", version=f"mvhash {__version__}")
+    # a string default: argparse converts it with type=int only when --seed is left out
+    seed = os.environ.get(SEED_ENV, "0")
     sub = p.add_subparsers(dest="subcommand", required=True)
 
     c = sub.add_parser("centers", help="generate hash centers (CSHC file)")
     c.add_argument("--classes", type=int, required=True)
     c.add_argument("--bits", type=int, required=True)
-    c.add_argument("--seed", type=int, default=_default_seed())
+    c.add_argument("--seed", type=int, default=seed)
     c.add_argument("--out", required=True)
     c.set_defaults(func=cmd_centers)
 
@@ -275,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--sigma", dest="cluster_spread", type=float, default=0.3)
     s.add_argument("--consistency", dest="cross_view_consistency", type=float, default=0.9)
     s.add_argument("--proto-scale", dest="prototype_scale", type=float, default=0.16)
-    s.add_argument("--seed", type=int, default=_default_seed())
+    s.add_argument("--seed", type=int, default=seed)
     s.add_argument("--out-dir", required=True)
     s.set_defaults(func=cmd_synth)
 
@@ -297,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--dropout", dest="dropout_p", type=float, default=0.1)
     t.add_argument("--hidden-dim", type=int, default=84)
     t.add_argument("--eval-every", type=int, default=0)
-    t.add_argument("--seed", type=int, default=_default_seed())
+    t.add_argument("--seed", type=int, default=seed)
     ab = t.add_mutually_exclusive_group()
     ab.add_argument("--central-only", dest="loss_mode", action="store_const", const="central",
                     help="drop the quantization loss (lambda = 0)")

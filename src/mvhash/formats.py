@@ -8,7 +8,8 @@
         codes, u32 V, R x ceil(V/8) packed multi-hot rows
   CSMV  checkpoint:    magic, u32 version=1, u32 d_img, u32 d_txt, u32 d,
         u32 K, u32 num_views=2, u64 init_seed, parameter blocks as finite f64
-        in PARAM_NAMES order (ModelParams.flat); JSON sidecar written next to it
+        in PARAM_NAMES order (ModelParams.flat); the JSON sidecar <path>.json holds
+        dims, init_seed and the fusion mode, which load reads back (gmu if absent)
 """
 
 import json
@@ -84,6 +85,16 @@ class _Reader:
             raise FormatError(
                 f"{self.path}: {len(self.buf) - self.pos} trailing bytes at offset {self.pos}"
             )
+
+
+def load_json_object(path) -> dict:
+    try:
+        obj = json.loads(Path(path).read_text())
+    except ValueError as exc:  # undecodable bytes or JSON
+        raise FormatError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise FormatError(f"{path}: expected a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 def _atomic_write(path, data: bytes):
@@ -194,17 +205,18 @@ def load_codes(path) -> tuple[np.ndarray, np.ndarray, int]:
 # ---- CSMV: model checkpoint ----
 
 def save_checkpoint(params: ModelParams, path, sidecar: dict | None = None) -> None:
+    """Writes the model to `path` and the sidecar <path>.json: the caller's
+    `sidecar` keys, and the model's dims, init_seed and fusion, which win."""
     d = params.dims
     head = struct.pack(
         "<4sIIIIIIQ", b"CSMV", 1, d.d_img, d.d_txt, d.d, d.code_length,
-        d.num_views, params.init_seed & 0xFFFFFFFFFFFFFFFF,
+        2, params.init_seed & 0xFFFFFFFFFFFFFFFF,  # num_views
     )
     _atomic_write(path, head + params.flat.astype("<f8", copy=False).tobytes())
-    meta = {"dims": {"d_img": d.d_img, "d_txt": d.d_txt, "d": d.d,
-                     "code_length": d.code_length, "num_views": d.num_views},
-            "init_seed": params.init_seed}
-    if sidecar:
-        meta.update(sidecar)
+    meta = {**(sidecar or {}),
+            "dims": {"d_img": d.d_img, "d_txt": d.d_txt, "d": d.d,
+                     "code_length": d.code_length, "num_views": 2},
+            "init_seed": params.init_seed, "fusion": params.fusion}
     side = Path(str(path) + ".json")
     _atomic_write(side, (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode())
 
@@ -214,17 +226,23 @@ def load_checkpoint(path) -> ModelParams:
     d_img, d_txt, d, k, views = (r.u32(x) for x in
                                  ("d_img", "d_txt", "d", "code_length", "num_views"))
     seed = r.u64("init_seed")
+    if views != 2:  # the fusion equations are written for two views
+        raise FormatError(f"{r.path}: num_views must be 2, got {views}")
     try:
-        dims = Dims(d_img=d_img, d_txt=d_txt, d=d, code_length=k, num_views=views)
+        dims = Dims(d_img=d_img, d_txt=d_txt, d=d, code_length=k)
     except InvalidArgument as exc:
         raise FormatError(f"{r.path}: {exc}") from exc
     body = r.pos
-    params = ModelParams(dims, seed, r.array("<f8", dims.param_count(), "parameters"))
+    flat = r.array("<f8", dims.param_count(), "parameters")
     r.done()
-    bad = first_non_finite(params.flat, dims)
+    bad = first_non_finite(flat, dims)
     if bad is not None:
         name, index = bad
         raise FormatError(
             f"{r.path}: non-finite parameter in block {name} at byte offset {body + 8 * index}"
         )
-    return params
+    side = Path(str(path) + ".json")
+    try:
+        return ModelParams(dims, seed, flat, load_json_object(side).get("fusion", "gmu"))
+    except InvalidArgument as exc:
+        raise FormatError(f"{side}: {exc}") from exc

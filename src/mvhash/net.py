@@ -10,8 +10,8 @@ Forward math (row-major batches, all float64):
     h_f = z * h_i + (1 - z) * h_t
     he  = tanh(h_f @ W_hash.T + b_hash)
 
-Fusion variants for ablations: "image" forces z = 1, "text" forces z = 0,
-"concat" replaces the gate with a plain linear map h_f = [x_i, x_t] @ W_z.T.
+Fusion variants for ablations (ModelParams.fusion): "image" forces z = 1, "text"
+forces z = 0, "concat" replaces the gate with a plain linear map h_f = [x_i, x_t] @ W_z.T.
 """
 
 import math
@@ -36,14 +36,11 @@ class Dims:
     d_txt: int
     d: int
     code_length: int
-    num_views: int = 2  # the fusion equations are written for two views
 
     def __post_init__(self):
         for name in ("d_img", "d_txt", "d", "code_length"):
             if getattr(self, name) < 1:
                 raise InvalidArgument(f"{name} must be >= 1")
-        if self.num_views != 2:
-            raise InvalidArgument(f"num_views must be 2, got {self.num_views}")
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
         """Shape of every parameter block, in PARAM_NAMES order."""
@@ -87,7 +84,7 @@ class ModelParams:
     """Every parameter in one contiguous float64 vector, `flat`, laid out in
     PARAM_NAMES order (the .csmv body). Each named block is a reshaped view
     of it, so writing a block writes `flat`; rebinding a block attribute
-    would break that."""
+    would break that. `fusion` is the FUSION_MODES entry that forward runs."""
 
     W_vnorm: np.ndarray
     b_vnorm: np.ndarray
@@ -99,7 +96,9 @@ class ModelParams:
     W_hash: np.ndarray
     b_hash: np.ndarray
 
-    def __init__(self, dims: Dims, init_seed: int, flat: np.ndarray):
+    def __init__(self, dims: Dims, init_seed: int, flat: np.ndarray, fusion: str = "gmu"):
+        if fusion not in FUSION_MODES:
+            raise InvalidArgument(f"unknown fusion mode {fusion!r}")
         if flat.dtype != np.float64 or flat.shape != (dims.param_count(),):
             raise ShapeMismatch(
                 f"flat parameters: expected float64 ({dims.param_count()},), "
@@ -107,6 +106,7 @@ class ModelParams:
             )
         self.dims = dims
         self.init_seed = init_seed
+        self.fusion = fusion
         self.flat = np.ascontiguousarray(flat)
         self.__dict__.update(block_views(self.flat, dims))
 
@@ -119,10 +119,10 @@ class ModelParams:
             raise InvalidArgument(f"parameter block {bad[0]} contains NaN/Inf")
 
 
-def init_params(dims: Dims, seed: int) -> ModelParams:
+def init_params(dims: Dims, seed: int, fusion: str = "gmu") -> ModelParams:
     """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights, zero biases."""
     rng = np.random.default_rng(seed)
-    params = ModelParams(dims, int(seed), np.zeros(dims.param_count()))
+    params = ModelParams(dims, int(seed), np.zeros(dims.param_count()), fusion)
     for name, block in params.blocks().items():
         if name.startswith("W_"):  # drawn in PARAM_NAMES order
             bound = 1.0 / np.sqrt(block.shape[1])
@@ -165,12 +165,10 @@ def forward(
     image_feat: np.ndarray,
     text_feat: np.ndarray,
     dropout_masks: tuple[np.ndarray, np.ndarray] | np.ndarray | None = None,
-    fusion: str = "gmu",
 ) -> tuple[np.ndarray, ForwardCache]:
-    """Compute hash logits he in (-1,1)^K for a batch, caching intermediates."""
-    if fusion not in FUSION_MODES:
-        raise InvalidArgument(f"unknown fusion mode {fusion!r}")
-    dims = params.dims
+    """Compute hash logits he in (-1,1)^K for a batch under params.fusion,
+    caching intermediates."""
+    fusion, dims = params.fusion, params.dims
     img = _as_batch(image_feat, dims.d_img, "image features")
     txt = _as_batch(text_feat, dims.d_txt, "text features")
     if img.shape[0] != txt.shape[0]:

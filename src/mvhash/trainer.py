@@ -114,12 +114,12 @@ def adam_step(
     params.flat -= tmp
 
 
-def evaluate_map(params, dataset: MultiViewDataset, fusion="gmu") -> float:
+def evaluate_map(params, dataset: MultiViewDataset) -> float:
     """Encode query/retrieval splits and compute full-R mAP."""
     ri, rt, rl = dataset.subset(dataset.retrieval_mask)
     qi, qt, ql = dataset.subset(dataset.query_mask)
-    r_codes = encode(params, ri, rt, fusion)
-    q_codes = encode(params, qi, qt, fusion)
+    r_codes = encode(params, ri, rt)
+    q_codes = encode(params, qi, qt)
     index = retrieval.RetrievalIndex.from_signs(r_codes, rl)
     return retrieval.mean_average_precision(q_codes, ql, index)
 
@@ -131,7 +131,7 @@ def evaluate_map(params, dataset: MultiViewDataset, fusion="gmu") -> float:
 _ENCODE_ROWS = 1024
 
 
-def encode(params, image_feats, text_feats, fusion="gmu") -> np.ndarray:
+def encode(params, image_feats, text_feats) -> np.ndarray:
     """Inference path: forward without dropout, then sign binarization, over
     blocks of _ENCODE_ROWS rows."""
     img = np.atleast_2d(image_feats)
@@ -143,7 +143,7 @@ def encode(params, image_feats, text_feats, fusion="gmu") -> np.ndarray:
     # at least one pass, so that forward checks the widths of an empty input too
     for start in range(0, max(n, 1), _ENCODE_ROWS):
         rows = slice(start, start + _ENCODE_ROWS)
-        he, _ = net.forward(params, img[rows], txt[rows], fusion=fusion)
+        he, _ = net.forward(params, img[rows], txt[rows])
         codes[rows] = net.binarize(he)
     return codes
 
@@ -176,7 +176,7 @@ def train(
         d=dims_hidden, code_length=centers.code_length,
     )
     rng = np.random.default_rng(config.seed)
-    params = net.init_params(dims, seed=int(rng.integers(2**63)))
+    params = net.init_params(dims, seed=int(rng.integers(2**63)), fusion=config.fusion)
     state = AdamState(params)
     # labels are static: resolve every sample's semantic center once
     targets = semantic_centers_for(labels, centers, seed=config.seed)
@@ -195,9 +195,7 @@ def train(
             if config.dropout_p > 0:  # (image mask, text mask) from one draw
                 keep = 1.0 - config.dropout_p
                 masks = (rng.random((2, idx.size, dims.d)) < keep) / keep
-            he, cache = net.forward(
-                params, img[idx], txt[idx], dropout_masks=masks, fusion=config.fusion
-            )
+            he, cache = net.forward(params, img[idx], txt[idx], dropout_masks=masks)
             if not np.isfinite(he).all():
                 raise DivergenceError(f"non-finite hash logits at epoch {epoch}")
             batch_report, grad_he = loss_mod.total_loss(
@@ -221,7 +219,7 @@ def train(
 
         test_map = ""
         if config.eval_every and (epoch % config.eval_every == 0 or epoch == config.epochs):
-            m = evaluate_map(params, dataset, config.fusion)
+            m = evaluate_map(params, dataset)
             report.eval_epochs.append(epoch)
             report.eval_maps.append(m)
             test_map = f"{m:.6f}"

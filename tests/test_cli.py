@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mvhash import cli, formats
+from mvhash import cli, formats, net, trainer
 from mvhash.centers import min_pairwise_distance
+from mvhash.retrieval import unpack_codes
 
 
 def run(*argv):
@@ -255,6 +256,25 @@ def test_train_with_undecodable_splits_exits_one_naming_the_file(pipeline, tmp_p
     assert "[errors.FormatError]" in err and f"{splits}: not valid JSON" in err
 
 
+@pytest.mark.parametrize("fusion", ["concat", "image"])
+def test_encode_uses_the_fusion_of_a_checkpoint_saved_without_sidecar_keys(pipeline, tmp_path,
+                                                                          fusion):
+    data = pipeline / "data"
+    img = formats.load_features(data / "image_features.csft")
+    txt = formats.load_features(data / "text_features.csft")
+    params = net.init_params(net.Dims(img.shape[1], txt.shape[1], 8, 16), seed=4, fusion=fusion)
+    ckpt, out = tmp_path / "m.csmv", tmp_path / "all.cscd"
+    formats.save_checkpoint(params, ckpt)
+    argv = _encode_args(pipeline, out)
+    argv[argv.index("--checkpoint") + 1] = str(ckpt)
+    assert run(*argv) == 0
+    codes, _, k = formats.load_codes(out)
+    want = trainer.encode(params, img, txt)
+    assert k == 16 and (unpack_codes(codes, k) == want).all()
+    gmu = net.ModelParams(params.dims, params.init_seed, params.flat, "gmu")
+    assert (trainer.encode(gmu, img, txt) != want).any()  # the mode changes these codes
+
+
 def test_encode_split_without_splits_fails(pipeline, tmp_path, capsys):
     out = tmp_path / "q.cscd"
     assert run(*_encode_args(pipeline, out, "--split", "query")) != 0
@@ -381,6 +401,19 @@ def test_argv_round_trips_through_the_parser(monkeypatch, argv):
     parser = cli.build_parser()
     args = parser.parse_args(argv)
     assert parser.parse_args(cli._argv(args)) == args
+
+
+def test_bad_seed_variable_is_a_usage_error_only_where_seed_is_unset(monkeypatch, tmp_path,
+                                                                    capsys):
+    monkeypatch.setenv(cli.SEED_ENV, "abc")
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(["--version"])
+    assert exc.value.code == 0
+    centers = ["centers", "--classes", "4", "--bits", "8", "--out", str(tmp_path / "c.cshc")]
+    assert run(*centers, "--seed", "3") == 0
+    capsys.readouterr()
+    assert run(*centers) == 2
+    assert "argument --seed: invalid int value: 'abc'" in capsys.readouterr().err
 
 
 def test_argv_spells_out_every_default(monkeypatch):

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -283,6 +284,55 @@ def test_checkpoint_rejects_num_views_other_than_two(tmp_path):
     raw[24:28] = struct.pack("<I", 7)
     path.write_bytes(bytes(raw))
     with pytest.raises(FormatError, match=r"m\.csmv: num_views must be 2, got 7"):
+        formats.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("fusion", net.FUSION_MODES)
+def test_checkpoint_carries_its_fusion_mode(tmp_path, fusion):
+    path = tmp_path / "m.csmv"
+    formats.save_checkpoint(net.init_params(net.Dims(2, 3, 2, 4), seed=1, fusion=fusion), path)
+    assert json.loads((tmp_path / "m.csmv.json").read_text())["fusion"] == fusion
+    assert formats.load_checkpoint(path).fusion == fusion
+
+
+def test_caller_sidecar_cannot_relabel_the_model(tmp_path):
+    path = tmp_path / "m.csmv"
+    p = net.init_params(net.Dims(2, 3, 2, 4), seed=1)
+    formats.save_checkpoint(p, path, sidecar={"fusion": "text", "init_seed": 9, "note": "x"})
+    side = json.loads((tmp_path / "m.csmv.json").read_text())
+    assert (side["fusion"], side["init_seed"], side["note"]) == ("gmu", 1, "x")
+    assert formats.load_checkpoint(path).fusion == "gmu"
+
+
+def test_checkpoint_sidecar_without_fusion_loads_as_gmu(tmp_path):
+    path = tmp_path / "m.csmv"
+    formats.save_checkpoint(net.init_params(net.Dims(2, 3, 2, 4), seed=1, fusion="concat"), path)
+    side = tmp_path / "m.csmv.json"
+    meta = json.loads(side.read_text())
+    del meta["fusion"]
+    side.write_text(json.dumps(meta))
+    assert formats.load_checkpoint(path).fusion == "gmu"
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"fusion": "sum"}', "unknown fusion mode 'sum'"),
+    ('{"fusion": null}', "unknown fusion mode None"),
+    ('["concat"]', "expected a JSON object, got list"),
+    ("{not json", "not valid JSON"),
+], ids=["unknown-mode", "null-mode", "not-object", "undecodable"])
+def test_checkpoint_rejects_bad_sidecar_naming_it(tmp_path, text, message):
+    path = tmp_path / "m.csmv"
+    formats.save_checkpoint(net.init_params(net.Dims(2, 3, 2, 4), seed=1), path)
+    (tmp_path / "m.csmv.json").write_text(text)
+    with pytest.raises(FormatError, match=rf"m\.csmv\.json: {message}"):
+        formats.load_checkpoint(path)
+
+
+def test_checkpoint_without_sidecar_is_not_loaded(tmp_path):
+    path = tmp_path / "m.csmv"
+    formats.save_checkpoint(net.init_params(net.Dims(2, 3, 2, 4), seed=1, fusion="image"), path)
+    (tmp_path / "m.csmv.json").unlink()
+    with pytest.raises(FileNotFoundError, match=r"m\.csmv\.json"):
         formats.load_checkpoint(path)
 
 

@@ -57,6 +57,16 @@ def test_init_rejects_bad_dims():
         net.Dims(0, 8, 6, 4)
 
 
+def test_params_carry_a_known_fusion_mode():
+    assert net.init_params(SMALL, seed=0).fusion == "gmu"
+    for fusion in net.FUSION_MODES:
+        assert net.init_params(SMALL, seed=0, fusion=fusion).fusion == fusion
+    with pytest.raises(InvalidArgument, match="unknown fusion mode 'sum'"):
+        net.init_params(SMALL, seed=0, fusion="sum")
+    with pytest.raises(InvalidArgument, match="unknown fusion mode"):
+        net.ModelParams(SMALL, 0, np.zeros(SMALL.param_count()), None)
+
+
 def _zero_params(dims=SMALL):
     p = net.init_params(dims, seed=0)
     for arr in p.blocks().values():
@@ -112,10 +122,10 @@ def test_forward_matches_scalar_oracle():
 @pytest.mark.parametrize("fusion, gate", [("image", 1.0), ("text", 0.0)])
 def test_pinned_gate_forward_is_the_kept_view_alone(fusion, gate, dropout, dims, n):
     rng = np.random.default_rng(34)
-    p = net.init_params(dims, seed=35)
+    p = net.init_params(dims, seed=35, fusion=fusion)
     img, txt = rng.normal(size=(n, dims.d_img)), rng.normal(size=(n, dims.d_txt))
     masks = (rng.random((2, n, dims.d)) < 0.9) / 0.9 if dropout else None
-    he, cache = net.forward(p, img, txt, dropout_masks=masks, fusion=fusion)
+    he, cache = net.forward(p, img, txt, dropout_masks=masks)
     feats, W_norm, b_norm, W, view = {
         "image": (img, p.W_vnorm, p.b_vnorm, p.W_i, 0),
         "text": (txt, p.W_tnorm, p.b_tnorm, p.W_t, 1),
@@ -159,7 +169,7 @@ def test_forward_shape_and_finite_errors():
         net.forward(p, bad, np.ones(8))
 
 
-def finite_difference_grads(p, img, txt, grad_he, fusion, masks=None, eps=1e-5):
+def finite_difference_grads(p, img, txt, grad_he, masks=None, eps=1e-5):
     """Central differences of sum(grad_he * he) w.r.t. every parameter."""
     out = {}
     for name, arr in p.blocks().items():
@@ -169,9 +179,9 @@ def finite_difference_grads(p, img, txt, grad_he, fusion, masks=None, eps=1e-5):
             idx = it.multi_index
             orig = arr[idx]
             arr[idx] = orig + eps
-            hp, _ = net.forward(p, img, txt, dropout_masks=masks, fusion=fusion)
+            hp, _ = net.forward(p, img, txt, dropout_masks=masks)
             arr[idx] = orig - eps
-            hm, _ = net.forward(p, img, txt, dropout_masks=masks, fusion=fusion)
+            hm, _ = net.forward(p, img, txt, dropout_masks=masks)
             arr[idx] = orig
             g[idx] = np.sum(grad_he * (hp - hm)) / (2 * eps)
         out[name] = g
@@ -188,12 +198,12 @@ def assert_grads_close(analytic, numeric, rtol=1e-4):
 @pytest.mark.parametrize("fusion", net.FUSION_MODES)
 def test_backward_matches_finite_differences(fusion):
     rng = np.random.default_rng(10)
-    p = net.init_params(SMALL, seed=11)
+    p = net.init_params(SMALL, seed=11, fusion=fusion)
     img, txt = rng.normal(size=(3, 8)), rng.normal(size=(3, 8))
     grad_he = rng.normal(size=(3, 4))
-    he, cache = net.forward(p, img, txt, fusion=fusion)
+    he, cache = net.forward(p, img, txt)
     analytic = net.backward(p, cache, grad_he)
-    numeric = finite_difference_grads(p, img, txt, grad_he, fusion)
+    numeric = finite_difference_grads(p, img, txt, grad_he)
     assert_grads_close(analytic, numeric)
 
 
@@ -206,7 +216,7 @@ def test_backward_with_dropout_masks():
     grad_he = rng.normal(size=(4, 4))
     he, cache = net.forward(p, img, txt, dropout_masks=masks)
     analytic = net.backward(p, cache, grad_he)
-    numeric = finite_difference_grads(p, img, txt, grad_he, "gmu", masks=masks)
+    numeric = finite_difference_grads(p, img, txt, grad_he, masks=masks)
     assert_grads_close(analytic, numeric)
 
 
@@ -292,12 +302,12 @@ def _seed_backward(params, cache, grad_he):
 @pytest.mark.parametrize("fusion", net.FUSION_MODES)
 def test_flat_backward_equals_per_block_oracle(fusion, dropout, dims, n):
     rng = np.random.default_rng(30)
-    p = net.init_params(dims, seed=31)
+    p = net.init_params(dims, seed=31, fusion=fusion)
     img, txt = rng.normal(size=(n, dims.d_img)), rng.normal(size=(n, dims.d_txt))
     masks = None
     if dropout:
         masks = tuple((rng.random((n, dims.d)) < 0.9) / 0.9 for _ in range(2))
-    he, cache = net.forward(p, img, txt, dropout_masks=masks, fusion=fusion)
+    he, cache = net.forward(p, img, txt, dropout_masks=masks)
     grad_he = rng.normal(size=he.shape)
     grad = net.backward(p, cache, grad_he)
     assert grad.dtype == np.float64 and grad.shape == p.flat.shape
@@ -310,10 +320,10 @@ def test_flat_backward_equals_per_block_oracle(fusion, dropout, dims, n):
                                             ("text", ("W_vnorm", "b_vnorm", "W_i"))])
 def test_backward_leaves_gate_and_unused_view_at_zero(fusion, unused):
     rng = np.random.default_rng(32)
-    p = net.init_params(SMALL, seed=33)
+    p = net.init_params(SMALL, seed=33, fusion=fusion)
     masks = tuple((rng.random((4, 6)) < 0.9) / 0.9 for _ in range(2))
     he, cache = net.forward(p, rng.normal(size=(4, 8)), rng.normal(size=(4, 8)),
-                            dropout_masks=masks, fusion=fusion)
+                            dropout_masks=masks)
     grads = net.block_views(net.backward(p, cache, rng.normal(size=he.shape)), SMALL)
     for name, block in grads.items():
         if name == "W_z" or name in unused:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mvhash import loss, net, trainer
+from mvhash import loss, net, retrieval, trainer
 from mvhash.centers import generate_centers
 from mvhash.data import SynthSpec, make_synthetic
 from mvhash.errors import DivergenceError, InvalidArgument, ShapeMismatch
@@ -136,14 +136,14 @@ def test_encode_in_row_blocks_equals_one_forward(rows):
     R = trainer._ENCODE_ROWS
     n = {"1d": 1, "R-1": R - 1, "R": R, "R+1": R + 1, "2R+3": 2 * R + 3}.get(rows, rows)
     dims = net.Dims(d_img=8, d_txt=8, d=6, code_length=37)
-    p = net.init_params(dims, seed=5)
     rng = np.random.default_rng(6)
     img, txt = rng.normal(size=(n, 8)), rng.normal(size=(n, 8))
     if rows == "1d":
         img, txt = img[0], txt[0]
     for fusion in ("gmu", "concat"):
-        want = net.binarize(net.forward(p, img, txt, fusion=fusion)[0])
-        got = trainer.encode(p, img, txt, fusion=fusion)
+        p = net.init_params(dims, seed=5, fusion=fusion)
+        want = net.binarize(net.forward(p, img, txt)[0])
+        got = trainer.encode(p, img, txt)
         assert got.dtype == np.int8 and got.shape == (n, 37)
         assert (got == want).all()
 
@@ -306,6 +306,26 @@ def test_encode_deterministic_and_pure():
     txt = np.vstack([ds.text_features[:1], ds.text_features[:1]])
     codes = trainer.encode(report.params, img, txt)
     assert (codes[0] == codes[1]).all()
+
+
+@pytest.mark.parametrize("fusion", net.FUSION_MODES)
+def test_trained_model_encodes_and_evaluates_in_its_fusion_mode(fusion):
+    ds = _tiny_dataset(consistency=0.8)
+    cfg = _config(epochs=4, eval_every=4, fusion=fusion)
+    report = trainer.train(ds, generate_centers(4, 8, seed=0), cfg, dims_hidden=8)
+    p = report.params
+    assert p.fusion == fusion
+    twin = net.ModelParams(p.dims, p.init_seed, p.flat.copy(), fusion)
+
+    def forward_codes(mask):
+        img, txt, labels = ds.subset(mask)
+        return net.binarize(net.forward(twin, img, txt)[0]), labels
+
+    img, txt = ds.image_features, ds.text_features
+    assert (trainer.encode(p, img, txt) == forward_codes(np.ones(len(ds), bool))[0]).all()
+    (r, rl), (q, ql) = forward_codes(ds.retrieval_mask), forward_codes(ds.query_mask)
+    want = retrieval.mean_average_precision(q, ql, retrieval.RetrievalIndex.from_signs(r, rl))
+    assert trainer.evaluate_map(p, ds) == want == report.final_map
 
 
 def test_near_duplicates_collide_after_convergence():
