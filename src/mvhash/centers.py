@@ -237,8 +237,17 @@ def _lcg_step(state: list[np.ndarray], inc: list[np.ndarray]) -> list[np.ndarray
     return _carry(columns)
 
 
+# coins per block in _tie_coins: each coin keeps about 290 bytes of uint32/
+# uint64 temporaries alive, so a block peaks near 5 MB. Best of 21 over the
+# 225,536 tied bits of 14,000 two-label rows at K = 64 (2-core x86-64, one
+# thread): 4k 33-42 ms, 8k 24-28, 16k 21-23, 32k 21-22, 64k 24-27, and all
+# coins at once 64 ms with a 60 MB traced peak.
+_COIN_BLOCK = 1 << 14
+
+
 def _tie_coins(seed: int, rows: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """default_rng([seed, row, bit]).integers(0, 2) for every (row, bit) pair at once.
+    """default_rng([seed, row, bit]).integers(0, 2) for every (row, bit) pair,
+    evaluated _COIN_BLOCK pairs at a time.
 
     Reproduces numpy's SeedSequence entropy mixing and generate_state, PCG64
     seeding and its first output (XSL-RR). Lemire's bounded draw for range 2
@@ -256,25 +265,29 @@ def _tie_coins(seed: int, rows: np.ndarray, bits: np.ndarray) -> np.ndarray:
         if bad.size:
             raise InvalidArgument(f"{name} {bad[0]} is outside [0, 2^32)")
     # SeedSequence splits each entropy integer into little-endian 32-bit words
-    words = []
+    seed_words = []
     while True:
-        words.append(np.array([seed & _MASK32], dtype=np.uint32))
+        seed_words.append(np.array([seed & _MASK32], dtype=np.uint32))
         seed >>= 32
         if not seed:
             break
-    words += [rows.astype(np.uint32), bits.astype(np.uint32)]
-    w = _generate_state(_mix_entropy(words))
-    # PCG64 seeds from state words (s_hi, s_lo, seq_hi, seq_lo) as 128-bit s and seq
-    initstate = [w[2], w[3], w[0], w[1]]
-    seq = [w[6], w[7], w[4], w[5]]
-    inc = [((seq[k] << 1) & _MASK32) | (seq[k - 1] >> 31 if k else 1) for k in range(4)]
-    # srandom: state = inc; state += initstate; step. Then the first draw steps once more.
-    state = _carry([a + b for a, b in zip(inc, initstate)])
-    state = _lcg_step(_lcg_step(state, inc), inc)
-    # XSL-RR: rotate (hi64 ^ lo64) right by the top 6 state bits; keep output bit 31
-    xored = ((state[3] ^ state[1]) << 32) | (state[2] ^ state[0])
-    rotation = state[3] >> 26
-    return ((xored >> ((rotation + 31) & 63)) & 1).astype(np.int8)
+    coins = np.empty(rows.size, dtype=np.int8)
+    for start in range(0, rows.size, _COIN_BLOCK):
+        block = slice(start, start + _COIN_BLOCK)
+        words = seed_words + [rows[block].astype(np.uint32), bits[block].astype(np.uint32)]
+        w = _generate_state(_mix_entropy(words))
+        # PCG64 seeds from state words (s_hi, s_lo, seq_hi, seq_lo) as 128-bit s and seq
+        initstate = [w[2], w[3], w[0], w[1]]
+        seq = [w[6], w[7], w[4], w[5]]
+        inc = [((seq[k] << 1) & _MASK32) | (seq[k - 1] >> 31 if k else 1) for k in range(4)]
+        # srandom: state = inc; state += initstate; step. Then the first draw steps once more.
+        state = _carry([a + b for a, b in zip(inc, initstate)])
+        state = _lcg_step(_lcg_step(state, inc), inc)
+        # XSL-RR: rotate (hi64 ^ lo64) right by the top 6 state bits; keep output bit 31
+        xored = ((state[3] ^ state[1]) << 32) | (state[2] ^ state[0])
+        rotation = state[3] >> 26
+        coins[block] = (xored >> ((rotation + 31) & 63)) & 1
+    return coins
 
 
 def semantic_centers_for(
@@ -285,8 +298,10 @@ def semantic_centers_for(
     Single-label row: the class center verbatim. Multi-label row: element-wise
     majority vote over the active labels' centers; row i's tied bit b (a zero
     column sum) takes the coin ``default_rng([seed, i, b]).integers(0, 2)``
-    (1 -> +1, 0 -> -1), so results are reproducible. One vectorised pass: the
-    vote is one integer product and every tied bit's coin is evaluated at once.
+    (1 -> +1, 0 -> -1), so results are reproducible. The vote is one float64
+    BLAS product, exact because every sum is an integer of magnitude at most
+    V; the tied bits' coins are evaluated in blocks of _COIN_BLOCK, so memory
+    stays bounded however many bits tie.
     """
     labels = np.asarray(labels)
     if labels.ndim != 2 or labels.shape[1] != centers.num_classes:
@@ -297,8 +312,8 @@ def semantic_centers_for(
     empty = np.flatnonzero(~active.any(axis=1))
     if empty.size:
         raise InvalidArgument(f"label row {int(empty[0])} has no active label")
-    sums = active.astype(np.int64) @ centers.centers.astype(np.int64)
-    code = np.sign(sums).astype(np.int8)
-    rows, bits = np.nonzero(sums == 0)
-    code[rows, bits] = 2 * _tie_coins(seed, rows, bits) - 1
+    code = np.sign(active.astype(np.float64) @ centers.centers.astype(np.float64)).astype(np.int8)
+    tied = np.flatnonzero(code == 0)
+    rows, bits = np.divmod(tied, centers.code_length)
+    code.flat[tied] = 2 * _tie_coins(seed, rows, bits) - 1
     return code

@@ -9,11 +9,13 @@
   CSMV  checkpoint:    magic, u32 version=1, u32 d_img, u32 d_txt, u32 d,
         u32 K, u32 num_views=2, u64 init_seed, parameter blocks as finite f64
         in PARAM_NAMES order (ModelParams.flat); the JSON sidecar <path>.json holds
-        dims, init_seed and the fusion mode, which load reads back (gmu if absent)
+        dims, init_seed and the fusion mode. Load reads the mode back (gmu if
+        absent) and rejects sidecar dims or init_seed that differ from the header
 """
 
 import json
 import struct
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -242,7 +244,15 @@ def load_checkpoint(path) -> ModelParams:
             f"{r.path}: non-finite parameter in block {name} at byte offset {body + 8 * index}"
         )
     side = Path(str(path) + ".json")
+    meta = load_json_object(side)
+    header = {"dims": {**asdict(dims), "num_views": views}, "init_seed": seed}
+    for key, value in header.items():
+        got = meta.get(key, value)
+        if key == "init_seed" and isinstance(got, int):
+            got &= 0xFFFFFFFFFFFFFFFF  # the header keeps the seed mod 2^64, as written
+        if got != value:
+            raise FormatError(f"{side}: {key} {got!r} does not match the header's {value!r}")
     try:
-        return ModelParams(dims, seed, flat, load_json_object(side).get("fusion", "gmu"))
+        return ModelParams(dims, seed, flat, meta.get("fusion", "gmu"))
     except InvalidArgument as exc:
         raise FormatError(f"{side}: {exc}") from exc

@@ -217,6 +217,9 @@ def backward(
     float64 vector laid out like params.flat; block_views names its blocks."""
     if cache.dims != params.dims:
         raise CacheMismatch("cache was produced under different dims")
+    if cache.fusion != params.fusion:
+        raise CacheMismatch(f"cache was produced under fusion {cache.fusion!r}, "
+                            f"params run {params.fusion!r}")
     g_he = np.asarray(grad_he, dtype=np.float64)
     if g_he.shape != cache.he.shape:
         raise CacheMismatch(f"grad_he shape {g_he.shape} != he shape {cache.he.shape}")

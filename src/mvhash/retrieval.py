@@ -302,7 +302,7 @@ def random_ranking_map(
 ) -> float:
     """mAP of a uniformly random ranking; the no-learning baseline."""
     rng = np.random.default_rng(seed)
-    ql = np.atleast_2d(np.asarray(query_labels))
+    _, ql = _query_rows(query_labels, query_labels)  # no codes: the rows are the labels
     zeros = np.zeros(index.size, dtype=np.int64)
     return float(np.mean([
         average_precision(label, QueryResult(rng.permutation(index.size), zeros), index)

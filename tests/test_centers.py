@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -220,6 +222,56 @@ def test_semantic_centers_for_matches_per_bit_loop(k, seed):
     assert (out == _oracle_semantic_centers_for(labels, cs, seed=seed)).all()
     single = labels.sum(axis=1) == 1
     assert (out[single] == cs.centers[labels[single].argmax(axis=1)]).all()
+
+
+@pytest.mark.parametrize("k", [8, 37, 63, 64, 65, 128])
+def test_blocked_coins_match_per_bit_loop(k, monkeypatch):
+    cs = C.generate_centers(12, k, seed=4)
+    labels = _multi_hot(160, 12, seed=k + 1)
+    tied = int(((labels.astype(np.int64) @ cs.centers.astype(np.int64)) == 0).sum())
+    want = _oracle_semantic_centers_for(labels, cs, seed=2**32 + 7)
+    for block in (7, 64):
+        assert tied > 3 * block  # several full blocks and a partial one
+        monkeypatch.setattr(C, "_COIN_BLOCK", block)
+        assert (C.semantic_centers_for(labels, cs, seed=2**32 + 7) == want).all()
+
+
+@pytest.mark.parametrize("block", [7, C._COIN_BLOCK])
+def test_tie_coins_name_a_bad_value_past_the_first_block(block, monkeypatch):
+    monkeypatch.setattr(C, "_COIN_BLOCK", block)
+    n = 3 * block
+    rows, bits = np.arange(n), np.arange(n) % 64
+    rows[2 * block + 1], rows[2 * block + 3] = 2**32, 2**33
+    with pytest.raises(InvalidArgument, match=r"^row id 4294967296 is outside \[0, 2\^32\)$"):
+        C._tie_coins(0, rows, bits)
+    rows[2 * block + 1], rows[2 * block + 3] = 0, 0
+    bits[block + 2] = -1
+    with pytest.raises(InvalidArgument, match=r"^bit index -1 is outside \[0, 2\^32\)$"):
+        C._tie_coins(0, rows, bits)
+    bits[block + 2] = 0
+    with pytest.raises(InvalidArgument, match="^tie-break seed must be non-negative, got -3$"):
+        C._tie_coins(-3, rows, bits)
+
+
+def test_semantic_centers_peak_memory_is_bounded():
+    """14,000 rows, half of them two-class mixtures, at K = 64: about 225k tied
+    bits, whose coins evaluated all at once took about 70 MB of traced peak."""
+    rng = np.random.default_rng(5)
+    n, v = 14_000, 20
+    first = rng.integers(0, v, size=n)
+    labels = np.zeros((n, v), dtype=np.uint8)
+    labels[np.arange(n), first] = 1
+    mixed = rng.permutation(n)[:n // 2]
+    labels[mixed, (first[mixed] + rng.integers(1, v, size=mixed.size)) % v] = 1
+    cs = C.generate_centers(v, 64, seed=1)
+    assert int(((labels.astype(np.int64) @ cs.centers.astype(np.int64)) == 0).sum()) > 200_000
+    tracemalloc.start()
+    try:
+        C.semantic_centers_for(labels, cs, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 25e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 def test_semantic_center_coins_at_largest_sample_id():

@@ -328,6 +328,37 @@ def test_checkpoint_rejects_bad_sidecar_naming_it(tmp_path, text, message):
         formats.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("key, edit, message", [
+    ("dims", lambda m: m["dims"].update(d=99), r"dims \{.*'d': 99.*\} does not match the "
+                                              r"header's \{.*'d': 3.*\}"),
+    ("init_seed", lambda m: m.update(init_seed=7), "init_seed 7 does not match the header's 1"),
+], ids=["d=99", "init_seed=7"])
+def test_checkpoint_rejects_sidecar_that_disagrees_with_header(tmp_path, key, edit, message):
+    path, side = tmp_path / "m.csmv", tmp_path / "m.csmv.json"
+    formats.save_checkpoint(net.init_params(net.Dims(2, 3, 3, 4), seed=1), path)
+    meta = json.loads(side.read_text())
+    edit(meta)
+    side.write_text(json.dumps(meta))
+    with pytest.raises(FormatError, match=rf"m\.csmv\.json: {message}"):
+        formats.load_checkpoint(path)
+    del meta[key]  # a sidecar without the key is not checked
+    side.write_text(json.dumps(meta))
+    assert formats.load_checkpoint(path).init_seed == 1
+
+
+@pytest.mark.parametrize("seed", [0, 33, 2**63, 2**64 - 1, 2**64 + 5, -1])
+@pytest.mark.parametrize("fusion", net.FUSION_MODES)
+def test_every_saved_checkpoint_loads(tmp_path, seed, fusion):
+    dims = net.Dims(d_img=5, d_txt=7, d=4, code_length=37)
+    flat = np.random.default_rng(4).normal(size=dims.param_count())
+    p = net.ModelParams(dims, seed, flat, fusion)
+    path = tmp_path / "m.csmv"
+    formats.save_checkpoint(p, path, sidecar={"note": "x", "dims": None, "init_seed": 5})
+    back = formats.load_checkpoint(path)
+    assert (back.dims, back.init_seed, back.fusion) == (dims, seed % 2**64, fusion)
+    assert (back.flat == flat).all()
+
+
 def test_checkpoint_without_sidecar_is_not_loaded(tmp_path):
     path = tmp_path / "m.csmv"
     formats.save_checkpoint(net.init_params(net.Dims(2, 3, 2, 4), seed=1, fusion="image"), path)

@@ -343,6 +343,16 @@ def test_backward_rejects_mismatched_cache():
         net.backward(other, cache, np.zeros_like(he))
 
 
+@pytest.mark.parametrize("made, run", [("concat", "gmu"), ("gmu", "concat"), ("image", "text")])
+def test_backward_rejects_cache_of_another_fusion_mode(made, run):
+    rng = np.random.default_rng(20)
+    img, txt = rng.normal(size=(3, 8)), rng.normal(size=(3, 8))
+    he, cache = net.forward(net.init_params(SMALL, seed=21, fusion=made), img, txt)
+    params = net.init_params(SMALL, seed=21, fusion=run)
+    with pytest.raises(CacheMismatch, match=f"fusion '{made}', params run '{run}'"):
+        net.backward(params, cache, np.ones_like(he))
+
+
 def test_binarize():
     assert net.binarize(np.array([0.9, -0.2, 0.0001, -0.9])).tolist() == [1, -1, 1, -1]
     assert net.binarize(np.zeros(4)).tolist() == [-1, -1, -1, -1]

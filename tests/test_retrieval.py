@@ -291,6 +291,17 @@ def test_query_rows_checked(metric):
         score(codes[:2], labels[:5])
 
 
+def test_random_ranking_map_rejects_empty_query_set():
+    rng = np.random.default_rng(15)
+    codes, labels, index = _make_index(rng, n=10)
+    with pytest.raises(InvalidArgument, match="empty query set"):
+        R.random_ranking_map(labels[:0], index)
+    # one query: the AP of the seeded permutation
+    ranking = R.QueryResult(np.random.default_rng(3).permutation(10), np.zeros(10, np.int64))
+    want = R.average_precision(labels[0], ranking, index)
+    assert R.random_ranking_map(labels[:1], index, seed=3) == want
+
+
 def test_curves_rejects_non_increasing_grid():
     rng = np.random.default_rng(13)
     codes, labels, index = _make_index(rng, n=10)
