@@ -1,8 +1,9 @@
 """Hash center generation and per-sample semantic centers.
 
 Centers live in {-1,+1}^K. Orthogonal centers come from a Sylvester
-Hadamard matrix (rows, then their negations); everything else falls back
-to seeded Bernoulli sampling with a minimum-separation acceptance rule.
+Hadamard matrix (rows, then their negations); everything else is drawn by
+one seeded Bernoulli acceptance loop with a minimum-separation rule, its
+inner products taken in int64.
 """
 
 from dataclasses import dataclass
@@ -11,8 +12,6 @@ import numpy as np
 
 from .errors import CapacityError, GenerationFailure, InvalidArgument
 
-# minimum Hamming separation a Bernoulli-sampled center must keep to every
-# already accepted center: ceil(K/4)
 MAX_RETRIES_PER_CENTER = 1000
 
 METHOD_HADAMARD = "hadamard"
@@ -52,7 +51,7 @@ class HashCenterSet:
     code_length: int
     num_classes: int
     method: str
-    seed: int
+    seed: int  # in [0, 2^64): the .cshc header holds it as a u64
 
     def __post_init__(self):
         c = self.centers
@@ -62,63 +61,51 @@ class HashCenterSet:
             )
         if not np.isin(c, (-1, 1)).all():
             raise InvalidArgument("center entries must be -1 or +1")
+        if not 0 <= self.seed < 2**64:
+            raise InvalidArgument(f"seed {self.seed} is outside [0, 2^64)")
 
     def mean_pairwise_inner(self) -> float:
         """(1/T) sum over unordered pairs of <hc_i, hc_j>."""
-        v = self.num_classes
-        if v < 2:
-            raise InvalidArgument("need at least two centers")
-        g = self.centers.astype(np.int64) @ self.centers.astype(np.int64).T
-        total = (g.sum() - np.trace(g)) / 2
-        t = v * (v - 1) // 2
-        return float(total) / t
+        inners = _pair_inners(self)
+        return float(inners.sum()) / inners.size
+
+
+def _pair_inners(center_set: HashCenterSet) -> np.ndarray:
+    """<hc_i, hc_j> in int64 for every unordered pair i < j."""
+    v = center_set.num_classes
+    if v < 2:
+        raise InvalidArgument("need at least two centers")
+    c = center_set.centers.astype(np.int64)
+    return (c @ c.T)[np.triu_indices(v, k=1)]
 
 
 def min_pairwise_distance(center_set: HashCenterSet) -> int:
     """Smallest Hamming distance over all unordered center pairs."""
-    c = center_set.centers.astype(np.int64)
-    v = c.shape[0]
-    if v < 2:
-        raise InvalidArgument("need at least two centers")
-    g = c @ c.T
-    d = (center_set.code_length - g) // 2
-    iu = np.triu_indices(v, k=1)
-    return int(d[iu].min())
+    return (center_set.code_length - int(_pair_inners(center_set).max())) // 2
 
 
-def _min_separation(code_length: int) -> int:
-    return -(-code_length // 4)  # ceil(K/4)
-
-
-def _sample_bernoulli_centers(
-    existing: list[np.ndarray], count: int, code_length: int, rng: "np.random.Generator"
-) -> list[np.ndarray]:
-    """Draw `count` centers, each kept only if it stays >= ceil(K/4) bits away
-    from every accepted center and does not push the running pairwise inner
-    product sum positive."""
-    min_dist = _min_separation(code_length)
-    chosen = list(existing)
-    out = []
-    for _ in range(count):
-        for attempt in range(MAX_RETRIES_PER_CENTER):
-            cand = rng.integers(0, 2, size=code_length).astype(np.int8) * 2 - 1
-            if not chosen:
-                chosen.append(cand)
-                out.append(cand)
-                break
-            inners = np.array([int(cand @ c) for c in chosen])
-            dists = (code_length - inners) // 2
-            if dists.min() >= min_dist and inners.sum() <= 0:
-                chosen.append(cand)
-                out.append(cand)
+def _sample_bernoulli_centers(base: np.ndarray, count: int, k: int, rng) -> np.ndarray:
+    """`base` followed by `count` drawn centers of K bits, each kept only if it
+    stays >= ceil(K/4) bits away from every accepted center and does not push
+    the running pairwise inner product sum positive. One candidate per attempt."""
+    min_dist = -(-k // 4)  # ceil(K/4)
+    chosen = np.empty((len(base) + count, k), dtype=np.int64)
+    chosen[:len(base)] = base
+    for n in range(len(base), len(chosen)):
+        for _ in range(MAX_RETRIES_PER_CENTER):
+            cand = rng.integers(0, 2, size=k) * 2 - 1
+            inners = chosen[:n] @ cand
+            # with nothing accepted yet the max is -K: distance K, always kept
+            achieved = (k - int(inners.max(initial=-k))) // 2
+            if achieved >= min_dist and inners.sum() <= 0:
+                chosen[n] = cand
                 break
         else:
-            achieved = int(dists.min()) if chosen else code_length
             raise GenerationFailure(
                 f"no acceptable center after {MAX_RETRIES_PER_CENTER} tries "
                 f"(need separation >= {min_dist}, best candidate reached {achieved})"
             )
-    return out
+    return chosen
 
 
 def generate_centers(num_classes: int, code_length: int, seed: int) -> HashCenterSet:
@@ -137,26 +124,16 @@ def generate_centers(num_classes: int, code_length: int, seed: int) -> HashCente
         raise CapacityError(f"{v} classes need more than the 2^{k} distinct codes available")
 
     rng = np.random.default_rng(seed)
-    pow2 = (k & (k - 1)) == 0
-    if pow2:
+    base = np.empty((0, k), dtype=np.int8)
+    if (k & (k - 1)) == 0:
         h = sylvester_hadamard(k)
-        stacked = np.vstack([h, -h])
-        if v <= 2 * k:
-            centers = stacked[:v].copy()
-            method = METHOD_HADAMARD
-        else:
-            extra = _sample_bernoulli_centers(list(stacked), v - 2 * k, k, rng)
-            centers = np.vstack([stacked, np.array(extra, dtype=np.int8)])
-            method = METHOD_HADAMARD_PLUS_BERNOULLI
-    else:
-        centers = np.array(_sample_bernoulli_centers([], v, k, rng), dtype=np.int8)
-        method = METHOD_BERNOULLI
-
+        base = np.vstack([h, -h])[:v]
     out = HashCenterSet(
-        centers=centers.astype(np.int8),
+        centers=_sample_bernoulli_centers(base, v - len(base), k, rng).astype(np.int8),
         code_length=k,
         num_classes=v,
-        method=method,
+        method={0: METHOD_BERNOULLI, v: METHOD_HADAMARD}.get(
+            len(base), METHOD_HADAMARD_PLUS_BERNOULLI),
         seed=int(seed),
     )
     if v >= 2 and out.mean_pairwise_inner() > 0:

@@ -9,10 +9,12 @@
   CSMV  checkpoint:    magic, u32 version=1, u32 d_img, u32 d_txt, u32 d,
         u32 K, u32 num_views=2, u64 init_seed, parameter blocks as finite f64
         in PARAM_NAMES order (ModelParams.flat); the JSON sidecar <path>.json holds
-        dims, init_seed and the fusion mode. Load reads the mode back (gmu if
-        absent) and rejects sidecar dims or init_seed that differ from the header
+        dims, init_seed, the fusion mode and csmv_sha256, the digest of the .csmv
+        bytes written with it. Load reads the mode back (gmu if absent) and rejects
+        sidecar dims, init_seed or digest that differ from the .csmv's
 """
 
+import hashlib
 import json
 import struct
 from dataclasses import asdict
@@ -112,8 +114,7 @@ def save_centers(center_set: centers_mod.HashCenterSet, path) -> None:
     head = struct.pack(
         "<4sIIIQB",
         b"CSHC", 1,
-        center_set.num_classes, center_set.code_length,
-        center_set.seed & 0xFFFFFFFFFFFFFFFF,
+        center_set.num_classes, center_set.code_length, center_set.seed,
         _METHOD_TAGS[center_set.method],
     )
     _atomic_write(path, head + pack_codes(center_set.centers).tobytes())
@@ -208,17 +209,20 @@ def load_codes(path) -> tuple[np.ndarray, np.ndarray, int]:
 
 def save_checkpoint(params: ModelParams, path, sidecar: dict | None = None) -> None:
     """Writes the model to `path` and the sidecar <path>.json: the caller's
-    `sidecar` keys, and the model's dims, init_seed and fusion, which win."""
+    `sidecar` keys, and the model's dims, init_seed, fusion and the sha256 of
+    the .csmv bytes, which win."""
     d = params.dims
     head = struct.pack(
         "<4sIIIIIIQ", b"CSMV", 1, d.d_img, d.d_txt, d.d, d.code_length,
-        2, params.init_seed & 0xFFFFFFFFFFFFFFFF,  # num_views
+        2, params.init_seed,  # num_views
     )
-    _atomic_write(path, head + params.flat.astype("<f8", copy=False).tobytes())
+    data = head + params.flat.astype("<f8", copy=False).tobytes()
+    _atomic_write(path, data)
     meta = {**(sidecar or {}),
             "dims": {"d_img": d.d_img, "d_txt": d.d_txt, "d": d.d,
                      "code_length": d.code_length, "num_views": 2},
-            "init_seed": params.init_seed, "fusion": params.fusion}
+            "init_seed": params.init_seed, "fusion": params.fusion,
+            "csmv_sha256": hashlib.sha256(data).hexdigest()}
     side = Path(str(path) + ".json")
     _atomic_write(side, (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode())
 
@@ -245,13 +249,13 @@ def load_checkpoint(path) -> ModelParams:
         )
     side = Path(str(path) + ".json")
     meta = load_json_object(side)
-    header = {"dims": {**asdict(dims), "num_views": views}, "init_seed": seed}
-    for key, value in header.items():
+    # a key the sidecar lacks is not checked: older sidecars have no digest
+    csmv = {"dims": {**asdict(dims), "num_views": views}, "init_seed": seed,
+            "csmv_sha256": hashlib.sha256(r.buf).hexdigest()}
+    for key, value in csmv.items():
         got = meta.get(key, value)
-        if key == "init_seed" and isinstance(got, int):
-            got &= 0xFFFFFFFFFFFFFFFF  # the header keeps the seed mod 2^64, as written
         if got != value:
-            raise FormatError(f"{side}: {key} {got!r} does not match the header's {value!r}")
+            raise FormatError(f"{side}: {key} {got!r} does not match the .csmv's {value!r}")
     try:
         return ModelParams(dims, seed, flat, meta.get("fusion", "gmu"))
     except InvalidArgument as exc:

@@ -99,6 +99,8 @@ class ModelParams:
     def __init__(self, dims: Dims, init_seed: int, flat: np.ndarray, fusion: str = "gmu"):
         if fusion not in FUSION_MODES:
             raise InvalidArgument(f"unknown fusion mode {fusion!r}")
+        if not 0 <= init_seed < 2**64:  # the .csmv header holds it as a u64
+            raise InvalidArgument(f"init_seed {init_seed} is outside [0, 2^64)")
         if flat.dtype != np.float64 or flat.shape != (dims.param_count(),):
             raise ShapeMismatch(
                 f"flat parameters: expected float64 ({dims.param_count()},), "

@@ -6,6 +6,8 @@ whole suite runs in a few minutes single-threaded.
 """
 
 import json
+import multiprocessing
+import os
 import time
 from pathlib import Path
 
@@ -58,31 +60,52 @@ def standard_run(standard_dataset):
     return train(standard_dataset, cset, cfg)
 
 
+# ablation name -> (TrainConfig keywords, code length K); each seed's slowest
+# run, K = 64, is listed first so that it starts early on the pool
+HARD_ABLATIONS = {
+    "full64": ({}, 64),
+    "full": ({}, 16),
+    "concat": ({"fusion": "concat"}, 16),
+    "image": ({"fusion": "image"}, 16),
+    "text": ({"fusion": "text"}, 16),
+    "quant": ({"loss_mode": "quant"}, 16),
+}
+
+
+def hard_run_map(seed, name):
+    """Final mAP of one ablation run on the harder dataset (sigma=0.6, cons=0.8)."""
+    kw, k = HARD_ABLATIONS[name]
+    ds = make_synthetic(SynthSpec(seed=seed, **HARD_KW))
+    cfg = TrainConfig(epochs=100, seed=seed, eval_every=100, **kw)
+    return train(ds, generate_centers(10, k, seed=seed), cfg).final_map
+
+
 @pytest.fixture(scope="module")
 def hard_runs():
-    """Per-seed ablation grid on the harder dataset (sigma=0.6, cons=0.8)."""
-    out = {}
-    for seed in (0, 1, 2):
+    """Per-seed ablation grid on the harder dataset. The 18 independent
+    trainings run on two spawn workers when two CPUs are available, each
+    worker pinned to one OpenBLAS thread: unpinned, the two workers'
+    thread pools oversubscribe the cores and the grid runs slower than
+    serially. The mAPs are bit-identical to a serial run's."""
+    tasks = [(seed, name) for seed in (0, 1, 2) for name in HARD_ABLATIONS]
+    if len(os.sched_getaffinity(0)) < 2:
+        final_maps = [hard_run_map(*task) for task in tasks]
+    else:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("OPENBLAS_NUM_THREADS", "1")  # read by each worker at start-up
+            with multiprocessing.get_context("spawn").Pool(2) as pool:
+                final_maps = pool.starmap(hard_run_map, tasks, chunksize=1)
+    out = {seed: {} for seed in (0, 1, 2)}
+    for (seed, name), final_map in zip(tasks, final_maps):
+        out[seed][name] = final_map
+    for seed, maps in out.items():
         ds = make_synthetic(SynthSpec(seed=seed, **HARD_KW))
-        maps = {}
-        for name, kw in [
-            ("full", {}),
-            ("concat", {"fusion": "concat"}),
-            ("image", {"fusion": "image"}),
-            ("text", {"fusion": "text"}),
-            ("quant", {"loss_mode": "quant"}),
-        ]:
-            cfg = TrainConfig(epochs=100, seed=seed, eval_every=100, **kw)
-            maps[name] = train(ds, generate_centers(10, 16, seed=seed), cfg).final_map
-        cfg = TrainConfig(epochs=100, seed=seed, eval_every=100)
-        maps["full64"] = train(ds, generate_centers(10, 64, seed=seed), cfg).final_map
         _, _, rl = ds.subset(ds.retrieval_mask)
         _, _, ql = ds.subset(ds.query_mask)
         dummy = RetrievalIndex.from_signs(
             np.ones((rl.shape[0], 16), dtype=np.int8), rl
         )
         maps["baseline"] = random_ranking_map(ql, dummy, seed=seed)
-        out[seed] = maps
     return out
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mvhash import centers as C
-from mvhash.errors import CapacityError, InvalidArgument
+from mvhash.errors import CapacityError, GenerationFailure, InvalidArgument
 
 
 def test_hadamard_base_cases():
@@ -107,6 +107,95 @@ def test_generate_rejects_bad_dims():
         C.generate_centers(4, 1, seed=0)
 
 
+def _oracle_bernoulli_centers(existing, count, code_length, rng):
+    """The per-center acceptance loop that the one-matrix sampler replaces,
+    with its inner products taken in int64."""
+    min_dist = -(-code_length // 4)  # ceil(K/4)
+    chosen = [np.asarray(c, dtype=np.int64) for c in existing]
+    out = []
+    for _ in range(count):
+        for _ in range(C.MAX_RETRIES_PER_CENTER):
+            cand = rng.integers(0, 2, size=code_length).astype(np.int64) * 2 - 1
+            if not chosen:
+                chosen.append(cand)
+                out.append(cand)
+                break
+            inners = np.array([int(cand @ c) for c in chosen])
+            dists = (code_length - inners) // 2
+            if dists.min() >= min_dist and inners.sum() <= 0:
+                chosen.append(cand)
+                out.append(cand)
+                break
+        else:
+            raise GenerationFailure(
+                f"no acceptable center after {C.MAX_RETRIES_PER_CENTER} tries "
+                f"(need separation >= {min_dist}, best candidate reached {int(dists.min())})"
+            )
+    return out
+
+
+def _oracle_generate_centers(v, k, seed):
+    """(method, centers) from the three branches that one construction path replaces."""
+    rng = np.random.default_rng(seed)
+    if k & (k - 1) == 0:
+        h = C.sylvester_hadamard(k)
+        stacked = np.vstack([h, -h])
+        if v <= 2 * k:
+            return C.METHOD_HADAMARD, stacked[:v]
+        extra = _oracle_bernoulli_centers(list(stacked), v - 2 * k, k, rng)
+        return C.METHOD_HADAMARD_PLUS_BERNOULLI, np.vstack([stacked, extra])
+    return C.METHOD_BERNOULLI, np.array(_oracle_bernoulli_centers([], v, k, rng))
+
+
+def _outcome(make, *args):
+    try:
+        return make(*args)
+    except GenerationFailure as exc:
+        return f"GenerationFailure: {exc}"
+
+
+@pytest.mark.parametrize("seed", [0, 2**40 + 3])
+@pytest.mark.parametrize("k", [5, 8, 37, 63, 64, 65, 128, 256])
+def test_generate_centers_matches_per_center_loop(k, seed):
+    methods = set()
+    for v in sorted({1, 3, 17, 2 * k, 2 * k + 3, 200}):
+        if v > 2**k:
+            continue
+        want = _outcome(_oracle_generate_centers, v, k, seed)
+        got = _outcome(C.generate_centers, v, k, seed)
+        if isinstance(want, str):
+            assert got == want, (v, k)
+            methods.add("failure")
+            continue
+        assert got.method == want[0], (v, k)
+        assert got.centers.dtype == np.int8 and (got.centers == want[1]).all(), (v, k)
+        methods.add(got.method)
+    pow2 = {C.METHOD_HADAMARD, C.METHOD_HADAMARD_PLUS_BERNOULLI}
+    assert methods >= (pow2 if k & (k - 1) == 0 else {C.METHOD_BERNOULLI})
+    if k in (5, 8):
+        assert "failure" in methods  # 17 centers do not fit at K = 5, nor 200 at K = 8
+
+
+class _RepeatingRng:
+    """An rng stub whose every draw is the 0/1 bits of one fixed center."""
+
+    def __init__(self, center):
+        self.bits = (np.asarray(center, dtype=np.int64) + 1) // 2
+
+    def integers(self, low, high, size):
+        assert (low, high, size) == (0, 2, self.bits.size)
+        return self.bits.copy()
+
+
+@pytest.mark.parametrize("k", [128, 200, 256])
+def test_sampler_rejects_a_repeated_center_at_wide_k(k):
+    """An inner product of K >= 128 wraps in int8 (128 -> -128, 200 -> -56,
+    256 -> 0) and made an exact duplicate look far away."""
+    base = C.generate_centers(3, k, seed=0).centers
+    with pytest.raises(GenerationFailure, match=r"best candidate reached 0\)$"):
+        C._sample_bernoulli_centers(base, 1, k, _RepeatingRng(base[1]))
+
+
 def test_min_pairwise_distance():
     h4 = C.generate_centers(4, 4, seed=0)
     assert C.min_pairwise_distance(h4) == 2
@@ -125,8 +214,20 @@ def test_min_pairwise_distance_needs_two():
         centers=np.ones((1, 4), dtype=np.int8),
         code_length=4, num_classes=1, method=C.METHOD_HADAMARD, seed=0,
     )
-    with pytest.raises(InvalidArgument):
+    with pytest.raises(InvalidArgument, match="need at least two centers"):
         C.min_pairwise_distance(one)
+    with pytest.raises(InvalidArgument, match="need at least two centers"):
+        one.mean_pairwise_inner()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+def test_center_seed_outside_u64_rejected(seed):
+    with pytest.raises(InvalidArgument, match=rf"^seed {seed} is outside \[0, 2\^64\)$"):
+        C.HashCenterSet(centers=np.ones((1, 4), dtype=np.int8), code_length=4,
+                        num_classes=1, method=C.METHOD_HADAMARD, seed=seed)
+    if seed >= 0:  # default_rng refuses a negative seed first
+        with pytest.raises(InvalidArgument, match="outside"):
+            C.generate_centers(4, 8, seed)
 
 
 def test_semantic_center_single_label():

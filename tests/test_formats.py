@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 
@@ -330,9 +331,11 @@ def test_checkpoint_rejects_bad_sidecar_naming_it(tmp_path, text, message):
 
 @pytest.mark.parametrize("key, edit, message", [
     ("dims", lambda m: m["dims"].update(d=99), r"dims \{.*'d': 99.*\} does not match the "
-                                              r"header's \{.*'d': 3.*\}"),
-    ("init_seed", lambda m: m.update(init_seed=7), "init_seed 7 does not match the header's 1"),
-], ids=["d=99", "init_seed=7"])
+                                              r"\.csmv's \{.*'d': 3.*\}"),
+    ("init_seed", lambda m: m.update(init_seed=7), "init_seed 7 does not match the .csmv's 1"),
+    ("csmv_sha256", lambda m: m.update(csmv_sha256="0" * 64),
+     "csmv_sha256 '0{64}' does not match the .csmv's '[0-9a-f]{64}'"),
+], ids=["d=99", "init_seed=7", "digest"])
 def test_checkpoint_rejects_sidecar_that_disagrees_with_header(tmp_path, key, edit, message):
     path, side = tmp_path / "m.csmv", tmp_path / "m.csmv.json"
     formats.save_checkpoint(net.init_params(net.Dims(2, 3, 3, 4), seed=1), path)
@@ -341,22 +344,69 @@ def test_checkpoint_rejects_sidecar_that_disagrees_with_header(tmp_path, key, ed
     side.write_text(json.dumps(meta))
     with pytest.raises(FormatError, match=rf"m\.csmv\.json: {message}"):
         formats.load_checkpoint(path)
-    del meta[key]  # a sidecar without the key is not checked
+    del meta[key]  # a sidecar without the key is not checked, as one written before it
     side.write_text(json.dumps(meta))
     assert formats.load_checkpoint(path).init_seed == 1
 
 
-@pytest.mark.parametrize("seed", [0, 33, 2**63, 2**64 - 1, 2**64 + 5, -1])
+@pytest.mark.parametrize("seed", [0, 33, 2**63, 2**64 - 1])
 @pytest.mark.parametrize("fusion", net.FUSION_MODES)
 def test_every_saved_checkpoint_loads(tmp_path, seed, fusion):
     dims = net.Dims(d_img=5, d_txt=7, d=4, code_length=37)
     flat = np.random.default_rng(4).normal(size=dims.param_count())
     p = net.ModelParams(dims, seed, flat, fusion)
     path = tmp_path / "m.csmv"
-    formats.save_checkpoint(p, path, sidecar={"note": "x", "dims": None, "init_seed": 5})
+    formats.save_checkpoint(p, path, sidecar={"note": "x", "dims": None, "init_seed": 5,
+                                              "csmv_sha256": "0" * 64})
     back = formats.load_checkpoint(path)
-    assert (back.dims, back.init_seed, back.fusion) == (dims, seed % 2**64, fusion)
+    assert (back.dims, back.init_seed, back.fusion) == (dims, seed, fusion)
     assert (back.flat == flat).all()
+    side = json.loads((tmp_path / "m.csmv.json").read_text())
+    assert side["csmv_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("seed", [2**64 + 5, -1, 2**64])
+@pytest.mark.parametrize("fusion", net.FUSION_MODES)
+def test_checkpoint_seed_outside_u64_rejected(seed, fusion):
+    """The header holds init_seed as a u64: such a seed would load back changed."""
+    dims = net.Dims(d_img=5, d_txt=7, d=4, code_length=37)
+    with pytest.raises(InvalidArgument, match=rf"^init_seed {seed} is outside \[0, 2\^64\)$"):
+        net.ModelParams(dims, seed, np.zeros(dims.param_count()), fusion)
+
+
+def test_new_weights_do_not_load_beside_a_stale_sidecar(tmp_path, monkeypatch):
+    """A sidecar write that fails leaves the old sidecar next to the new .csmv."""
+    path, side = tmp_path / "m.csmv", tmp_path / "m.csmv.json"
+    dims = net.Dims(2, 3, 2, 4)
+    formats.save_checkpoint(net.init_params(dims, seed=1, fusion="gmu"), path)
+    write = formats._atomic_write
+
+    def fail_on_sidecar(target, data):
+        if str(target).endswith(".json"):
+            raise OSError(28, "No space left on device")
+        write(target, data)
+
+    concat = net.init_params(dims, seed=1, fusion="concat")
+    concat.flat[:] *= 0.5  # trained: the same init draws as gmu's, other weights now
+    monkeypatch.setattr(formats, "_atomic_write", fail_on_sidecar)
+    with pytest.raises(OSError):
+        formats.save_checkpoint(concat, path)
+    assert json.loads(side.read_text())["fusion"] == "gmu"
+    with pytest.raises(FormatError, match=r"m\.csmv\.json: csmv_sha256 "):
+        formats.load_checkpoint(path)
+
+
+def test_csmv_copied_over_another_is_rejected(tmp_path):
+    dims = net.Dims(2, 3, 2, 4)
+    a, b = tmp_path / "a.csmv", tmp_path / "b.csmv"
+    formats.save_checkpoint(net.init_params(dims, seed=1), a)
+    p = net.init_params(dims, seed=1)
+    p.flat[0] += 1.0
+    formats.save_checkpoint(p, b)
+    a.write_bytes(b.read_bytes())  # same dims and seed, other weights
+    with pytest.raises(FormatError, match=r"a\.csmv\.json: csmv_sha256 "):
+        formats.load_checkpoint(a)
+    assert formats.load_checkpoint(b).flat[0] == p.flat[0]
 
 
 def test_checkpoint_without_sidecar_is_not_loaded(tmp_path):
@@ -369,7 +419,8 @@ def test_checkpoint_without_sidecar_is_not_loaded(tmp_path):
 
 def _mutation_files(tmp_path):
     """(loader, path, header bytes that hold magic, version and sizes) per format.
-    The CSHC and CSMV seed fields are left out: no checksum covers them."""
+    The CSHC seed field is left out: no checksum covers it. The CSMV seed is
+    covered by the sidecar's init_seed and csmv_sha256."""
     from mvhash.retrieval import pack_codes
 
     rng = np.random.default_rng(7)
@@ -389,7 +440,7 @@ def _mutation_files(tmp_path):
         "labels": (formats.load_labels, labels, range(16)),
         # the label width u32 sits after the 3 x 2 code bytes
         "codes": (formats.load_codes, codes, [*range(16), *range(22, 26)]),
-        "checkpoint": (formats.load_checkpoint, ckpt, range(28)),
+        "checkpoint": (formats.load_checkpoint, ckpt, range(36)),
     }
 
 
