@@ -132,8 +132,8 @@ def generate_centers(num_classes: int, code_length: int, seed: int) -> HashCente
         centers=_sample_bernoulli_centers(base, v - len(base), k, rng).astype(np.int8),
         code_length=k,
         num_classes=v,
-        method={0: METHOD_BERNOULLI, v: METHOD_HADAMARD}.get(
-            len(base), METHOD_HADAMARD_PLUS_BERNOULLI),
+        method=METHOD_HADAMARD if len(base) == v
+        else METHOD_HADAMARD_PLUS_BERNOULLI if len(base) else METHOD_BERNOULLI,
         seed=int(seed),
     )
     if v >= 2 and out.mean_pairwise_inner() > 0:

@@ -9,6 +9,7 @@ import json
 import multiprocessing
 import os
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -80,21 +81,35 @@ def hard_run_map(seed, name):
     return train(ds, generate_centers(10, k, seed=seed), cfg).final_map
 
 
+def usable_cpus():
+    if hasattr(os, "sched_getaffinity"):  # Linux only
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def starmap_on_workers(fn, tasks, workers):
+    """`[fn(*task) for task in tasks]`, on `workers` spawn processes when
+    there are at least two. Each worker is pinned to one OpenBLAS thread
+    (unpinned, the workers' thread pools oversubscribe the cores and the
+    grid runs slower than serially) and, like pytest's own process, turns a
+    RuntimeWarning into an error, which the pool re-raises here."""
+    if workers < 2:
+        return [fn(*task) for task in tasks]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("OPENBLAS_NUM_THREADS", "1")  # read by each worker at start-up
+        with multiprocessing.get_context("spawn").Pool(
+            workers, initializer=warnings.simplefilter, initargs=("error", RuntimeWarning)
+        ) as pool:
+            return pool.starmap(fn, tasks, chunksize=1)
+
+
 @pytest.fixture(scope="module")
 def hard_runs():
     """Per-seed ablation grid on the harder dataset. The 18 independent
-    trainings run on two spawn workers when two CPUs are available, each
-    worker pinned to one OpenBLAS thread: unpinned, the two workers'
-    thread pools oversubscribe the cores and the grid runs slower than
-    serially. The mAPs are bit-identical to a serial run's."""
+    trainings run on two workers when two CPUs are available; the mAPs are
+    bit-identical to a serial run's."""
     tasks = [(seed, name) for seed in (0, 1, 2) for name in HARD_ABLATIONS]
-    if len(os.sched_getaffinity(0)) < 2:
-        final_maps = [hard_run_map(*task) for task in tasks]
-    else:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setenv("OPENBLAS_NUM_THREADS", "1")  # read by each worker at start-up
-            with multiprocessing.get_context("spawn").Pool(2) as pool:
-                final_maps = pool.starmap(hard_run_map, tasks, chunksize=1)
+    final_maps = starmap_on_workers(hard_run_map, tasks, min(2, usable_cpus()))
     out = {seed: {} for seed in (0, 1, 2)}
     for (seed, name), final_map in zip(tasks, final_maps):
         out[seed][name] = final_map
@@ -315,6 +330,18 @@ def test_criterion_07_ablation_ordering(hard_runs):
         )
     ok = order_hits >= 2 and quant_ok
     verdict(7, ok, f"ordering holds in {order_hits}/3 seeds (need >=2); " + "; ".join(detail))
+
+
+def divide_by_zero(x):
+    return float(np.float64(x) / np.float64(0.0))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_runtime_warning_in_the_grid_fails_it(workers):
+    """The ablation grid is held to the same warnings rule on both paths:
+    a spawned worker does not inherit pytest's filters."""
+    with pytest.raises(RuntimeWarning, match="divide by zero"):
+        starmap_on_workers(divide_by_zero, [(1.0,), (2.0,)], workers)
 
 
 # ---- 8. curve shapes -------------------------------------------------------------
