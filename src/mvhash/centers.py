@@ -122,6 +122,8 @@ def generate_centers(num_classes: int, code_length: int, seed: int) -> HashCente
         raise InvalidArgument(f"code_length must be >= 2, got {k}")
     if k < 63 and v > 2**k:
         raise CapacityError(f"{v} classes need more than the 2^{k} distinct codes available")
+    if not 0 <= seed < 2**64:  # checked before any center is drawn
+        raise InvalidArgument(f"seed {seed} is outside [0, 2^64)")
 
     rng = np.random.default_rng(seed)
     base = np.empty((0, k), dtype=np.int8)

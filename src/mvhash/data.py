@@ -69,6 +69,8 @@ class SynthSpec:
             raise InvalidArgument("cross_view_consistency must be in [0, 1]")
         if self.prototype_scale <= 0:
             raise InvalidArgument("prototype_scale must be > 0")
+        if self.seed < 0:
+            raise InvalidArgument(f"seed must be >= 0, got {self.seed}")
 
 
 def make_synthetic(spec: SynthSpec) -> MultiViewDataset:

@@ -104,8 +104,12 @@ def load_json_object(path) -> dict:
 def _atomic_write(path, data: bytes):
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    tmp.replace(path)
+    try:
+        tmp.write_bytes(data)
+        tmp.replace(path)
+    except BaseException:  # a partial write must not outlive the failure
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # ---- CSHC: hash centers ----

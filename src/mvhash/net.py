@@ -123,8 +123,9 @@ class ModelParams:
 
 def init_params(dims: Dims, seed: int, fusion: str = "gmu") -> ModelParams:
     """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights, zero biases."""
-    rng = np.random.default_rng(seed)
+    # ModelParams rejects a seed outside [0, 2^64), so it is built before any draw
     params = ModelParams(dims, int(seed), np.zeros(dims.param_count()), fusion)
+    rng = np.random.default_rng(seed)
     for name, block in params.blocks().items():
         if name.startswith("W_"):  # drawn in PARAM_NAMES order
             bound = 1.0 / np.sqrt(block.shape[1])

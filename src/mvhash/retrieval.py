@@ -136,8 +136,8 @@ class RetrievalIndex:
         """Hamming distance to every row, as np.min_scalar_type(K), in row-major chunks.
 
         Per chunk: XOR the flat word stream with the query words tiled to the
-        chunk, popcount through a transposed view into W contiguous uint8 lanes,
-        then sum the lanes with contiguous adds.
+        chunk (the one word broadcast at W = 1), popcount through a transposed
+        view into W contiguous uint8 lanes, then sum the lanes with contiguous adds.
         """
         q = np.asarray(query_code).ravel()
         if q.shape[0] != self.code_length:
@@ -148,7 +148,8 @@ class RetrievalIndex:
         w = qw.size
         words = self._words.reshape(-1)
         rows = min(self.size, max(1, _CHUNK_WORDS // w))
-        tiled = np.tile(qw, rows)
+        # at W = 1, tiled[:m] is the one query word, broadcast over the chunk
+        tiled = np.tile(qw, rows) if w > 1 else qw
         xor = np.empty(rows * w, dtype=np.uint64)
         lanes = np.empty((w, rows), dtype=np.uint8)
         dist = np.empty(self.size, dtype=np.min_scalar_type(self.code_length))
@@ -175,13 +176,17 @@ class RetrievalIndex:
         d = self._scan(query_code)
         if k < self.size:
             # guess the k-th smallest distance t at rank ceil(k |sample| / size)
-            # of a strided sample. If fewer than k rows reach it, take the exact
-            # k-th from a stable sort: a radix sort of the narrow distances,
-            # O(size) on any CPU, where np.partition of uint8 took 2-4x as long.
-            # Ascending-id candidates d <= t + a stable sort = the (distance, id) tie rule.
+            # of a strided sample. If fewer than k rows reach it, filter once more
+            # at the next larger sampled distance; if there is none, or that too
+            # under-shoots, take the exact k-th from a stable sort: a radix sort
+            # of the narrow distances, O(size) on any CPU, where np.partition of
+            # uint8 took 2-4x as long. Ascending-id candidates d <= t + a stable
+            # sort = the (distance, id) tie rule.
             sample = np.sort(d[::_SAMPLE_STRIDE])
             t = sample[-(-k * sample.size // self.size) - 1]
             cand = np.flatnonzero(d <= t)
+            if cand.size < k and t < sample[-1]:
+                cand = np.flatnonzero(d <= sample[np.searchsorted(sample, t, side="right")])
             if cand.size < k:
                 cand = np.flatnonzero(d <= np.sort(d, kind="stable")[k - 1])
             d = d[cand]
@@ -197,7 +202,13 @@ def relevance(query_label: np.ndarray, index: RetrievalIndex) -> np.ndarray:
     q = np.asarray(query_label).ravel()
     if q.shape[0] != index.labels.shape[1]:
         raise InvalidArgument(f"query has {q.shape[0]} classes, index {index.labels.shape[1]}")
-    return index._by_class[np.flatnonzero(q)].any(axis=0)
+    active = np.flatnonzero(q)
+    if not active.size:
+        return np.zeros(index.size, dtype=bool)
+    mask = index._by_class[active[0]].copy()
+    for c in active[1:]:
+        mask |= index._by_class[c]
+    return mask
 
 
 def _ranked_relevance(query_label, ids, index) -> tuple[np.ndarray, int]:
@@ -285,7 +296,7 @@ def curves(
         raise InvalidArgument("k_grid must be strictly increasing")
     qc, ql = _query_rows(query_codes, query_labels)
     caps = [min(k, index.size) for k in ks]
-    aps, recalls = np.zeros((2, len(ks), qc.shape[0]))
+    aps, recalls = scores = np.zeros((2, len(ks), qc.shape[0]))
     for j, (code, label) in enumerate(zip(qc, ql)):
         rel, m = _ranked_relevance(label, index.query_topk(code, max(caps)).ids, index)
         if m == 0:
@@ -294,7 +305,7 @@ def curves(
         for i, cap in enumerate(caps):
             aps[i, j] = np.sum(terms[:cap]) / m
             recalls[i, j] = int(hits[cap - 1]) / m
-    return [(k, float(np.mean(a)), float(np.mean(r))) for k, a, r in zip(ks, aps, recalls)]
+    return [(k, float(a), float(r)) for k, a, r in zip(ks, *scores.mean(axis=-1))]
 
 
 def random_ranking_map(

@@ -49,6 +49,8 @@ class TrainConfig:
             raise InvalidArgument(f"unknown loss mode {self.loss_mode!r}")
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise InvalidArgument(f"lambda (lam) must be finite and >= 0: {self.lam}")
+        if self.seed < 0:
+            raise InvalidArgument(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -221,13 +221,18 @@ def test_min_pairwise_distance_needs_two():
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
-def test_center_seed_outside_u64_rejected(seed):
+def test_center_seed_outside_u64_rejected(seed, monkeypatch):
     with pytest.raises(InvalidArgument, match=rf"^seed {seed} is outside \[0, 2\^64\)$"):
         C.HashCenterSet(centers=np.ones((1, 4), dtype=np.int8), code_length=4,
                         num_classes=1, method=C.METHOD_HADAMARD, seed=seed)
-    if seed >= 0:  # default_rng refuses a negative seed first
-        with pytest.raises(InvalidArgument, match="outside"):
-            C.generate_centers(4, 8, seed)
+
+    def no_draw(*args):
+        raise AssertionError("a center was drawn before the seed was checked")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    for v, k in ((4, 8), (3, 37)):  # Hadamard, Bernoulli
+        with pytest.raises(InvalidArgument, match=rf"^seed {seed} is outside \[0, 2\^64\)$"):
+            C.generate_centers(v, k, seed)
 
 
 def test_semantic_center_single_label():

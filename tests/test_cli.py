@@ -342,6 +342,26 @@ def test_train_rejects_bad_numbers_before_training(pipeline, tmp_path, capsys, f
     assert not out.exists() and not log.exists()
 
 
+@pytest.mark.parametrize("stage, message", [
+    ("centers", "seed -1 is outside [0, 2^64)"),
+    ("synth", "seed must be >= 0, got -1"),
+    ("train", "seed must be >= 0, got -1"),
+])
+def test_negative_seed_exits_one_naming_the_seed(pipeline, tmp_path, capsys, stage, message):
+    data = pipeline / "data"
+    argv = {
+        "centers": ["--classes", "4", "--bits", "8", "--out", str(tmp_path / "c.cshc")],
+        "synth": ["--out-dir", str(tmp_path / "data")],
+        "train": ["--image-features", str(data / "image_features.csft"),
+                  "--text-features", str(data / "text_features.csft"),
+                  "--labels", str(data / "labels.cslb"), "--splits", str(data / "splits.json"),
+                  "--centers", str(pipeline / "centers.cshc"), "--out", str(tmp_path / "m.csmv")],
+    }[stage]
+    assert run(stage, *argv, "--seed", "-1") == 1
+    assert capsys.readouterr().err == f"error [errors.InvalidArgument]: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_conflicting_ablation_flags(tmp_path):
     assert run("train", "--image-features", "x", "--text-features", "x",
                "--labels", "x", "--splits", "x", "--centers", "x",

@@ -16,6 +16,13 @@ def test_spec_validation():
                   cross_view_consistency=1.5)
 
 
+def test_spec_rejects_a_negative_seed_and_keeps_a_large_one():
+    with pytest.raises(InvalidArgument, match="^seed must be >= 0, got -1$"):
+        SynthSpec(3, 10, 4, 4, seed=-1)
+    # only np.random.default_rng reads the seed, and it takes any integer >= 0
+    assert len(make_synthetic(SynthSpec(3, 10, 4, 4, seed=2**64))) == 30
+
+
 def test_synthetic_deterministic():
     spec = SynthSpec(5, 20, 8, 6, 0.3, 0.9, seed=7)
     a = make_synthetic(spec)

@@ -1,6 +1,8 @@
+import errno
 import hashlib
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -372,6 +374,23 @@ def test_checkpoint_seed_outside_u64_rejected(seed, fusion):
     dims = net.Dims(d_img=5, d_txt=7, d=4, code_length=37)
     with pytest.raises(InvalidArgument, match=rf"^init_seed {seed} is outside \[0, 2\^64\)$"):
         net.ModelParams(dims, seed, np.zeros(dims.param_count()), fusion)
+
+
+def test_failed_write_keeps_the_old_target_and_leaves_no_temporary_file(tmp_path, monkeypatch):
+    target = tmp_path / "x.cscd"
+    formats.save_codes(np.zeros((2, 1), dtype=np.uint8), np.ones((2, 1)), 8, target)
+    old = target.read_bytes()
+    write_bytes = Path.write_bytes
+
+    def disk_full(path, data):
+        write_bytes(path, data[:5])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_bytes", disk_full)
+    with pytest.raises(OSError, match="No space left"):
+        formats.save_codes(np.ones((3, 1), dtype=np.uint8), np.ones((3, 1)), 8, target)
+    assert target.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.cscd"]
 
 
 def test_new_weights_do_not_load_beside_a_stale_sidecar(tmp_path, monkeypatch):

@@ -52,6 +52,16 @@ def test_init_biases_zero_and_scale():
     assert abs(p.W_i.std() - expected) / expected < 0.2
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_init_rejects_a_seed_outside_u64_before_drawing(seed, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("weights were drawn before the seed was checked")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(InvalidArgument, match=rf"^init_seed {seed} is outside \[0, 2\^64\)$"):
+        net.init_params(SMALL, seed)
+
+
 def test_init_rejects_bad_dims():
     with pytest.raises(InvalidArgument):
         net.Dims(0, 8, 6, 4)

@@ -368,7 +368,7 @@ def tied_multilabel_index(rng, n, k, v):
 
 
 @pytest.mark.parametrize("v", [5, 300])
-@pytest.mark.parametrize("k", [8, 37, 63, 64, 65, 128, 256])
+@pytest.mark.parametrize("k", [1, 3, 7, 8, 37, 63, 64, 65, 128, 256])
 def test_ranked_pass_matches_oracle_and_seed_formulas(k, v):
     rng = np.random.default_rng(1000 + k + v)
     n = 90
@@ -409,6 +409,36 @@ def test_ranked_pass_reads_relevance_once_per_query(monkeypatch):
     calls.clear()
     R.mean_average_precision(codes[:5], labels[:5], index)
     assert len(calls) == 5
+
+
+@pytest.mark.parametrize("active", [[0, 3], [1, 2, 4]])
+def test_relevance_never_writes_into_the_index(active):
+    rng = np.random.default_rng(17)
+    codes, labels, index = _make_index(rng, n=50, v=5)
+    by_class, stored = index._by_class.tobytes(), index.labels.tobytes()
+    query = np.zeros(5, dtype=np.uint8)
+    query[active] = 1
+    assert R.relevance(query, index).tolist() == (labels[:, active] != 0).any(axis=1).tolist()
+    R.mean_average_precision(codes[:1], query[None], index)
+    R.curves(codes[:1], query[None], index, [1, 10, 50])
+    assert index._by_class.tobytes() == by_class and index.labels.tobytes() == stored
+    for c in range(5):
+        single = np.eye(5, dtype=np.uint8)[c]
+        assert R.relevance(single, index).tolist() == (labels[:, c] != 0).tolist()
+
+
+@pytest.mark.parametrize("q", [1, 7, 8, 9, 129, 300])
+def test_curve_means_equal_per_k_np_mean(q):
+    rng = np.random.default_rng(18 + q)
+    codes, labels, index = tied_multilabel_index(rng, 120, 37, 5)
+    q_codes, q_labels = random_codes(rng, q, 37), labels[rng.integers(0, 120, size=q)]
+    grid = [1, 5, 17, 60, 120, 130]
+    per_query = [R.curves(c[None], lab[None], index, grid) for c, lab in zip(q_codes, q_labels)]
+    got = R.curves(q_codes, q_labels, index, grid)
+    for i, (k, ap, recall) in enumerate(got):
+        assert k == grid[i]
+        assert ap.hex() == float(np.mean([rows[i][1] for rows in per_query])).hex()
+        assert recall.hex() == float(np.mean([rows[i][2] for rows in per_query])).hex()
 
 
 def test_relevance_rejects_wrong_label_width():
@@ -484,7 +514,7 @@ def test_scan_kernel_matches_oracles_at_real_chunk_size(k):
 
 # ---- the sampled select and the sparse AP terms against the oracles ----
 
-SELECT_KS = [8, 37, 63, 64, 65, 128]
+SELECT_KS = [1, 3, 7, 8, 37, 63, 64, 65, 128]
 
 
 def select_case(rng, n, k, sampled):
@@ -527,9 +557,9 @@ def test_sampled_select_matches_oracle(k, monkeypatch):
         check_select(np.repeat(codes[:1], n, axis=0), query, tops)
 
 
-def test_select_sorts_every_distance_only_after_an_under_guess(monkeypatch):
+def count_full_sorts(monkeypatch, n):
+    """Sample every 4th row; the list grows by one for each np.sort of all n distances."""
     monkeypatch.setattr(R, "_SAMPLE_STRIDE", 4)
-    n, k = 41, 16  # 11 sampled rows
     full_sorts, sort = [], np.sort
 
     def counting_sort(a, *args, **kwargs):
@@ -537,12 +567,36 @@ def test_select_sorts_every_distance_only_after_an_under_guess(monkeypatch):
         return sort(a, *args, **kwargs)
 
     monkeypatch.setattr(np, "sort", counting_sort)
+    return full_sorts
+
+
+def test_select_sorts_every_distance_only_after_an_under_guess(monkeypatch):
+    n, k = 41, 16  # 11 sampled rows
+    full_sorts = count_full_sorts(monkeypatch, n)
     rng = np.random.default_rng(4200)
     tops = [1, 11, 12, 30, 40]
     check_select(*select_case(rng, n, k, k), tops)  # every row reaches t = K
     assert full_sorts == []
     check_select(*select_case(rng, n, k, 0), tops)  # only the 11 sampled rows reach t = 0
     assert len(full_sorts) == 3
+
+
+@pytest.mark.parametrize("sampled, top, full_sorts", [
+    ([0] * 5 + [16] * 6, 8, 0),  # t = 0 holds 5 rows, the next sampled distance 16 at least 11
+    ([0] * 5 + [1] * 6, 12, 1),  # the next sampled distance, 1, holds only the 11 sampled rows
+    ([0] * 11, 12, 1),           # no sampled distance above t = 0
+])
+@pytest.mark.parametrize("k", [16, 65])
+def test_select_filters_once_more_before_sorting_every_distance(k, sampled, top, full_sorts,
+                                                                 monkeypatch):
+    n = 41  # 11 sampled rows; a top-8 or top-12 guesses t at sample rank 2 or 3, distance 0
+    sorts = count_full_sorts(monkeypatch, n)
+    codes, query = select_case(np.random.default_rng(4300 + k), n, k, k)
+    for row, dist in zip(range(0, n, 4), sampled):
+        codes[row] = np.where(np.arange(k) < dist, -query, query)
+    assert sorted(scan_distances(query, codes))[top - 1] > 1  # < top rows within distance 1
+    check_select(codes, query, [top])
+    assert len(sorts) == full_sorts
 
 
 @pytest.mark.parametrize("k", [8, 128])

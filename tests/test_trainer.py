@@ -192,6 +192,13 @@ def test_config_rejects_bad_numbers(field, value, name):
         trainer.TrainConfig(**{field: value})
 
 
+def test_config_rejects_a_negative_seed_and_keeps_a_large_one():
+    with pytest.raises(InvalidArgument, match="^seed must be >= 0, got -1$"):
+        trainer.TrainConfig(seed=-1)
+    # default_rng and the tie coins take any integer >= 0; init_params gets a draw < 2^63
+    assert trainer.TrainConfig(seed=2**64).seed == 2**64
+
+
 def test_config_keeps_large_finite_learning_rate():
     assert trainer.TrainConfig(learning_rate=1e307).learning_rate == 1e307
 
