@@ -63,12 +63,12 @@ class SynthSpec:
             raise InvalidArgument("need at least 2 classes")
         if self.samples_per_class < 1 or self.d_img < 1 or self.d_txt < 1:
             raise InvalidArgument("counts and dims must be >= 1")
-        if self.cluster_spread <= 0:
-            raise InvalidArgument("cluster_spread must be > 0")
+        if not 0 < self.cluster_spread < np.inf:  # NaN fails both comparisons
+            raise InvalidArgument(f"cluster_spread must be finite and > 0: {self.cluster_spread}")
         if not 0.0 <= self.cross_view_consistency <= 1.0:
             raise InvalidArgument("cross_view_consistency must be in [0, 1]")
-        if self.prototype_scale <= 0:
-            raise InvalidArgument("prototype_scale must be > 0")
+        if not 0 < self.prototype_scale < np.inf:
+            raise InvalidArgument(f"prototype_scale must be finite and > 0: {self.prototype_scale}")
         if self.seed < 0:
             raise InvalidArgument(f"seed must be >= 0, got {self.seed}")
 

@@ -146,7 +146,11 @@ def load_centers(path) -> centers_mod.HashCenterSet:
 # ---- CSFT: feature matrices ----
 
 def save_features(matrix: np.ndarray, path) -> None:
-    m = np.ascontiguousarray(np.atleast_2d(matrix), dtype="<f4")
+    with np.errstate(over="ignore"):  # an overflow casts to inf, which is refused below
+        m = np.ascontiguousarray(np.atleast_2d(matrix), dtype="<f4")
+    bad = np.argwhere(~np.isfinite(m))
+    if len(bad):
+        raise InvalidArgument(f"{path}: non-finite float32 at row {bad[0][0]}, column {bad[0][1]}")
     head = struct.pack("<4sIII", b"CSFT", 1, m.shape[0], m.shape[1])
     _atomic_write(path, head + m.tobytes())
 

@@ -362,6 +362,19 @@ def test_negative_seed_exits_one_naming_the_seed(pipeline, tmp_path, capsys, sta
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--sigma", "nan", "cluster_spread must be finite and > 0: nan"),
+    ("--proto-scale", "inf", "prototype_scale must be finite and > 0: inf"),
+    # finite as float64, but image features past the largest float32
+    ("--sigma", "1e39", "image_features.csft: non-finite float32 at row 0, column 0"),
+])
+def test_synth_refuses_features_its_loader_would_refuse(tmp_path, capsys, flag, value, message):
+    assert run("synth", "--out-dir", str(tmp_path / "data"), flag, value) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [errors.InvalidArgument]: ") and err.endswith(message + "\n")
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+
+
 def test_conflicting_ablation_flags(tmp_path):
     assert run("train", "--image-features", "x", "--text-features", "x",
                "--labels", "x", "--splits", "x", "--centers", "x",

@@ -16,6 +16,13 @@ def test_spec_validation():
                   cross_view_consistency=1.5)
 
 
+@pytest.mark.parametrize("field", ["cluster_spread", "prototype_scale"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_spec_rejects_a_spread_or_scale_that_is_not_finite_and_positive(field, value):
+    with pytest.raises(InvalidArgument, match=rf"^{field} must be finite and > 0: "):
+        SynthSpec(3, 10, 4, 4, **{field: value})
+
+
 def test_spec_rejects_a_negative_seed_and_keeps_a_large_one():
     with pytest.raises(InvalidArgument, match="^seed must be >= 0, got -1$"):
         SynthSpec(3, 10, 4, 4, seed=-1)

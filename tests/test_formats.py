@@ -78,13 +78,32 @@ def test_features_reject_non_finite_value(tmp_path, row, col, value):
     m[row, col] = value
     m[3, 4] = value  # only the first bad cell is named
     path = tmp_path / "f.csft"
-    formats.save_features(m, path)
+    # written by hand: save_features refuses such a matrix
+    path.write_bytes(struct.pack("<4sIII", b"CSFT", 1, 4, 5) + m.astype("<f4").tobytes())
     offset = 16 + 4 * (row * 5 + col)
     assert np.isnan(np.frombuffer(path.read_bytes()[offset:offset + 4], "<f4")[0]) \
         == np.isnan(value)
     with pytest.raises(FormatError, match=rf"f\.csft: non-finite feature at row {row}, "
                                           rf"column {col}, byte offset {offset}$"):
         formats.load_features(path)
+
+
+@pytest.mark.parametrize("row, col, value", [(1, 2, np.nan), (0, 0, np.inf), (3, 4, -np.inf),
+                                             (2, 1, 1e39), (0, 3, -3.5e38)])
+def test_save_features_refuses_what_the_loader_refuses(tmp_path, row, col, value):
+    # 1e39 and -3.5e38 are finite as float64 and overflow the float32 cast, with no warning
+    m = np.arange(20, dtype=np.float64).reshape(4, 5)
+    m[row, col] = value
+    m[3, 4] = np.nan  # only the first bad cell is named
+    path = tmp_path / "f.csft"
+    with pytest.raises(InvalidArgument, match=rf"f\.csft: non-finite float32 at row {row}, "
+                                              rf"column {col}$"):
+        formats.save_features(m, path)
+    assert list(tmp_path.iterdir()) == []
+    m[row, col] = 3.4e38  # the largest float32 is about 3.4028e38
+    m[3, 4] = 0.0
+    formats.save_features(m, path)
+    assert (formats.load_features(path) == m.astype(np.float32)).all()
 
 
 def test_labels_roundtrip(tmp_path):

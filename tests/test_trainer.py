@@ -1,3 +1,7 @@
+import sys
+import threading
+import types
+
 import numpy as np
 import pytest
 
@@ -131,21 +135,147 @@ def test_blocks_are_views_of_flat_after_init_and_train():
     assert_views(report.params)
 
 
-@pytest.mark.parametrize("rows", ["1d", 1, "R-1", "R", "R+1", "2R+3"])
-def test_encode_in_row_blocks_equals_one_forward(rows):
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _blas_env(monkeypatch, cpus, **pins):
+    """Pins the BLAS thread variables (the others unset) and the usable CPU count."""
+    for var in BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in pins.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(trainer.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def _watch_threads(monkeypatch, parties):
+    """Wraps net.forward so that each thread's first call waits until `parties`
+    threads have made one, and records the helper threads that encode starts.
+    Returns (the calling thread of every forward call, the helpers started)."""
+    calls, helpers = [], []
+    barrier, forward = threading.Barrier(parties, timeout=20), net.forward
+
+    class Helper(threading.Thread):
+        def start(self):
+            helpers.append(self)
+            super().start()
+
+    def counted(*args, **kwargs):
+        first = threading.get_ident() not in calls
+        calls.append(threading.get_ident())
+        if first:
+            barrier.wait()  # breaks, and encode raises, unless exactly `parties` threads run
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(net, "forward", counted)
+    monkeypatch.setattr(trainer, "threading", types.SimpleNamespace(Thread=Helper))
+    return calls, helpers
+
+
+@pytest.mark.parametrize("rows", ["1d", 0, 1, "R-1", "R", "R+1", "2R+3", "5R"])
+def test_encode_in_row_blocks_equals_one_forward(rows, monkeypatch):
     R = trainer._ENCODE_ROWS
-    n = {"1d": 1, "R-1": R - 1, "R": R, "R+1": R + 1, "2R+3": 2 * R + 3}.get(rows, rows)
+    n = {"1d": 1, "R-1": R - 1, "R": R, "R+1": R + 1, "2R+3": 2 * R + 3, "5R": 5 * R}.get(rows, rows)
     dims = net.Dims(d_img=8, d_txt=8, d=6, code_length=37)
     rng = np.random.default_rng(6)
     img, txt = rng.normal(size=(n, 8)), rng.normal(size=(n, 8))
     if rows == "1d":
         img, txt = img[0], txt[0]
+    blocks = max(1, -(-n // R))
+    threads_before = threading.active_count()
     for fusion in ("gmu", "concat"):
         p = net.init_params(dims, seed=5, fusion=fusion)
         want = net.binarize(net.forward(p, img, txt)[0])
-        got = trainer.encode(p, img, txt)
-        assert got.dtype == np.int8 and got.shape == (n, 37)
-        assert (got == want).all()
+        serial = [net.binarize(net.forward(p, np.atleast_2d(img)[s:s + R],
+                                           np.atleast_2d(txt)[s:s + R])[0])
+                  for s in range(0, max(n, 1), R)]
+        assert (np.concatenate(serial) == want).all()
+        for cpus in (1, 2, 3):
+            for pinned in (True, False):
+                with monkeypatch.context() as m:
+                    _blas_env(m, cpus, **({"OPENBLAS_NUM_THREADS": "1"} if pinned else {}))
+                    threads = min(cpus, blocks) if pinned else 1
+                    calls, helpers = _watch_threads(m, threads)
+                    got = trainer.encode(p, img, txt)
+                assert len(helpers) == threads - 1 and len(set(calls)) == threads
+                assert len(calls) == blocks
+                assert got.dtype == np.int8 and got.shape == (n, 37)
+                assert (got == want).all()
+                assert threading.active_count() == threads_before
+
+
+@pytest.mark.parametrize("pins, threads", [
+    ({}, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 3),
+    ({"GOTO_NUM_THREADS": "1"}, 3),
+    ({"OMP_NUM_THREADS": "1"}, 3),
+    ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "1"}, 3),  # empty reads as unset
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),  # the first one set decides
+    ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 3),
+    ({"OMP_NUM_THREADS": "4"}, 1),
+])
+def test_encode_uses_every_cpu_only_under_a_one_thread_blas(monkeypatch, pins, threads):
+    R = trainer._ENCODE_ROWS
+    p = net.init_params(SMALL, seed=0)
+    x = np.random.default_rng(1).normal(size=(3 * R, 8))
+    want = trainer.encode(p, x, x)
+    _blas_env(monkeypatch, 3, **pins)
+    calls, helpers = _watch_threads(monkeypatch, threads)
+    assert (trainer.encode(p, x, x) == want).all()
+    assert len(helpers) == threads - 1 and len(set(calls)) == threads
+
+
+def test_encode_takes_each_block_once_with_more_threads_than_cores(monkeypatch):
+    R = trainer._ENCODE_ROWS
+    p = net.init_params(SMALL, seed=0)
+    x = np.random.default_rng(3).normal(size=(40 * R + 5, 8))
+    _blas_env(monkeypatch, 8)
+    want = trainer.encode(p, x, x)
+    _blas_env(monkeypatch, 8, OPENBLAS_NUM_THREADS="1")
+    calls, helpers = _watch_threads(monkeypatch, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        got = trainer.encode(p, x, x)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(helpers) == 7 and not any(h.is_alive() for h in helpers)
+    assert len(set(calls)) == 8 and len(calls) == 41  # each block taken exactly once
+    assert (got == want).all()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("pinned", [True, False])
+def test_encode_raises_the_first_failing_block_error(monkeypatch, cpus, pinned):
+    R = trainer._ENCODE_ROWS
+    p = net.init_params(SMALL, seed=0)
+    rng = np.random.default_rng(2)
+    img, txt = rng.normal(size=(5 * R, 8)), rng.normal(size=(5 * R, 8))
+    img[4 * R + 7, 3] = np.inf  # the last block
+    txt[3 * R + 1, 0] = np.nan  # an earlier block, with its own message
+    with pytest.raises(InvalidArgument) as serial:
+        net.forward(p, img[3 * R:4 * R], txt[3 * R:4 * R])
+    assert str(serial.value) == "text features contains NaN/Inf"
+    _blas_env(monkeypatch, cpus, **({"OPENBLAS_NUM_THREADS": "1"} if pinned else {}))
+    threads_before = threading.active_count()
+    for _ in range(3):
+        with pytest.raises(InvalidArgument) as got:
+            trainer.encode(p, img, txt)
+        assert str(got.value) == str(serial.value)
+        assert threading.active_count() == threads_before
+    img[3 * R + 1], txt[3 * R + 1] = 0.0, 0.0  # now only the last block fails, on its image
+    with pytest.raises(InvalidArgument, match="^image features contains NaN/Inf$"):
+        trainer.encode(p, img, txt)
+    assert threading.active_count() == threads_before
+    # both blocks of 2R rows fail, and with two threads both are in flight at once
+    img, txt = img[:2 * R], txt[:2 * R]
+    img[R + 5, 0], txt[2] = np.inf, np.nan
+    threads = min(cpus, 2) if pinned else 1
+    calls, helpers = _watch_threads(monkeypatch, threads)
+    with pytest.raises(InvalidArgument, match="^text features contains NaN/Inf$"):
+        trainer.encode(p, img, txt)
+    assert len(helpers) == threads - 1 and len(set(calls)) == threads
+    assert len(calls) == threads  # a serial encode stops at the failed block
+    assert threading.active_count() == threads_before
 
 
 def test_encode_checks_row_counts_and_widths():
