@@ -21,7 +21,7 @@ variants = [
     ("concatenation fusion", {"fusion": "concat"}),
     ("image view only", {"fusion": "image"}),
     ("text view only", {"fusion": "text"}),
-    ("central loss only", {"loss_mode": "central"}),
+    ("central loss only", {"lam": 0.0}),
     ("quantization loss only", {"loss_mode": "quant"}),
 ]
 

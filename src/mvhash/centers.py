@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, GenerationFailure, InvalidArgument
+from .retrieval import _integer
 
 MAX_RETRIES_PER_CENTER = 1000
 
@@ -115,7 +116,8 @@ def generate_centers(num_classes: int, code_length: int, seed: int) -> HashCente
     matrix over its negation; any surplus (or all centers when K is not a
     power of two) is Bernoulli-sampled under the acceptance rule.
     """
-    v, k = int(num_classes), int(code_length)
+    v, k = _integer(num_classes, "num_classes"), _integer(code_length, "code_length")
+    seed = _integer(seed, "seed")
     if v < 1:
         raise InvalidArgument(f"num_classes must be >= 1, got {v}")
     if k < 2:
@@ -130,17 +132,14 @@ def generate_centers(num_classes: int, code_length: int, seed: int) -> HashCente
     if (k & (k - 1)) == 0:
         h = sylvester_hadamard(k)
         base = np.vstack([h, -h])[:v]
-    out = HashCenterSet(
+    return HashCenterSet(
         centers=_sample_bernoulli_centers(base, v - len(base), k, rng).astype(np.int8),
         code_length=k,
         num_classes=v,
         method=METHOD_HADAMARD if len(base) == v
         else METHOD_HADAMARD_PLUS_BERNOULLI if len(base) else METHOD_BERNOULLI,
-        seed=int(seed),
+        seed=seed,
     )
-    if v >= 2 and out.mean_pairwise_inner() > 0:
-        raise GenerationFailure("generated set has positive mean pairwise inner product")
-    return out
 
 
 # numpy.random.SeedSequence: a pool of 4 uint32 words mixed with these

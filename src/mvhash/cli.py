@@ -10,7 +10,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -20,7 +19,6 @@ from . import __version__, centers as centers_mod, formats, retrieval, trainer
 from .data import MultiViewDataset, SynthSpec, make_synthetic
 from .errors import FormatError, InvalidArgument
 
-SEED_ENV = "MVHASH_SEED"
 # dests of the file arguments a manifest records as inputs, when the stage was given them
 _INPUTS = ("checkpoint", "image_features", "text_features", "labels", "splits", "centers",
            "codes", "queries")
@@ -197,9 +195,9 @@ def _load_index_and_queries(args):
 def cmd_index(args):
     index = _load_index(args.codes)
     counts = index.labels.sum(axis=0)
-    print(f"{args.codes}: R={index.size} K={index.code_length} "
-          f"classes={index.labels.shape[1]} "
-          f"label_counts=[{counts.min()}..{counts.max()}]")
+    span = f"{counts.min()}..{counts.max()}" if counts.size else ""  # a file may hold no classes
+    print(f"{args.codes}: R={index.size} K={index.code_length} classes={counts.size} "
+          f"label_counts=[{span}]")
 
 
 def cmd_query(args):
@@ -241,14 +239,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "Hamming retrieval, and evaluation.",
     )
     p.add_argument("--version", action="version", version=f"mvhash {__version__}")
-    # a string default: argparse converts it with type=int only when --seed is left out
-    seed = os.environ.get(SEED_ENV, "0")
+    # train and synth flags default to their dataclass fields
+    cfg, spec = trainer.TrainConfig, SynthSpec
     sub = p.add_subparsers(dest="subcommand", required=True)
 
     c = sub.add_parser("centers", help="generate hash centers (CSHC file)")
     c.add_argument("--classes", type=int, required=True)
     c.add_argument("--bits", type=int, required=True)
-    c.add_argument("--seed", type=int, default=seed)
+    c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out", required=True)
     c.set_defaults(func=cmd_centers)
 
@@ -257,10 +255,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--per-class", dest="samples_per_class", type=int, default=100)
     s.add_argument("--d-img", type=int, default=64)
     s.add_argument("--d-txt", type=int, default=64)
-    s.add_argument("--sigma", dest="cluster_spread", type=float, default=0.3)
-    s.add_argument("--consistency", dest="cross_view_consistency", type=float, default=0.9)
-    s.add_argument("--proto-scale", dest="prototype_scale", type=float, default=0.16)
-    s.add_argument("--seed", type=int, default=seed)
+    s.add_argument("--sigma", dest="cluster_spread", type=float, default=spec.cluster_spread)
+    s.add_argument("--consistency", dest="cross_view_consistency", type=float,
+                   default=spec.cross_view_consistency)
+    s.add_argument("--proto-scale", dest="prototype_scale", type=float,
+                   default=spec.prototype_scale)
+    s.add_argument("--seed", type=int, default=spec.seed)
     s.add_argument("--out-dir", required=True)
     s.set_defaults(func=cmd_synth)
 
@@ -272,20 +272,18 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--centers", required=True)
     t.add_argument("--out", required=True)
     t.add_argument("--log-csv")
-    t.add_argument("--epochs", type=int, default=100)
-    t.add_argument("--batch-size", type=int, default=64)
-    t.add_argument("--learning-rate", type=float, default=1e-3)
-    t.add_argument("--beta1", type=float, default=0.9)
-    t.add_argument("--beta2", type=float, default=0.999)
-    t.add_argument("--adam-epsilon", type=float, default=1e-8)
-    t.add_argument("--lam", type=float, default=0.25)
-    t.add_argument("--dropout", dest="dropout_p", type=float, default=0.1)
-    t.add_argument("--hidden-dim", type=int, default=84)
-    t.add_argument("--eval-every", type=int, default=0)
-    t.add_argument("--seed", type=int, default=seed)
+    t.add_argument("--epochs", type=int, default=cfg.epochs)
+    t.add_argument("--batch-size", type=int, default=cfg.batch_size)
+    t.add_argument("--learning-rate", type=float, default=cfg.learning_rate)
+    t.add_argument("--beta1", type=float, default=cfg.adam_betas[0])
+    t.add_argument("--beta2", type=float, default=cfg.adam_betas[1])
+    t.add_argument("--adam-epsilon", type=float, default=cfg.adam_epsilon)
+    t.add_argument("--lam", type=float, default=cfg.lam, help="0 drops the quantization loss")
+    t.add_argument("--dropout", dest="dropout_p", type=float, default=cfg.dropout_p)
+    t.add_argument("--hidden-dim", type=int, default=trainer.DEFAULT_HIDDEN_DIM)
+    t.add_argument("--eval-every", type=int, default=cfg.eval_every)
+    t.add_argument("--seed", type=int, default=cfg.seed)
     ab = t.add_mutually_exclusive_group()
-    ab.add_argument("--central-only", dest="loss_mode", action="store_const", const="central",
-                    help="drop the quantization loss (lambda = 0)")
     ab.add_argument("--quant-only", dest="loss_mode", action="store_const", const="quant",
                     help="drop the central-similarity loss")
     ab.add_argument("--image-only", dest="fusion", action="store_const", const="image",
@@ -294,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="force the fusion gate to 0 (text view only)")
     ab.add_argument("--concat-fusion", dest="fusion", action="store_const", const="concat",
                     help="replace gated fusion with concatenation + linear map")
-    t.set_defaults(func=cmd_train, fusion="gmu", loss_mode="full")
+    t.set_defaults(func=cmd_train, fusion=cfg.fusion, loss_mode=cfg.loss_mode)
 
     e = sub.add_parser("encode", help="binarize a dataset with a checkpoint (CSCD file)")
     e.add_argument("--checkpoint", required=True)

@@ -54,7 +54,7 @@ class SynthSpec:
     d_img: int
     d_txt: int
     cluster_spread: float = 0.3      # Gaussian sigma around each prototype
-    cross_view_consistency: float = 1.0  # P(text view drawn from the right class)
+    cross_view_consistency: float = 0.9  # P(text view drawn from the right class)
     seed: int = 0
     prototype_scale: float = 0.16    # std of prototype coordinates; sets class separation
 

@@ -9,7 +9,7 @@ from .errors import InvalidArgument
 
 PROB_EPS = 1e-7  # tanh outputs can round to +-1; clamp before logs
 DEFAULT_LAMBDA = 0.25
-LOSS_MODES = ("full", "central", "quant")  # central: lam = 0; quant: BCE removed
+LOSS_MODES = ("full", "quant")  # quant: BCE removed; lam = 0 is central-only
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,7 @@ def total_loss(
 ) -> tuple[LossReport, np.ndarray]:
     """L_total = L_central + lam * L_quant, with the combined gradient.
 
-    mode "central" uses lam = 0 (l_quant is still reported); "quant" drops the
-    BCE term: L_total = L_quant and L_central is reported as 0.
+    mode "quant" drops the BCE term: L_total = L_quant and L_central is reported as 0.
     """
     if mode not in LOSS_MODES:
         raise InvalidArgument(f"unknown loss mode {mode!r}")
@@ -72,7 +71,5 @@ def total_loss(
     l_q, g_q = quantization_loss(he_batch)
     if mode == "quant":
         return LossReport(l_central=0.0, l_quant=l_q, l_total=l_q), g_q
-    if mode == "central":
-        lam = 0.0
     l_c, g_c = central_similarity_loss(he_batch, center_batch)
     return LossReport(l_central=l_c, l_quant=l_q, l_total=l_c + lam * l_q), g_c + lam * g_q

@@ -15,6 +15,8 @@ from .centers import HashCenterSet, semantic_centers_for
 from .data import MultiViewDataset
 from .errors import DivergenceError, InvalidArgument, ShapeMismatch
 
+DEFAULT_HIDDEN_DIM = 84  # width d of each view's tanh tower
+
 
 @dataclass
 class TrainConfig:
@@ -28,21 +30,18 @@ class TrainConfig:
     seed: int = 0
     eval_every: int = 0          # 0 disables in-training mAP evaluation
     fusion: str = "gmu"          # gmu | image | text | concat
-    loss_mode: str = "full"      # full | central (lam=0) | quant (BCE removed)
+    loss_mode: str = "full"      # full | quant (BCE removed); lam = 0 is central-only
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise InvalidArgument("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise InvalidArgument("batch_size must be >= 1")
+        for name, least in (("epochs", 1), ("batch_size", 1), ("eval_every", 0), ("seed", 0)):
+            if retrieval._integer(getattr(self, name), name) < least:
+                raise InvalidArgument(f"{name} must be >= {least}, got {getattr(self, name)}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise InvalidArgument(f"learning_rate must be finite and > 0: {self.learning_rate}")
         if len(self.adam_betas) != 2 or not all(0.0 <= b < 1.0 for b in self.adam_betas):
             raise InvalidArgument(f"adam_betas must be two values in [0, 1): {self.adam_betas}")
         if not (math.isfinite(self.adam_epsilon) and self.adam_epsilon > 0):
             raise InvalidArgument(f"adam_epsilon must be finite and > 0: {self.adam_epsilon}")
-        if self.eval_every < 0:
-            raise InvalidArgument(f"eval_every must be >= 0 (0 disables it): {self.eval_every}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise InvalidArgument("dropout_p must be in [0, 1)")
         if self.fusion not in net.FUSION_MODES:
@@ -51,8 +50,6 @@ class TrainConfig:
             raise InvalidArgument(f"unknown loss mode {self.loss_mode!r}")
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise InvalidArgument(f"lambda (lam) must be finite and >= 0: {self.lam}")
-        if self.seed < 0:
-            raise InvalidArgument(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -183,7 +180,7 @@ def train(
     dataset: MultiViewDataset,
     centers: HashCenterSet,
     config: TrainConfig,
-    dims_hidden: int = 84,
+    dims_hidden: int = DEFAULT_HIDDEN_DIM,
     log_csv_path=None,
 ) -> TrainReport:
     """Shuffled mini-batch Adam over the train split for config.epochs epochs."""

@@ -107,6 +107,17 @@ def test_generate_rejects_bad_dims():
         C.generate_centers(4, 1, seed=0)
 
 
+def test_generate_rejects_non_integer_sizes_and_seed():
+    for args, name in [((4.7, 16, 0), "num_classes"),  # int() made 4 centers of 16 bits
+                       ((4, 16.9, 0), "code_length"),
+                       ((4, 16, 0.5), "seed"),
+                       ((4, "16", 0), "code_length")]:
+        with pytest.raises(InvalidArgument, match=rf"^{name} must be an integer, got "):
+            C.generate_centers(*args)
+    cs = C.generate_centers(np.int64(4), np.uint8(16), np.uint64(3))  # numpy integers pass
+    assert type(cs.seed) is int and (cs.num_classes, cs.code_length, cs.seed) == (4, 16, 3)
+
+
 def _oracle_bernoulli_centers(existing, count, code_length, rng):
     """The per-center acceptance loop that the one-matrix sampler replaces,
     with its inner products taken in int64."""
@@ -169,6 +180,9 @@ def test_generate_centers_matches_per_center_loop(k, seed):
             continue
         assert got.method == want[0], (v, k)
         assert got.centers.dtype == np.int8 and (got.centers == want[1]).all(), (v, k)
+        # Hadamard pairs have inner product 0 or -K, and a drawn center is kept only
+        # if its inner products with the accepted ones sum to <= 0
+        assert v < 2 or got.mean_pairwise_inner() <= 0, (v, k)
         methods.add(got.method)
     pow2 = {C.METHOD_HADAMARD, C.METHOD_HADAMARD_PLUS_BERNOULLI}
     assert methods >= (pow2 if k & (k - 1) == 0 else {C.METHOD_BERNOULLI})

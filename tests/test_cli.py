@@ -113,6 +113,13 @@ def test_index_subcommand(pipeline, capsys):
     assert "R=24" in out and "K=8" in out
 
 
+def test_index_of_a_code_file_without_label_classes(tmp_path, capsys):
+    codes = tmp_path / "c.cscd"
+    formats.save_codes(np.zeros((3, 1), dtype=np.uint8), np.zeros((3, 0)), 8, codes)
+    assert run("index", "--codes", str(codes)) == 0
+    assert capsys.readouterr().out == f"{codes}: R=3 K=8 classes=0 label_counts=[]\n"
+
+
 def test_query_subcommand(pipeline):
     out = pipeline / "query_results.csv"
     assert run("query", "--codes", str(pipeline / "retrieval.cscd"),
@@ -378,7 +385,7 @@ def test_synth_refuses_features_its_loader_would_refuse(tmp_path, capsys, flag, 
 def test_conflicting_ablation_flags(tmp_path):
     assert run("train", "--image-features", "x", "--text-features", "x",
                "--labels", "x", "--splits", "x", "--centers", "x",
-               "--out", "x", "--central-only", "--quant-only") == 2
+               "--out", "x", "--quant-only", "--image-only") == 2
 
 
 def test_missing_input_file_exits_one(tmp_path):
@@ -389,7 +396,6 @@ def test_ablation_flag_mapping():
     parser = cli.build_parser()
     for flags, fusion, loss_mode in [
         ([], "gmu", "full"),
-        (["--central-only"], "gmu", "central"),
         (["--quant-only"], "gmu", "quant"),
         (["--image-only"], "image", "full"),
         (["--text-only"], "text", "full"),
@@ -415,7 +421,7 @@ _CODES = ["--codes", "r.cscd", "--queries", "q.cscd"]
     ["centers", "--classes", "4", "--bits", "8", "--out=-x"],
     ["synth", "--out-dir", "d", "--sigma", "0.25", "--proto-scale", "1e-08"],
     _TRAIN,
-    [*_TRAIN, "--central-only"],
+    [*_TRAIN, "--lam", "0"],
     [*_TRAIN, "--quant-only", "--lam", "0.5"],
     [*_TRAIN, "--image-only", "--log-csv", "log.csv"],
     [*_TRAIN, "--text-only", "--learning-rate", "1e-08"],
@@ -426,40 +432,36 @@ _CODES = ["--codes", "r.cscd", "--queries", "q.cscd"]
     ["query", *_CODES, "--k", "5", "--out", "top.csv"],
     ["eval", *_CODES, "--r-cap", "7", "--out", "m.csv"],
     ["curves", *_CODES, "--k-grid", "10", "1", "5", "1", "--out", "c.csv"],
-], ids=["centers", "synth", "train", "central-only", "quant-only", "image-only",
+], ids=["centers", "synth", "train", "lam-0", "quant-only", "image-only",
         "text-only", "concat-fusion", "encode", "encode-split", "index", "query", "eval",
         "curves"])
-def test_argv_round_trips_through_the_parser(monkeypatch, argv):
-    monkeypatch.setenv(cli.SEED_ENV, "11")
+def test_argv_round_trips_through_the_parser(argv):
     parser = cli.build_parser()
     args = parser.parse_args(argv)
     assert parser.parse_args(cli._argv(args)) == args
 
 
-def test_bad_seed_variable_is_a_usage_error_only_where_seed_is_unset(monkeypatch, tmp_path,
-                                                                    capsys):
-    monkeypatch.setenv(cli.SEED_ENV, "abc")
-    with pytest.raises(SystemExit) as exc:
-        cli.build_parser().parse_args(["--version"])
-    assert exc.value.code == 0
-    centers = ["centers", "--classes", "4", "--bits", "8", "--out", str(tmp_path / "c.cshc")]
-    assert run(*centers, "--seed", "3") == 0
-    capsys.readouterr()
-    assert run(*centers) == 2
-    assert "argument --seed: invalid int value: 'abc'" in capsys.readouterr().err
+def test_seed_defaults_to_zero_whatever_the_environment(monkeypatch, tmp_path):
+    monkeypatch.setenv("MVHASH_SEED", "abc")  # read by older versions, by nothing now
+    out = tmp_path / "c.cshc"
+    assert run("centers", "--classes", "4", "--bits", "8", "--out", str(out)) == 0
+    assert "--seed=0" in json.loads((tmp_path / "c.cshc.manifest.json").read_text())["argv"]
+    assert formats.load_centers(out).seed == 0
 
 
-def test_argv_spells_out_every_default(monkeypatch):
-    monkeypatch.setenv(cli.SEED_ENV, "11")
+def test_argv_spells_out_every_default():
     parser = cli.build_parser()
     assert cli._argv(parser.parse_args(["centers", "--classes", "4", "--bits", "8",
                                         "--out=-x"])) == \
-        ["centers", "--classes=4", "--bits=8", "--seed=11", "--out=-x"]
+        ["centers", "--classes=4", "--bits=8", "--seed=0", "--out=-x"]
+    synth = cli._argv(parser.parse_args(["synth", "--out-dir", "d"]))
+    assert synth[-5:] == ["--sigma=0.3", "--consistency=0.9", "--proto-scale=0.16", "--seed=0",
+                          "--out-dir=d"]
     train = cli._argv(parser.parse_args([*_TRAIN, "--image-only", "--learning-rate", "1e-08"]))
     assert "--image-only" in train and "--learning-rate=1e-08" in train
-    assert "--seed=11" in train and "--lam=0.25" in train and "--hidden-dim=84" in train
+    assert "--seed=0" in train and "--lam=0.25" in train and "--hidden-dim=84" in train
     assert not any(a.startswith("--log-csv") for a in train)
-    assert not {"--central-only", "--quant-only", "--text-only", "--concat-fusion"} & set(train)
+    assert not {"--quant-only", "--text-only", "--concat-fusion"} & set(train)
     encode = cli._argv(parser.parse_args(_ENCODE))
     assert not any(a.startswith(("--splits", "--split=")) for a in encode)
     curves = cli._argv(parser.parse_args(["curves", *_CODES, "--k-grid", "10", "1", "5",

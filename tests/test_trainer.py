@@ -299,6 +299,8 @@ def test_config_validation():
         trainer.TrainConfig(dropout_p=1.0)
     with pytest.raises(InvalidArgument):
         trainer.TrainConfig(fusion="sum")
+    with pytest.raises(InvalidArgument, match="unknown loss mode 'central'"):  # it is lam = 0
+        trainer.TrainConfig(loss_mode="central")
 
 
 @pytest.mark.parametrize("field, value, name", [
@@ -316,6 +318,11 @@ def test_config_validation():
     ("dropout_p", float("nan"), "dropout_p"),
     ("eval_every", -1, "eval_every"),
     ("eval_every", -3, "eval_every"),
+    # counts that range() or the eval schedule would take only after the centers are built
+    ("epochs", 2.5, "epochs"),
+    ("batch_size", 2.5, "batch_size"),
+    ("eval_every", 1.5, "eval_every"),
+    ("seed", 1.5, "seed"),
 ])
 def test_config_rejects_bad_numbers(field, value, name):
     with pytest.raises(InvalidArgument, match=name):
