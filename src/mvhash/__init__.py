@@ -11,8 +11,8 @@ from .centers import (
     sylvester_hadamard,
 )
 from .data import MultiViewDataset, SynthSpec, make_synthetic
-from .loss import LossReport, central_similarity_loss, quantization_loss, total_loss
-from .net import Dims, ModelParams, binarize, forward, backward, init_params
+from .loss import total_loss
+from .net import Dims, ModelParams, forward, backward, init_params
 from .retrieval import (
     QueryResult,
     RetrievalIndex,
@@ -22,15 +22,14 @@ from .retrieval import (
     pack_codes,
     unpack_codes,
 )
-from .trainer import TrainConfig, TrainReport, adam_step, train
+from .trainer import TrainConfig, adam_step, train
 
 __all__ = [
     "HashCenterSet", "generate_centers", "hamming_from_inner",
     "min_pairwise_distance", "sylvester_hadamard",
     "MultiViewDataset", "SynthSpec", "make_synthetic",
-    "LossReport", "central_similarity_loss", "quantization_loss", "total_loss",
-    "Dims", "ModelParams", "binarize", "forward", "backward", "init_params",
+    "total_loss", "Dims", "ModelParams", "forward", "backward", "init_params",
     "QueryResult", "RetrievalIndex", "average_precision", "curves",
     "mean_average_precision", "pack_codes", "unpack_codes",
-    "TrainConfig", "TrainReport", "adam_step", "train",
+    "TrainConfig", "adam_step", "train",
 ]

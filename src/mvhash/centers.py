@@ -10,14 +10,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, GenerationFailure, InvalidArgument
-from .retrieval import _integer
+from .errors import CapacityError, GenerationFailure, InvalidArgument, integer
 
 MAX_RETRIES_PER_CENTER = 1000
 
 METHOD_HADAMARD = "hadamard"
 METHOD_HADAMARD_PLUS_BERNOULLI = "hadamard_plus_bernoulli"
 METHOD_BERNOULLI = "bernoulli"
+# a method's .cshc tag is its position here
+METHODS = (METHOD_HADAMARD, METHOD_HADAMARD_PLUS_BERNOULLI, METHOD_BERNOULLI)
 
 
 def sylvester_hadamard(order: int) -> np.ndarray:
@@ -25,8 +26,9 @@ def sylvester_hadamard(order: int) -> np.ndarray:
 
     Rows are mutually orthogonal: H @ H.T == order * I.
     """
-    if order < 1 or (order & (order - 1)) != 0:
-        raise InvalidArgument(f"Hadamard order must be a power of two >= 1, got {order}")
+    order = integer(order, "order", 1)
+    if order & (order - 1):
+        raise InvalidArgument(f"Hadamard order must be a power of two, got {order}")
     h = np.array([[1]], dtype=np.int8)
     while h.shape[0] < order:
         h = np.block([[h, h], [h, -h]]).astype(np.int8)
@@ -35,10 +37,8 @@ def sylvester_hadamard(order: int) -> np.ndarray:
 
 def hamming_from_inner(inner_product: int, code_length: int) -> int:
     """Hamming distance from the inner product of two +-1 codes: (K - <a,b>)/2."""
-    k = int(code_length)
-    ip = int(inner_product)
-    if abs(ip) > k:
-        raise InvalidArgument(f"|inner product| {ip} exceeds code length {k}")
+    k = integer(code_length, "code_length", 0)
+    ip = integer(inner_product, "inner_product", -k, k + 1)
     if (k - ip) % 2 != 0:
         raise InvalidArgument(f"inner product {ip} has wrong parity for K={k}")
     return (k - ip) // 2
@@ -62,8 +62,9 @@ class HashCenterSet:
             )
         if not np.isin(c, (-1, 1)).all():
             raise InvalidArgument("center entries must be -1 or +1")
-        if not 0 <= self.seed < 2**64:
-            raise InvalidArgument(f"seed {self.seed} is outside [0, 2^64)")
+        if self.method not in METHODS:
+            raise InvalidArgument(f"unknown center method {self.method!r}")
+        integer(self.seed, "seed", 0, 2**64)
 
     def mean_pairwise_inner(self) -> float:
         """(1/T) sum over unordered pairs of <hc_i, hc_j>."""
@@ -116,16 +117,10 @@ def generate_centers(num_classes: int, code_length: int, seed: int) -> HashCente
     matrix over its negation; any surplus (or all centers when K is not a
     power of two) is Bernoulli-sampled under the acceptance rule.
     """
-    v, k = _integer(num_classes, "num_classes"), _integer(code_length, "code_length")
-    seed = _integer(seed, "seed")
-    if v < 1:
-        raise InvalidArgument(f"num_classes must be >= 1, got {v}")
-    if k < 2:
-        raise InvalidArgument(f"code_length must be >= 2, got {k}")
+    v, k = integer(num_classes, "num_classes", 1), integer(code_length, "code_length", 2)
+    seed = integer(seed, "seed", 0, 2**64)  # checked before any center is drawn
     if k < 63 and v > 2**k:
         raise CapacityError(f"{v} classes need more than the 2^{k} distinct codes available")
-    if not 0 <= seed < 2**64:  # checked before any center is drawn
-        raise InvalidArgument(f"seed {seed} is outside [0, 2^64)")
 
     rng = np.random.default_rng(seed)
     base = np.empty((0, k), dtype=np.int8)
@@ -230,14 +225,12 @@ def _tie_coins(seed: int, rows: np.ndarray, bits: np.ndarray) -> np.ndarray:
     Reproduces numpy's SeedSequence entropy mixing and generate_state, PCG64
     seeding and its first output (XSL-RR). Lemire's bounded draw for range 2
     takes no rejection and returns bit 31 of that output. Returns int8 0/1.
+    The caller checks that `seed` is an int >= 0.
     """
     rows = np.asarray(rows, dtype=np.int64)
     bits = np.asarray(bits, dtype=np.int64)
     if rows.size == 0:
         return np.zeros(0, dtype=np.int8)
-    seed = int(seed)
-    if seed < 0:
-        raise InvalidArgument(f"tie-break seed must be non-negative, got {seed}")
     for name, values in (("row id", rows), ("bit index", bits)):
         bad = values[(values < 0) | (values > _MASK32)]
         if bad.size:
@@ -281,6 +274,7 @@ def semantic_centers_for(
     V; the tied bits' coins are evaluated in blocks of _COIN_BLOCK, so memory
     stays bounded however many bits tie.
     """
+    seed = integer(seed, "seed", 0)
     labels = np.asarray(labels)
     if labels.ndim != 2 or labels.shape[1] != centers.num_classes:
         raise InvalidArgument(

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument
+from .errors import InvalidArgument, integer
 
 
 @dataclass
@@ -59,18 +59,15 @@ class SynthSpec:
     prototype_scale: float = 0.16    # std of prototype coordinates; sets class separation
 
     def __post_init__(self):
-        if self.num_classes < 2:
-            raise InvalidArgument("need at least 2 classes")
-        if self.samples_per_class < 1 or self.d_img < 1 or self.d_txt < 1:
-            raise InvalidArgument("counts and dims must be >= 1")
+        for name, least in (("num_classes", 2), ("samples_per_class", 1), ("d_img", 1),
+                            ("d_txt", 1), ("seed", 0)):
+            integer(getattr(self, name), name, least)
         if not 0 < self.cluster_spread < np.inf:  # NaN fails both comparisons
             raise InvalidArgument(f"cluster_spread must be finite and > 0: {self.cluster_spread}")
         if not 0.0 <= self.cross_view_consistency <= 1.0:
             raise InvalidArgument("cross_view_consistency must be in [0, 1]")
         if not 0 < self.prototype_scale < np.inf:
             raise InvalidArgument(f"prototype_scale must be finite and > 0: {self.prototype_scale}")
-        if self.seed < 0:
-            raise InvalidArgument(f"seed must be >= 0, got {self.seed}")
 
 
 def make_synthetic(spec: SynthSpec) -> MultiViewDataset:

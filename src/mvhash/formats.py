@@ -1,7 +1,8 @@
 """Binary file formats (all little-endian, all fail-closed on truncation).
 
   CSHC  hash centers:  magic, u32 version=1, u32 V, u32 K, u64 seed,
-        u8 method tag, V x ceil(K/8) packed rows (LSB of byte 0 = bit 0)
+        u8 method tag (its index in centers.METHODS), V x ceil(K/8) packed rows
+        (LSB of byte 0 = bit 0)
   CSFT  features:      magic, u32 version=1, u32 N, u32 dim, N*dim f32
   CSLB  labels:        magic, u32 version=1, u32 N, u32 V, N x ceil(V/8) packed rows
   CSCD  codes+labels:  magic, u32 version=1, u32 R, u32 K, R x ceil(K/8) packed
@@ -27,13 +28,6 @@ from .errors import FormatError, InvalidArgument, ShapeMismatch
 from .net import Dims, ModelParams, first_non_finite
 from .retrieval import (check_code_rows, pack_bits, pack_codes, padding_bits_set, unpack_bits,
                         unpack_codes)
-
-_METHOD_TAGS = {
-    centers_mod.METHOD_HADAMARD: 0,
-    centers_mod.METHOD_HADAMARD_PLUS_BERNOULLI: 1,
-    centers_mod.METHOD_BERNOULLI: 2,
-}
-_METHOD_NAMES = {v: k for k, v in _METHOD_TAGS.items()}
 
 
 class _Reader:
@@ -119,7 +113,7 @@ def save_centers(center_set: centers_mod.HashCenterSet, path) -> None:
         "<4sIIIQB",
         b"CSHC", 1,
         center_set.num_classes, center_set.code_length, center_set.seed,
-        _METHOD_TAGS[center_set.method],
+        centers_mod.METHODS.index(center_set.method),
     )
     _atomic_write(path, head + pack_codes(center_set.centers).tobytes())
 
@@ -130,7 +124,7 @@ def load_centers(path) -> centers_mod.HashCenterSet:
     k = r.u32("code_length")
     seed = r.u64("seed")
     tag = r.u8("method tag")
-    if tag not in _METHOD_NAMES:
+    if tag >= len(centers_mod.METHODS):
         raise FormatError(f"{r.path}: unknown method tag {tag}")
     packed = r.packed_rows(v, k, "packed centers")
     r.done()
@@ -138,7 +132,7 @@ def load_centers(path) -> centers_mod.HashCenterSet:
         centers=unpack_codes(packed, k),
         code_length=k,
         num_classes=v,
-        method=_METHOD_NAMES[tag],
+        method=centers_mod.METHODS[tag],
         seed=seed,
     )
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CacheMismatch, InvalidArgument, ShapeMismatch
+from .errors import CacheMismatch, InvalidArgument, ShapeMismatch, integer
 
 FUSION_MODES = ("gmu", "image", "text", "concat")
 
@@ -38,9 +38,8 @@ class Dims:
     code_length: int
 
     def __post_init__(self):
-        for name in ("d_img", "d_txt", "d", "code_length"):
-            if getattr(self, name) < 1:
-                raise InvalidArgument(f"{name} must be >= 1")
+        for name in ("d_img", "d_txt", "d", "code_length"):  # as ints: the sidecar is JSON
+            object.__setattr__(self, name, integer(getattr(self, name), name, 1))
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
         """Shape of every parameter block, in PARAM_NAMES order."""
@@ -99,8 +98,7 @@ class ModelParams:
     def __init__(self, dims: Dims, init_seed: int, flat: np.ndarray, fusion: str = "gmu"):
         if fusion not in FUSION_MODES:
             raise InvalidArgument(f"unknown fusion mode {fusion!r}")
-        if not 0 <= init_seed < 2**64:  # the .csmv header holds it as a u64
-            raise InvalidArgument(f"init_seed {init_seed} is outside [0, 2^64)")
+        init_seed = integer(init_seed, "init_seed", 0, 2**64)  # a u64 in the .csmv header
         if flat.dtype != np.float64 or flat.shape != (dims.param_count(),):
             raise ShapeMismatch(
                 f"flat parameters: expected float64 ({dims.param_count()},), "
@@ -112,9 +110,6 @@ class ModelParams:
         self.flat = np.ascontiguousarray(flat)
         self.__dict__.update(block_views(self.flat, dims))
 
-    def blocks(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in PARAM_NAMES}
-
     def check_finite(self):
         bad = first_non_finite(self.flat, self.dims)
         if bad is not None:
@@ -123,10 +118,10 @@ class ModelParams:
 
 def init_params(dims: Dims, seed: int, fusion: str = "gmu") -> ModelParams:
     """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights, zero biases."""
-    # ModelParams rejects a seed outside [0, 2^64), so it is built before any draw
-    params = ModelParams(dims, int(seed), np.zeros(dims.param_count()), fusion)
-    rng = np.random.default_rng(seed)
-    for name, block in params.blocks().items():
+    # ModelParams checks the seed, so it is built before any draw
+    params = ModelParams(dims, seed, np.zeros(dims.param_count()), fusion)
+    rng = np.random.default_rng(params.init_seed)
+    for name, block in block_views(params.flat, dims).items():
         if name.startswith("W_"):  # drawn in PARAM_NAMES order
             bound = 1.0 / np.sqrt(block.shape[1])
             block[...] = rng.uniform(-bound, bound, size=block.shape)

@@ -6,20 +6,11 @@ uint64 words with a vectorized popcount; padding bits are zero on both
 sides (the index rejects code rows that set them) so they never contribute.
 """
 
-import operator
 from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidArgument, InvalidState
-
-
-def _integer(value, name: str) -> int:
-    """`value` as a Python int (numpy integers included); anything else is InvalidArgument."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidArgument(f"{name} must be an integer, got {value!r}") from None
+from .errors import InvalidArgument, InvalidState, integer
 
 
 def pack_bits(rows: np.ndarray) -> np.ndarray:
@@ -170,9 +161,7 @@ class RetrievalIndex:
         return self._scan(query_code).astype(np.int64)
 
     def query_topk(self, query_code: np.ndarray, k: int) -> QueryResult:
-        k = _integer(k, "k")
-        if k < 1:
-            raise InvalidArgument(f"k must be >= 1, got {k}")
+        k = integer(k, "k", 1)
         d = self._scan(query_code)
         if k < self.size:
             # guess the k-th smallest distance t at rank ceil(k |sample| / size)
@@ -229,28 +218,14 @@ def _precision_terms(rel: np.ndarray) -> np.ndarray:
     return terms
 
 
-def _rank_cap(r_cap: int | None, n: int) -> int:
-    """How many ranks AP reads: r_cap (at most n), or all n when r_cap is None."""
-    if r_cap is None:
-        return n
-    r_cap = _integer(r_cap, "r_cap")
-    if r_cap < 1:
-        raise InvalidArgument(f"r_cap must be >= 1, got {r_cap}")
-    return min(r_cap, n)
-
-
 def average_precision(
-    query_label: np.ndarray,
-    ranking: QueryResult,
-    index: RetrievalIndex,
-    r_cap: int | None = None,
+    query_label: np.ndarray, ranking: QueryResult, index: RetrievalIndex
 ) -> float:
-    """(1/M) sum over relevant ranks r <= r_cap of precision@r.
+    """(1/M) sum over the ranking's relevant ranks r of precision@r.
 
     M counts relevant items in the whole retrieval set; returns 0 when M = 0.
     """
-    cap = _rank_cap(r_cap, len(ranking.ids))
-    rel, m = _ranked_relevance(query_label, ranking.ids[:cap], index)
+    rel, m = _ranked_relevance(query_label, ranking.ids, index)
     return float(np.sum(_precision_terms(rel)) / m) if m else 0.0
 
 
@@ -271,9 +246,9 @@ def mean_average_precision(
     index: RetrievalIndex,
     r_cap: int | None = None,
 ) -> float:
-    """Mean AP over queries; query codes are +-1 rows."""
+    """Mean AP over queries (+-1 code rows), each over its first r_cap ranks or all R."""
     qc, ql = _query_rows(query_codes, query_labels)
-    cap = _rank_cap(r_cap, index.size)
+    cap = index.size if r_cap is None else min(integer(r_cap, "r_cap", 1), index.size)
     return float(np.mean([
         average_precision(label, index.query_topk(code, cap), index)
         for code, label in zip(qc, ql)
@@ -287,11 +262,9 @@ def curves(
     k_grid: list[int],
 ) -> list[tuple[int, float, float]]:
     """(k, mAP@k, Recall@k) rows for a strictly increasing k grid, one ranked pass per query."""
-    ks = [_integer(k, "k_grid value") for k in k_grid]
+    ks = [integer(k, "k_grid value", 1) for k in k_grid]
     if not ks:
         raise InvalidArgument("k_grid is empty")
-    if any(k < 1 for k in ks):
-        raise InvalidArgument(f"k_grid values must be >= 1, got {min(ks)}")
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise InvalidArgument("k_grid must be strictly increasing")
     qc, ql = _query_rows(query_codes, query_labels)
@@ -312,7 +285,7 @@ def random_ranking_map(
     query_labels: np.ndarray, index: RetrievalIndex, seed: int = 0
 ) -> float:
     """mAP of a uniformly random ranking; the no-learning baseline."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(integer(seed, "seed", 0))
     _, ql = _query_rows(query_labels, query_labels)  # no codes: the rows are the labels
     zeros = np.zeros(index.size, dtype=np.int64)
     return float(np.mean([

@@ -13,7 +13,7 @@ from . import loss as loss_mod
 from . import net, retrieval
 from .centers import HashCenterSet, semantic_centers_for
 from .data import MultiViewDataset
-from .errors import DivergenceError, InvalidArgument, ShapeMismatch
+from .errors import DivergenceError, InvalidArgument, ShapeMismatch, integer
 
 DEFAULT_HIDDEN_DIM = 84  # width d of each view's tanh tower
 
@@ -34,8 +34,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for name, least in (("epochs", 1), ("batch_size", 1), ("eval_every", 0), ("seed", 0)):
-            if retrieval._integer(getattr(self, name), name) < least:
-                raise InvalidArgument(f"{name} must be >= {least}, got {getattr(self, name)}")
+            integer(getattr(self, name), name, least)
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise InvalidArgument(f"learning_rate must be finite and > 0: {self.learning_rate}")
         if len(self.adam_betas) != 2 or not all(0.0 <= b < 1.0 for b in self.adam_betas):
@@ -89,8 +88,7 @@ def adam_step(
     Per element, in this order: m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
     p -= (lr * m/(1-b1**t)) / (sqrt(v/(1-b2**t)) + eps).
     """
-    if step_index < 1:
-        raise InvalidArgument("step_index must be >= 1")
+    integer(step_index, "step_index", 1)
     if np.shape(grad) != params.flat.shape:  # a 1-element one would broadcast
         raise ShapeMismatch(f"gradient shape {np.shape(grad)} != parameters {params.flat.shape}")
     b1, b2 = config.adam_betas

@@ -18,7 +18,7 @@ def test_hadamard_orthogonality_order4():
     assert (h @ h.T == 4 * np.eye(4, dtype=np.int64)).all()
 
 
-@pytest.mark.parametrize("bad", [0, 3, 6, -4])
+@pytest.mark.parametrize("bad", [0, 3, 6, -4, 4.0])
 def test_hadamard_rejects_non_power_of_two(bad):
     with pytest.raises(InvalidArgument):
         C.sylvester_hadamard(bad)
@@ -35,6 +35,10 @@ def test_hamming_from_inner_rejects_bad_input():
         C.hamming_from_inner(17, 16)  # out of range
     with pytest.raises(InvalidArgument):
         C.hamming_from_inner(3, 16)  # parity
+    with pytest.raises(InvalidArgument, match=r"^code_length must be an integer, got 16\.5$"):
+        C.hamming_from_inner(0, 16.5)  # int() made it 16
+    with pytest.raises(InvalidArgument, match=r"^inner_product must be an integer, got 2\.0$"):
+        C.hamming_from_inner(2.0, 16)
 
 
 def test_inner_product_identity_random_pairs():
@@ -234,6 +238,14 @@ def test_min_pairwise_distance_needs_two():
         one.mean_pairwise_inner()
 
 
+def test_center_set_rejects_a_fractional_seed_and_an_unknown_method():
+    c = np.ones((1, 8), dtype=np.int8)
+    with pytest.raises(InvalidArgument, match=r"^seed must be an integer, got 1\.5$"):
+        C.HashCenterSet(c, 8, 1, C.METHOD_HADAMARD, 1.5)
+    with pytest.raises(InvalidArgument, match="^unknown center method 'hadamrd'$"):
+        C.HashCenterSet(c, 8, 1, "hadamrd", 0)  # save_centers raised KeyError on it
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
 def test_center_seed_outside_u64_rejected(seed, monkeypatch):
     with pytest.raises(InvalidArgument, match=rf"^seed {seed} is outside \[0, 2\^64\)$"):
@@ -368,9 +380,9 @@ def test_tie_coins_name_a_bad_value_past_the_first_block(block, monkeypatch):
     bits[block + 2] = -1
     with pytest.raises(InvalidArgument, match=r"^bit index -1 is outside \[0, 2\^32\)$"):
         C._tie_coins(0, rows, bits)
-    bits[block + 2] = 0
-    with pytest.raises(InvalidArgument, match="^tie-break seed must be non-negative, got -3$"):
-        C._tie_coins(-3, rows, bits)
+    # the seed is checked by the one caller, before the vote
+    with pytest.raises(InvalidArgument, match="^seed must be >= 0, got -3$"):
+        C.semantic_centers_for(np.ones((1, 4)), C.generate_centers(4, 4, seed=0), seed=-3)
 
 
 def test_semantic_centers_peak_memory_is_bounded():
@@ -411,10 +423,20 @@ def test_tie_coins_reject_ids_outside_32_bits():
 
 def test_negative_seed_rejected_when_a_coin_is_needed():
     cs = C.generate_centers(4, 4, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument, match="^seed must be >= 0, got -1$"):
         C.semantic_centers_for(np.array([[1, 1, 0, 0]]), cs, seed=-1)
-    # no tie, no coin: the vote alone decides
-    assert (C.semantic_centers_for(np.array([[0, 1, 0, 0]]), cs, seed=-1) == cs.centers[1]).all()
+
+
+def test_semantic_centers_check_the_seed_with_or_without_a_tie():
+    cs = C.generate_centers(4, 4, seed=0)
+    tied, untied = np.array([[1, 1, 0, 0]]), np.array([[0, 1, 0, 0]])
+    assert (C.semantic_centers_for(tied, cs, seed=0) == 0).sum() == 0  # the coins filled 2 ties
+    with pytest.raises(InvalidArgument, match=r"^seed must be an integer, got 1\.5$"):
+        C.semantic_centers_for(tied, cs, seed=1.5)  # int(1.5) gave the seed-1 coins
+    with pytest.raises(InvalidArgument, match="^seed must be >= 0, got -1$"):
+        C.semantic_centers_for(untied, cs, seed=-1)
+    tied_seed = C.semantic_centers_for(tied, cs, seed=np.uint8(1))
+    assert (tied_seed == C.semantic_centers_for(tied, cs, seed=1)).all()
 
 
 def test_semantic_centers_for_names_the_empty_row():

@@ -194,7 +194,7 @@ def test_curves_rejects_k_below_one(pipeline, tmp_path, capsys, grid):
     assert run("curves", "--codes", str(pipeline / "retrieval.cscd"),
                "--queries", str(pipeline / "query.cscd"),
                "--k-grid", *grid, "--out", str(out)) == 1
-    assert f"k_grid values must be >= 1, got {grid[0]}" in capsys.readouterr().err
+    assert f"k_grid value must be >= 1, got {grid[0]}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,20 @@ def test_spec_validation():
     with pytest.raises(InvalidArgument):
         SynthSpec(num_classes=3, samples_per_class=10, d_img=4, d_txt=4,
                   cross_view_consistency=1.5)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    # each fractional value built and then failed in make_synthetic with a bare TypeError
+    ("num_classes", 3.5, "num_classes must be an integer, got 3.5"),
+    ("samples_per_class", 10.5, "samples_per_class must be an integer, got 10.5"),
+    ("seed", 1.5, "seed must be an integer, got 1.5"),
+    ("num_classes", 1, "num_classes must be >= 2, got 1"),
+    ("d_txt", 0, "d_txt must be >= 1, got 0"),
+])
+def test_spec_rejects_counts_and_seeds_that_are_not_integers_in_range(field, value, message):
+    with pytest.raises(InvalidArgument, match=f"^{re.escape(message)}$"):
+        SynthSpec(**{"num_classes": 3, "samples_per_class": 10, "d_img": 4, "d_txt": 4,
+                     field: value})
 
 
 @pytest.mark.parametrize("field", ["cluster_spread", "prototype_scale"])

@@ -23,6 +23,19 @@ def test_centers_roundtrip(tmp_path):
     assert back.code_length == 12 and back.num_classes == 10
 
 
+def test_center_method_tags(tmp_path):
+    """Header byte 24: 0 hadamard, 1 hadamard_plus_bernoulli, 2 bernoulli; 3 fails closed."""
+    path = tmp_path / "c.cshc"
+    for tag, (v, k, method) in enumerate([(4, 8, "hadamard"), (20, 8, "hadamard_plus_bernoulli"),
+                                          (3, 37, "bernoulli")]):
+        formats.save_centers(generate_centers(v, k, seed=1), path)
+        assert path.read_bytes()[24] == tag
+        assert formats.load_centers(path).method == method
+    path.write_bytes(path.read_bytes()[:24] + b"\x03" + path.read_bytes()[25:])
+    with pytest.raises(FormatError, match="unknown method tag 3$"):
+        formats.load_centers(path)
+
+
 def test_centers_bad_magic(tmp_path):
     path = tmp_path / "c.cshc"
     path.write_bytes(b"NOPE" + b"\0" * 20)
@@ -242,11 +255,21 @@ def test_checkpoint_roundtrip(tmp_path):
     back = formats.load_checkpoint(path)
     assert back.dims == dims
     assert back.init_seed == 33
-    for name, arr in p.blocks().items():
-        assert (arr == back.blocks()[name]).all()
+    for name, arr in net.block_views(p.flat, p.dims).items():
+        assert (arr == net.block_views(back.flat, back.dims)[name]).all()
     side = path.with_name("model.csmv.json")
     assert side.exists()
     assert '"fusion": "gmu"' in side.read_text()
+
+
+def test_checkpoint_of_numpy_integer_dims_and_seed_saves(tmp_path):
+    # the sidecar's json.dumps raised on an np.int64 dim
+    dims = net.Dims(np.int64(5), np.uint8(7), np.int32(4), np.uint64(6))
+    p = net.init_params(dims, seed=np.uint64(33))
+    formats.save_checkpoint(p, tmp_path / "model.csmv")
+    back = formats.load_checkpoint(tmp_path / "model.csmv")
+    assert back.dims == net.Dims(5, 7, 4, 6) and back.init_seed == 33
+    assert (back.flat == net.init_params(net.Dims(5, 7, 4, 6), seed=33).flat).all()
 
 
 def test_checkpoint_bad_version(tmp_path):
@@ -269,7 +292,8 @@ def test_checkpoint_bytes_equal_per_block_body(tmp_path):
     path = tmp_path / "model.csmv"
     formats.save_checkpoint(p, path)
     head = struct.pack("<4sIIIIIIQ", b"CSMV", 1, 5, 7, 4, 37, 2, 2**64 - 1)
-    body = b"".join(np.ascontiguousarray(p.blocks()[name], dtype="<f8").tobytes()
+    blocks = net.block_views(p.flat, p.dims)
+    body = b"".join(np.ascontiguousarray(blocks[name], dtype="<f8").tobytes()
                     for name in net.PARAM_NAMES)
     assert path.read_bytes() == head + body
 
@@ -280,7 +304,7 @@ def test_checkpoint_blocks_are_views_after_load(tmp_path):
     formats.save_checkpoint(net.init_params(dims, seed=1), path)
     back = formats.load_checkpoint(path)
     assert back.flat.shape == (dims.param_count(),)
-    for name, block in back.blocks().items():
+    for name, block in net.block_views(back.flat, back.dims).items():
         assert np.shares_memory(block, back.flat), name
 
 
@@ -290,7 +314,7 @@ def test_checkpoint_blocks_are_views_after_load(tmp_path):
 def test_checkpoint_rejects_non_finite_parameter(tmp_path, name, index, value):
     dims = net.Dims(d_img=5, d_txt=7, d=4, code_length=6)
     p = net.init_params(dims, seed=1)
-    p.blocks()[name][index] = value
+    net.block_views(p.flat, p.dims)[name][index] = value
     path = tmp_path / "model.csmv"
     formats.save_checkpoint(p, path)
     offset = 36 + 8 * int(np.flatnonzero(~np.isfinite(p.flat))[0])

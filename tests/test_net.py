@@ -12,8 +12,8 @@ SMALL = net.Dims(d_img=8, d_txt=8, d=6, code_length=4)
 def test_init_deterministic():
     a = net.init_params(SMALL, seed=5)
     b = net.init_params(SMALL, seed=5)
-    for name, arr in a.blocks().items():
-        assert (arr == b.blocks()[name]).all()
+    for name, arr in net.block_views(a.flat, a.dims).items():
+        assert (arr == net.block_views(b.flat, b.dims)[name]).all()
 
 
 def _seed_init_blocks(dims, seed):
@@ -37,8 +37,8 @@ def _seed_init_blocks(dims, seed):
 def test_init_matches_per_block_draws(dims):
     p = net.init_params(dims, seed=2**63 + 5)
     want = _seed_init_blocks(dims, 2**63 + 5)
-    assert list(p.blocks()) == list(want) == list(net.PARAM_NAMES)
-    for name, block in p.blocks().items():
+    assert list(net.block_views(p.flat, p.dims)) == list(want) == list(net.PARAM_NAMES)
+    for name, block in net.block_views(p.flat, p.dims).items():
         assert block.shape == want[name].shape and (block == want[name]).all(), name
     assert (p.flat == np.concatenate([a.ravel() for a in want.values()])).all()
 
@@ -63,8 +63,19 @@ def test_init_rejects_a_seed_outside_u64_before_drawing(seed, monkeypatch):
 
 
 def test_init_rejects_bad_dims():
-    with pytest.raises(InvalidArgument):
+    with pytest.raises(InvalidArgument, match="^d_img must be >= 1, got 0$"):
         net.Dims(0, 8, 6, 4)
+    with pytest.raises(InvalidArgument, match=r"^d must be an integer, got 3\.5$"):
+        net.Dims(d_img=8, d_txt=8, d=3.5, code_length=4)
+
+
+def test_init_seed_must_be_an_integer():
+    # 1.5 used to build, then fail in struct.pack when saved
+    with pytest.raises(InvalidArgument, match=r"^init_seed must be an integer, got 1\.5$"):
+        net.ModelParams(SMALL, 1.5, np.zeros(SMALL.param_count()))
+    with pytest.raises(InvalidArgument, match=r"^init_seed must be an integer, got 1\.5$"):
+        net.init_params(SMALL, 1.5)
+    assert type(net.init_params(SMALL, np.uint64(3)).init_seed) is int
 
 
 def test_params_carry_a_known_fusion_mode():
@@ -79,7 +90,7 @@ def test_params_carry_a_known_fusion_mode():
 
 def _zero_params(dims=SMALL):
     p = net.init_params(dims, seed=0)
-    for arr in p.blocks().values():
+    for arr in net.block_views(p.flat, p.dims).values():
         arr[:] = 0.0
     return p
 
@@ -182,7 +193,7 @@ def test_forward_shape_and_finite_errors():
 def finite_difference_grads(p, img, txt, grad_he, masks=None, eps=1e-5):
     """Central differences of sum(grad_he * he) w.r.t. every parameter."""
     out = {}
-    for name, arr in p.blocks().items():
+    for name, arr in net.block_views(p.flat, p.dims).items():
         g = np.zeros_like(arr)
         it = np.nditer(arr, flags=["multi_index"])
         for _ in it:

@@ -302,6 +302,14 @@ def test_random_ranking_map_rejects_empty_query_set():
     assert R.random_ranking_map(labels[:1], index, seed=3) == want
 
 
+@pytest.mark.parametrize("seed, message", [(1.5, "seed must be an integer, got 1.5"),
+                                           (-1, "seed must be >= 0, got -1")])
+def test_random_ranking_map_names_a_bad_seed(seed, message):
+    codes, labels, index = _make_index(np.random.default_rng(15), n=10)
+    with pytest.raises(InvalidArgument, match=f"^{message}$"):
+        R.random_ranking_map(labels[:1], index, seed=seed)
+
+
 def test_curves_rejects_non_increasing_grid():
     rng = np.random.default_rng(13)
     codes, labels, index = _make_index(rng, n=10)
@@ -680,17 +688,6 @@ def test_map_r_cap_must_be_an_integer():
     want = R.mean_average_precision(codes[:2], labels[:2], index, 5)
     for r_cap in (np.int64(5), np.uint8(5)):
         assert R.mean_average_precision(codes[:2], labels[:2], index, r_cap) == want
-
-
-def test_average_precision_r_cap_must_be_an_integer():
-    rng = np.random.default_rng(19)
-    codes, labels, index = _make_index(rng, n=20)
-    ranking = index.query_topk(codes[0], 20)
-    with pytest.raises(InvalidArgument, match="r_cap must be an integer, got 2.5"):
-        R.average_precision(labels[0], ranking, index, r_cap=2.5)
-    want = R.average_precision(labels[0], ranking, index, 5)
-    for r_cap in (np.int64(5), np.uint8(5)):
-        assert R.average_precision(labels[0], ranking, index, r_cap) == want
 
 
 def test_curves_k_grid_values_must_be_integers():

@@ -103,7 +103,7 @@ def _seed_adam_step(blocks, grads, m, v, step_index, config):
                          ids=["small", "train_multilabel"])
 def test_flat_adam_step_matches_per_block_loop(dims):
     p = net.init_params(dims, seed=3)
-    blocks = {k: a.copy() for k, a in p.blocks().items()}
+    blocks = {k: a.copy() for k, a in net.block_views(p.flat, p.dims).items()}
     m = {k: np.zeros_like(a) for k, a in blocks.items()}
     v = {k: np.zeros_like(a) for k, a in blocks.items()}
     state = trainer.AdamState(p)
@@ -116,17 +116,19 @@ def test_flat_adam_step_matches_per_block_loop(dims):
         _seed_adam_step(blocks, net.block_views(grad, dims), m, v, step, cfg)
         state_m, state_v = net.block_views(state.m, dims), net.block_views(state.v, dims)
         for name in net.PARAM_NAMES:
-            assert (p.blocks()[name] == blocks[name]).all(), (step, name)
+            assert (net.block_views(p.flat, p.dims)[name] == blocks[name]).all(), (step, name)
             assert (state_m[name] == m[name]).all() and (state_v[name] == v[name]).all()
 
 
 def test_blocks_are_views_of_flat_after_init_and_train():
     def assert_views(params):
         assert params.flat.flags.c_contiguous and params.flat.dtype == np.float64
-        for name, block in params.blocks().items():
+        # the named attributes, not block_views(flat), whose views hold by construction
+        blocks = {name: getattr(params, name) for name in net.PARAM_NAMES}
+        for name, block in blocks.items():
             assert np.shares_memory(block, params.flat), name
         params.flat[:] = np.arange(params.flat.size)
-        assert np.concatenate([b.ravel() for b in params.blocks().values()]).tolist() \
+        assert np.concatenate([b.ravel() for b in blocks.values()]).tolist() \
             == list(range(params.flat.size))
 
     assert_views(net.init_params(SMALL, seed=0))
@@ -355,8 +357,8 @@ def test_train_is_deterministic():
     r2 = trainer.train(ds, cs, cfg, dims_hidden=8)
     assert [l.l_total for l in r1.epoch_losses] == [l.l_total for l in r2.epoch_losses]
     assert r1.eval_maps == r2.eval_maps
-    for name, arr in r1.params.blocks().items():
-        assert (arr == r2.params.blocks()[name]).all()
+    for name, arr in net.block_views(r1.params.flat, r1.params.dims).items():
+        assert (arr == net.block_views(r2.params.flat, r2.params.dims)[name]).all()
 
 
 def test_train_loss_decreases_on_separable_data():
@@ -366,6 +368,20 @@ def test_train_loss_decreases_on_separable_data():
     assert report.epoch_losses[-1].l_total < report.epoch_losses[0].l_total
     assert len(report.epoch_losses) == 30
     assert len(report.epoch_seconds) == 30
+
+
+def test_train_rejects_a_fractional_hidden_width():
+    # numpy raised a bare TypeError on it
+    with pytest.raises(InvalidArgument, match=r"^d must be an integer, got 3\.5$"):
+        trainer.train(_tiny_dataset(), generate_centers(4, 8, seed=0), _config(), dims_hidden=3.5)
+
+
+@pytest.mark.parametrize("step, message", [(0, "step_index must be >= 1, got 0"),
+                                           (1.5, "step_index must be an integer, got 1.5")])
+def test_adam_rejects_a_step_index_that_is_not_a_count(step, message):
+    p = net.init_params(SMALL, seed=0)
+    with pytest.raises(InvalidArgument, match=f"^{message}$"):
+        trainer.adam_step(p, np.zeros_like(p.flat), trainer.AdamState(p), step, _config())
 
 
 def test_train_rejects_class_mismatch():
