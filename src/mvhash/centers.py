@@ -55,6 +55,8 @@ class HashCenterSet:
     seed: int  # in [0, 2^64): the .cshc header holds it as a u64
 
     def __post_init__(self):
+        integer(self.num_classes, "num_classes", 1)
+        integer(self.code_length, "code_length", 1)
         c = self.centers
         if c.shape != (self.num_classes, self.code_length):
             raise InvalidArgument(

@@ -128,13 +128,13 @@ def load_centers(path) -> centers_mod.HashCenterSet:
         raise FormatError(f"{r.path}: unknown method tag {tag}")
     packed = r.packed_rows(v, k, "packed centers")
     r.done()
-    return centers_mod.HashCenterSet(
-        centers=unpack_codes(packed, k),
-        code_length=k,
-        num_classes=v,
-        method=centers_mod.METHODS[tag],
-        seed=seed,
-    )
+    try:  # V = 0 or K = 0 fails closed, as the Dims of a checkpoint do
+        return centers_mod.HashCenterSet(
+            centers=unpack_codes(packed, k), code_length=k, num_classes=v,
+            method=centers_mod.METHODS[tag], seed=seed,
+        )
+    except InvalidArgument as exc:
+        raise FormatError(f"{r.path}: {exc}") from exc
 
 
 # ---- CSFT: feature matrices ----

@@ -103,6 +103,7 @@ class RetrievalIndex:
     """Immutable linear-scan index over packed codes with parallel labels."""
 
     def __init__(self, codes: np.ndarray, labels: np.ndarray, code_length: int):
+        code_length = integer(code_length, "code_length", 1)
         packed = check_code_rows(codes, code_length)
         labels = np.atleast_2d(np.asarray(labels))
         if packed.shape[0] != labels.shape[0]:
@@ -111,7 +112,7 @@ class RetrievalIndex:
             )
         if packed.shape[0] < 1:
             raise InvalidState("index is empty")
-        self.code_length = int(code_length)
+        self.code_length = code_length
         self.size = packed.shape[0]
         self._words = _to_words(packed)
         # one class-major copy, non-zero = active as for queries; labels is its (size, C) view
@@ -123,12 +124,13 @@ class RetrievalIndex:
         c = np.atleast_2d(np.asarray(codes))
         return cls(pack_codes(c), labels, c.shape[1])
 
-    def _scan(self, query_code: np.ndarray) -> np.ndarray:
-        """Hamming distance to every row, as np.min_scalar_type(K), in row-major chunks.
+    def distances(self, query_code: np.ndarray) -> np.ndarray:
+        """Hamming distance from one +-1 query code to every row, as np.min_scalar_type(K).
 
-        Per chunk: XOR the flat word stream with the query words tiled to the
-        chunk (the one word broadcast at W = 1), popcount through a transposed
-        view into W contiguous uint8 lanes, then sum the lanes with contiguous adds.
+        The scan every query runs, in row-major chunks. Per chunk: XOR the flat
+        word stream with the query words tiled to the chunk (the one word
+        broadcast at W = 1), popcount through a transposed view into W contiguous
+        uint8 lanes, then sum the lanes with contiguous adds.
         """
         q = np.asarray(query_code).ravel()
         if q.shape[0] != self.code_length:
@@ -156,13 +158,9 @@ class RetrievalIndex:
                 np.add.reduce(lanes[:, :n], axis=0, dtype=out.dtype, out=out)
         return dist
 
-    def distances(self, query_code: np.ndarray) -> np.ndarray:
-        """Hamming distance from one +-1 query code to every indexed code."""
-        return self._scan(query_code).astype(np.int64)
-
     def query_topk(self, query_code: np.ndarray, k: int) -> QueryResult:
         k = integer(k, "k", 1)
-        d = self._scan(query_code)
+        d = self.distances(query_code)
         if k < self.size:
             # guess the k-th smallest distance t at rank ceil(k |sample| / size)
             # of a strided sample. If fewer than k rows reach it, filter once more

@@ -246,6 +246,18 @@ def test_center_set_rejects_a_fractional_seed_and_an_unknown_method():
         C.HashCenterSet(c, 8, 1, "hadamrd", 0)  # save_centers raised KeyError on it
 
 
+@pytest.mark.parametrize("shape, k, v, message", [
+    ((4, 8), 8.0, 4.0, "num_classes must be an integer, got 4.0"),
+    ((4, 8), 8.0, 4, "code_length must be an integer, got 8.0"),
+    ((0, 8), 8, 0, "num_classes must be >= 1, got 0"),
+    ((4, 0), 0, 4, "code_length must be >= 1, got 0"),
+])
+def test_center_set_rejects_sizes_that_are_not_positive_integers(shape, k, v, message):
+    # the shape comparison took 8.0 for 8, and save_centers raised a bare struct.error
+    with pytest.raises(InvalidArgument, match=f"^{message}$"):
+        C.HashCenterSet(np.ones(shape, dtype=np.int8), k, v, C.METHOD_HADAMARD, 0)
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
 def test_center_seed_outside_u64_rejected(seed, monkeypatch):
     with pytest.raises(InvalidArgument, match=rf"^seed {seed} is outside \[0, 2\^64\)$"):

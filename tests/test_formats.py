@@ -36,6 +36,15 @@ def test_center_method_tags(tmp_path):
         formats.load_centers(path)
 
 
+@pytest.mark.parametrize("v, k, field", [(0, 8, "num_classes"), (4, 0, "code_length")])
+def test_centers_with_no_classes_or_no_bits_fail_closed(tmp_path, v, k, field):
+    # a hand-written header: at V = 0 or K = 0 no packed row bytes follow it
+    path = tmp_path / "c.cshc"
+    path.write_bytes(struct.pack("<4sIIIQB", b"CSHC", 1, v, k, 7, 0))
+    with pytest.raises(FormatError, match=rf"c\.cshc: {field} must be >= 1, got 0$"):
+        formats.load_centers(path)
+
+
 def test_centers_bad_magic(tmp_path):
     path = tmp_path / "c.cshc"
     path.write_bytes(b"NOPE" + b"\0" * 20)

@@ -160,6 +160,18 @@ def test_empty_index_rejected():
         R.RetrievalIndex(np.zeros((0, 2), dtype=np.uint8), np.zeros((0, 3)), 16)
 
 
+@pytest.mark.parametrize("k, width, message", [
+    (9.0, 2, "must be an integer, got 9.0"),  # numpy's bare TypeError at the padding check
+    (16.0, 2, "must be an integer, got 16.0"),  # was truncated to 16
+    (0, 0, "must be >= 1, got 0"),  # an index of empty codes was accepted
+])
+def test_index_rejects_a_code_length_that_is_not_a_positive_integer(k, width, message):
+    with pytest.raises(InvalidArgument, match=f"^code_length {message}$"):
+        R.RetrievalIndex(np.zeros((3, width), dtype=np.uint8), np.ones((3, 1)), k)
+    assert type(R.RetrievalIndex(np.zeros((3, 2), np.uint8), np.ones((3, 1)), np.int64(16))
+                .code_length) is int
+
+
 def test_average_precision_perfect_ranking():
     labels = np.zeros((10, 2), dtype=np.uint8)
     labels[:3, 0] = 1
@@ -419,6 +431,28 @@ def test_ranked_pass_reads_relevance_once_per_query(monkeypatch):
     assert len(calls) == 5
 
 
+def test_every_query_runs_the_one_scan_once(monkeypatch):
+    rng = np.random.default_rng(15)
+    codes, labels, index = _make_index(rng, n=60)
+    calls = []
+    original = R.RetrievalIndex.distances
+
+    def counting(idx, query_code):
+        calls.append(1)
+        return original(idx, query_code)
+
+    monkeypatch.setattr(R.RetrievalIndex, "distances", counting)
+    for code in codes[:5]:
+        index.query_topk(code, 10)
+    assert len(calls) == 5
+    calls.clear()
+    R.mean_average_precision(codes[:5], labels[:5], index)
+    assert len(calls) == 5
+    calls.clear()
+    R.curves(codes[:5], labels[:5], index, [1, 5, 10, 25, 50, 55, 60])
+    assert len(calls) == 5
+
+
 @pytest.mark.parametrize("active", [[0, 3], [1, 2, 4]])
 def test_relevance_never_writes_into_the_index(active):
     rng = np.random.default_rng(17)
@@ -478,7 +512,7 @@ def kernel_case(rng, n, k):
 
 def check_kernel(query, index, order, d, ks):
     got = index.distances(query)
-    assert got.dtype == np.int64
+    assert got.dtype == np.min_scalar_type(index.code_length)
     assert got.tolist() == list(d)
     for top in ks:
         res = index.query_topk(query, top)
