@@ -163,8 +163,8 @@ def cmd_train(args):
 
 
 def cmd_encode(args):
-    if args.split and not args.splits:
-        raise InvalidArgument("--split needs --splits")
+    if (args.split is None) != (args.splits is None):
+        raise InvalidArgument("--split and --splits must be given together")
     params = formats.load_checkpoint(args.checkpoint)
     img = formats.load_features(args.image_features, expected_dim=params.dims.d_img)
     txt = formats.load_features(args.text_features, expected_dim=params.dims.d_txt)

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import centers as centers_mod
-from .errors import FormatError, InvalidArgument, ShapeMismatch
+from .errors import FormatError, InvalidArgument, ShapeMismatch, integer
 from .net import Dims, ModelParams, first_non_finite
 from .retrieval import (check_code_rows, pack_bits, pack_codes, padding_bits_set, unpack_bits,
                         unpack_codes)
@@ -186,7 +186,7 @@ def load_labels(path) -> np.ndarray:
 # ---- CSCD: packed codes with labels ----
 
 def save_codes(packed_codes: np.ndarray, labels: np.ndarray, code_length: int, path) -> None:
-    pc = check_code_rows(packed_codes, code_length)
+    pc = check_code_rows(packed_codes, integer(code_length, "code_length", 1))
     rows = np.atleast_2d(labels) != 0
     if pc.shape[0] != rows.shape[0]:
         raise ShapeMismatch(f"codes rows {pc.shape[0]} != label rows {rows.shape[0]}")
@@ -200,6 +200,8 @@ def load_codes(path) -> tuple[np.ndarray, np.ndarray, int]:
     r = _Reader(path, b"CSCD")
     n = r.u32("code count")
     k = r.u32("code_length")
+    if k == 0:  # no code to rank by; R = 0 and V = 0 still load
+        raise FormatError(f"{r.path}: code_length must be >= 1, got 0")
     packed = r.packed_rows(n, k, "packed codes")
     v = r.u32("num_classes")
     lab = r.packed_rows(n, v, "label rows")

@@ -28,6 +28,7 @@ from mvhash.retrieval import (
     random_ranking_map,
 )
 from mvhash.trainer import TrainConfig, encode, train
+from oracles import brute_force_metrics, central_difference
 
 
 def verdict(num, ok, detail):
@@ -186,19 +187,10 @@ def test_criterion_03_gradients():
         he, cache = forward(params, xi, xt)
         _, grad_he = total_loss(he, targets, lam)
         analytic = block_views(backward(params, cache, grad_he), dims)
-        for name in PARAM_NAMES:
-            block = getattr(params, name)
-            fd = np.zeros_like(block)
-            it = np.nditer(block, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                orig = block[idx]
-                block[idx] = orig + eps
-                lp = _end_to_end_loss(params, xi, xt, targets, lam)
-                block[idx] = orig - eps
-                lm = _end_to_end_loss(params, xi, xt, targets, lam)
-                block[idx] = orig
-                fd[idx] = (lp - lm) / (2 * eps)
+        for name in PARAM_NAMES:  # each block is a view of params.flat
+            fd = central_difference(
+                lambda _: _end_to_end_loss(params, xi, xt, targets, lam),
+                getattr(params, name), eps)
             denom = max(np.linalg.norm(fd), 1e-8)
             rel = np.linalg.norm(analytic[name] - fd) / denom
             worst_net = max(worst_net, rel)
@@ -207,17 +199,7 @@ def test_criterion_03_gradients():
         he_free = rng.uniform(-0.95, 0.95, size=(n, 4))
         for fn, args in ((central_similarity_loss, (targets,)), (quantization_loss, ())):
             _, g = fn(he_free, *args)
-            fd = np.zeros_like(he_free)
-            it = np.nditer(he_free, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                orig = he_free[idx]
-                he_free[idx] = orig + eps
-                lp = fn(he_free, *args)[0]
-                he_free[idx] = orig - eps
-                lm = fn(he_free, *args)[0]
-                he_free[idx] = orig
-                fd[idx] = (lp - lm) / (2 * eps)
+            fd = central_difference(lambda x: fn(x, *args)[0], he_free, eps)
             rel = np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-8)
             worst_loss = max(worst_loss, rel)
     ok = worst_net < 1e-4 and worst_loss < 1e-6
@@ -226,39 +208,6 @@ def test_criterion_03_gradients():
 
 
 # ---- 4. metric oracle equivalence --------------------------------------------
-
-def _brute_force(q_codes, q_labels, r_codes, r_labels, r_cap=None, k_grid=None):
-    """Independent mAP / mAP@k / Recall@k from first principles."""
-    n, kbits = r_codes.shape
-    aps, rows = [], {}
-    for q, lab in zip(q_codes, q_labels):
-        d = (q != r_codes).sum(axis=1)
-        order = sorted(range(n), key=lambda i: (d[i], i))
-        rel = [(r_labels[i] & lab).any() for i in order]
-        m = sum(rel)
-        cap = n if r_cap is None else min(r_cap, n)
-        hits, s = 0, 0.0
-        for r in range(cap):
-            if rel[r]:
-                hits += 1
-                s += hits / (r + 1)
-        aps.append(s / m if m else 0.0)
-        if k_grid:
-            for kk in k_grid:
-                hits, s = 0, 0.0
-                for r in range(min(kk, n)):
-                    if rel[r]:
-                        hits += 1
-                        s += hits / (r + 1)
-                ap_k = s / m if m else 0.0
-                rec_k = hits / m if m else 0.0
-                rows.setdefault(kk, []).append((ap_k, rec_k))
-    table = [
-        (kk, float(np.mean([a for a, _ in v])), float(np.mean([r for _, r in v])))
-        for kk, v in sorted(rows.items())
-    ]
-    return float(np.mean(aps)), table
-
 
 def test_criterion_04_metric_oracles():
     rng = np.random.default_rng(4)
@@ -279,7 +228,7 @@ def test_criterion_04_metric_oracles():
         k_grid = sorted(set(k_grid))
         got_map = mean_average_precision(q_codes, q_labels, index)
         got_curv = curves(q_codes, q_labels, index, k_grid)
-        want_map, want_curv = _brute_force(
+        want_map, want_curv = brute_force_metrics(
             q_codes, q_labels, r_codes, r_labels, k_grid=k_grid
         )
         worst = max(worst, abs(got_map - want_map))
@@ -408,13 +357,12 @@ def test_criterion_10_determinism(tmp_path):
                     "--seed", "7", "--out-dir", str(data)]) == 0
     assert cli.run(["centers", "--classes", "4", "--bits", "8",
                     "--seed", "7", "--out", str(run_a / "centers.cshc")]) == 0
-    assert cli.run(["train",
-                    "--image-features", str(data / "image_features.csft"),
+    train_inputs = ["--image-features", str(data / "image_features.csft"),
                     "--text-features", str(data / "text_features.csft"),
                     "--labels", str(data / "labels.cslb"),
                     "--splits", str(data / "splits.json"),
-                    "--centers", str(run_a / "centers.cshc"),
-                    "--out", str(run_a / "model.csmv"),
+                    "--centers", str(run_a / "centers.cshc")]
+    assert cli.run(["train", *train_inputs, "--out", str(run_a / "model.csmv"),
                     "--epochs", "10", "--hidden-dim", "8", "--seed", "7",
                     "--eval-every", "5"]) == 0
     for split in ("retrieval", "query"):
@@ -430,16 +378,12 @@ def test_criterion_10_determinism(tmp_path):
     assert cli.run(["eval", *codes, "--out", str(run_a / "metrics.csv")]) == 0
     assert cli.run(["curves", *codes, "--k-grid", "10", "1", "5",
                     "--out", str(run_a / "curves.csv")]) == 0
-    # an ablation run: the replayed argv must carry the flag and the log path
-    assert cli.run(["train",
-                    "--image-features", str(data / "image_features.csft"),
-                    "--text-features", str(data / "text_features.csft"),
-                    "--labels", str(data / "labels.cslb"),
-                    "--splits", str(data / "splits.json"),
-                    "--centers", str(run_a / "centers.cshc"),
-                    "--out", str(run_a / "image_only.csmv"), "--image-only",
-                    "--log-csv", str(run_a / "image_only.csv"),
-                    "--epochs", "5", "--hidden-dim", "8", "--seed", "7"]) == 0
+    # ablation runs: the replayed argv must carry the flag and the log path
+    ablations = {"image_only": ["--image-only"], "lam0": ["--lam", "0"], "quant": ["--quant-only"]}
+    for name, flag in ablations.items():
+        assert cli.run(["train", *train_inputs, "--out", str(run_a / f"{name}.csmv"), *flag,
+                        "--log-csv", str(run_a / f"{name}.csv"),
+                        "--epochs", "5", "--hidden-dim", "8", "--seed", "7"]) == 0
 
     manifests = [
         data / "image_features.csft.manifest.json",
@@ -450,7 +394,7 @@ def test_criterion_10_determinism(tmp_path):
         run_a / "top5.csv.manifest.json",
         run_a / "metrics.csv.manifest.json",
         run_a / "curves.csv.manifest.json",
-        run_a / "image_only.csmv.manifest.json",
+        *(run_a / f"{name}.csmv.manifest.json" for name in ablations),
     ]
     outputs = []
     for mpath in manifests:

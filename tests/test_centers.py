@@ -5,6 +5,7 @@ import pytest
 
 from mvhash import centers as C
 from mvhash.errors import CapacityError, GenerationFailure, InvalidArgument
+from oracles import oracle_generate_centers, oracle_semantic_centers_for
 
 
 def test_hadamard_base_cases():
@@ -122,46 +123,6 @@ def test_generate_rejects_non_integer_sizes_and_seed():
     assert type(cs.seed) is int and (cs.num_classes, cs.code_length, cs.seed) == (4, 16, 3)
 
 
-def _oracle_bernoulli_centers(existing, count, code_length, rng):
-    """The per-center acceptance loop that the one-matrix sampler replaces,
-    with its inner products taken in int64."""
-    min_dist = -(-code_length // 4)  # ceil(K/4)
-    chosen = [np.asarray(c, dtype=np.int64) for c in existing]
-    out = []
-    for _ in range(count):
-        for _ in range(C.MAX_RETRIES_PER_CENTER):
-            cand = rng.integers(0, 2, size=code_length).astype(np.int64) * 2 - 1
-            if not chosen:
-                chosen.append(cand)
-                out.append(cand)
-                break
-            inners = np.array([int(cand @ c) for c in chosen])
-            dists = (code_length - inners) // 2
-            if dists.min() >= min_dist and inners.sum() <= 0:
-                chosen.append(cand)
-                out.append(cand)
-                break
-        else:
-            raise GenerationFailure(
-                f"no acceptable center after {C.MAX_RETRIES_PER_CENTER} tries "
-                f"(need separation >= {min_dist}, best candidate reached {int(dists.min())})"
-            )
-    return out
-
-
-def _oracle_generate_centers(v, k, seed):
-    """(method, centers) from the three branches that one construction path replaces."""
-    rng = np.random.default_rng(seed)
-    if k & (k - 1) == 0:
-        h = C.sylvester_hadamard(k)
-        stacked = np.vstack([h, -h])
-        if v <= 2 * k:
-            return C.METHOD_HADAMARD, stacked[:v]
-        extra = _oracle_bernoulli_centers(list(stacked), v - 2 * k, k, rng)
-        return C.METHOD_HADAMARD_PLUS_BERNOULLI, np.vstack([stacked, extra])
-    return C.METHOD_BERNOULLI, np.array(_oracle_bernoulli_centers([], v, k, rng))
-
-
 def _outcome(make, *args):
     try:
         return make(*args)
@@ -176,7 +137,7 @@ def test_generate_centers_matches_per_center_loop(k, seed):
     for v in sorted({1, 3, 17, 2 * k, 2 * k + 3, 200}):
         if v > 2**k:
             continue
-        want = _outcome(_oracle_generate_centers, v, k, seed)
+        want = _outcome(oracle_generate_centers, v, k, seed)
         got = _outcome(C.generate_centers, v, k, seed)
         if isinstance(want, str):
             assert got == want, (v, k)
@@ -258,6 +219,16 @@ def test_center_set_rejects_sizes_that_are_not_positive_integers(shape, k, v, me
         C.HashCenterSet(np.ones(shape, dtype=np.int8), k, v, C.METHOD_HADAMARD, 0)
 
 
+@pytest.mark.parametrize("centers, message", [
+    (np.ones((3, 8), np.int8), r"centers shape \(3, 8\) != \(4, 8\)"),
+    (np.where(np.eye(4, 8) > 0, 0, 1).astype(np.int8), r"center entries must be -1 or \+1"),
+], ids=["shape", "zero-entry"])
+def test_center_set_rejects_a_shape_mismatch_and_entries_other_than_plus_minus_one(
+        centers, message):
+    with pytest.raises(InvalidArgument, match=f"^{message}$"):
+        C.HashCenterSet(centers, 8, 4, C.METHOD_HADAMARD, 0)
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
 def test_center_seed_outside_u64_rejected(seed, monkeypatch):
     with pytest.raises(InvalidArgument, match=rf"^seed {seed} is outside \[0, 2\^64\)$"):
@@ -317,34 +288,6 @@ def test_semantic_center_idempotent_over_one_element():
     assert (C.semantic_centers_for(np.eye(6), cs) == cs.centers).all()
 
 
-def _oracle_semantic_center(label_vector, centers, sample_id, seed=0):
-    """The per-bit default_rng loop that the batched semantic centers replace."""
-    labels = np.asarray(label_vector)
-    active = np.flatnonzero(labels)
-    if active.size == 0:
-        raise InvalidArgument("label vector has no active label")
-    if labels.shape[0] != centers.num_classes:
-        raise InvalidArgument(
-            f"label vector length {labels.shape[0]} != num_classes {centers.num_classes}"
-        )
-    if active.size == 1:
-        return centers.centers[active[0]].copy()
-
-    sums = centers.centers[active].astype(np.int64).sum(axis=0)
-    code = np.sign(sums).astype(np.int8)
-    for bit in np.flatnonzero(sums == 0):
-        coin = np.random.default_rng([int(seed), int(sample_id), int(bit)])
-        code[bit] = 1 if coin.integers(0, 2) else -1
-    return code
-
-
-def _oracle_semantic_centers_for(labels, centers, seed=0):
-    return np.array(
-        [_oracle_semantic_center(row, centers, i, seed) for i, row in enumerate(labels)],
-        dtype=np.int8,
-    )
-
-
 def _multi_hot(rows, num_classes, seed):
     """1-4 active labels per row, every count present; even counts give ties."""
     rng = np.random.default_rng(seed)
@@ -363,7 +306,7 @@ def test_semantic_centers_for_matches_per_bit_loop(k, seed):
     assert (sums == 0).any()  # the coin is exercised at every K
     out = C.semantic_centers_for(labels, cs, seed=seed)
     assert out.dtype == np.int8 and out.shape == (96, k)
-    assert (out == _oracle_semantic_centers_for(labels, cs, seed=seed)).all()
+    assert (out == oracle_semantic_centers_for(labels, cs, seed=seed)).all()
     single = labels.sum(axis=1) == 1
     assert (out[single] == cs.centers[labels[single].argmax(axis=1)]).all()
 
@@ -373,7 +316,7 @@ def test_blocked_coins_match_per_bit_loop(k, monkeypatch):
     cs = C.generate_centers(12, k, seed=4)
     labels = _multi_hot(160, 12, seed=k + 1)
     tied = int(((labels.astype(np.int64) @ cs.centers.astype(np.int64)) == 0).sum())
-    want = _oracle_semantic_centers_for(labels, cs, seed=2**32 + 7)
+    want = oracle_semantic_centers_for(labels, cs, seed=2**32 + 7)
     for block in (7, 64):
         assert tied > 3 * block  # several full blocks and a partial one
         monkeypatch.setattr(C, "_COIN_BLOCK", block)

@@ -10,6 +10,7 @@ import pytest
 from mvhash import cli, formats, net, trainer
 from mvhash.centers import min_pairwise_distance
 from mvhash.retrieval import unpack_codes
+from oracles import ranking
 
 
 def run(*argv):
@@ -140,9 +141,8 @@ def test_query_csv_bytes_hold_the_oracle_ranking(pipeline, tmp_path, k):
     rows = np.unpackbits(codes, axis=1, bitorder="little")[:, :bits]
     lines = ["query_id,rank,item_id,hamming_distance"]
     for qid, q in enumerate(np.unpackbits(queries, axis=1, bitorder="little")[:, :bits]):
-        d = (rows != q).sum(axis=1)
-        order = np.lexsort((np.arange(len(d)), d))[:k]  # (distance, ascending id)
-        lines += [f"{qid},{rank},{item},{d[item]}" for rank, item in enumerate(order, 1)]
+        order, d = ranking(rows, q)
+        lines += [f"{qid},{rank},{item},{d[item]}" for rank, item in enumerate(order[:k], 1)]
     assert out.read_bytes() == "".join(line + "\n" for line in lines).encode()
 
 
@@ -206,6 +206,17 @@ def test_empty_query_file_exits_one(pipeline, tmp_path, capsys, stage):
     assert run(stage, "--codes", str(pipeline / "retrieval.cscd"),
                "--queries", str(queries), "--out", str(out), *extra) == 1
     assert "empty query set" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stage", ["query", "eval", "curves"])
+def test_queries_of_another_code_length_exit_one(pipeline, tmp_path, capsys, stage):
+    queries, out = tmp_path / "q16.cscd", tmp_path / "out.csv"
+    formats.save_codes(np.zeros((2, 2), dtype=np.uint8), np.ones((2, 4)), 16, queries)
+    extra = ["--k-grid", "1", "5"] if stage == "curves" else []
+    assert run(stage, "--codes", str(pipeline / "retrieval.cscd"),
+               "--queries", str(queries), "--out", str(out), *extra) == 1
+    assert "[errors.InvalidArgument]: query K=16 != index K=8" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -287,6 +298,28 @@ def test_encode_split_without_splits_fails(pipeline, tmp_path, capsys):
     assert run(*_encode_args(pipeline, out, "--split", "query")) != 0
     assert "--splits" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_encode_splits_without_split_fails(pipeline, tmp_path, capsys):
+    # it encoded every row, and its manifest listed a splits file it never read
+    out = tmp_path / "all.cscd"
+    splits = pipeline / "data" / "splits.json"
+    assert run(*_encode_args(pipeline, out, "--splits", str(splits))) == 1
+    err = capsys.readouterr().err
+    assert "[errors.InvalidArgument]: --split and --splits must be given together" in err
+    assert not out.exists()
+
+
+def test_splits_file_without_a_split_exits_one_naming_it(pipeline, tmp_path, capsys):
+    data, splits = pipeline / "data", tmp_path / "splits.json"
+    splits.write_text(json.dumps({"retrieval": [0], "query": [1]}))
+    assert run("train", "--image-features", str(data / "image_features.csft"),
+               "--text-features", str(data / "text_features.csft"),
+               "--labels", str(data / "labels.cslb"), "--splits", str(splits),
+               "--centers", str(pipeline / "centers.cshc"),
+               "--out", str(tmp_path / "m.csmv"), "--epochs", "1") == 1
+    err = capsys.readouterr().err
+    assert f"[errors.FormatError]: {splits}: split 'train' is missing or not a list" in err
 
 
 @pytest.mark.parametrize("bad, message", [

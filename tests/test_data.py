@@ -109,6 +109,18 @@ def test_dataset_rejects_unlabeled_samples():
         )
 
 
+def test_dataset_rejects_rows_of_different_lengths():
+    with pytest.raises(InvalidArgument, match="^text_features length != 2$"):
+        MultiViewDataset(
+            image_features=np.zeros((2, 3)),
+            text_features=np.zeros((3, 3)),
+            labels=np.ones((2, 2), dtype=np.uint8),
+            train_mask=np.array([True, False]),
+            retrieval_mask=np.array([False, True]),
+            query_mask=np.array([False, False]),
+        )
+
+
 def test_dataset_rejects_query_overlap():
     with pytest.raises(InvalidArgument):
         MultiViewDataset(

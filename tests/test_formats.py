@@ -184,7 +184,10 @@ def test_labels_written_by_the_non_zero_rule(tmp_path, kind):
     (np.zeros((2, 3), np.uint8), 16, "packed width 3 inconsistent with K=16"),
     (np.zeros((2, 1), np.uint8), 16, "packed width 1 inconsistent with K=16"),
     (np.array([[0x1F], [0xFF]], np.uint8), 5, r"code row 1 has non-zero padding bits \(K=5\)"),
-], ids=["too-wide", "too-narrow", "padding-bits"])
+    # K = 0 wrote a 23-byte file that every consumer then refused without naming it
+    (np.zeros((2, 0), np.uint8), 0, "^code_length must be >= 1, got 0$"),
+    (np.zeros((3, 1), np.uint8), 8, "^codes rows 3 != label rows 2$"),
+], ids=["too-wide", "too-narrow", "padding-bits", "no-bits", "row-mismatch"])
 def test_save_codes_rejects_what_load_codes_rejects(tmp_path, packed, k, message):
     path = tmp_path / "c.cscd"
     with pytest.raises(InvalidArgument, match=message):
@@ -207,6 +210,15 @@ def test_save_codes_writes_in_range_int64_rows_as_their_bytes(tmp_path):
     formats.save_codes(packed.astype(np.uint8), np.ones((2, 3)), 16, tmp_path / "u8.cscd")
     assert (tmp_path / "wide.cscd").read_bytes() == (tmp_path / "u8.cscd").read_bytes()
     assert formats.load_codes(tmp_path / "wide.cscd")[0].tolist() == packed.tolist()
+
+
+@pytest.mark.parametrize("r, v", [(3, 2), (0, 0)])
+def test_codes_without_bits_fail_closed(tmp_path, r, v):
+    # a hand-written header: K = 0, so no code bytes, then V and R label rows
+    path = tmp_path / "c.cscd"
+    path.write_bytes(struct.pack("<4sIIII", b"CSCD", 1, r, 0, v) + bytes(r * -(-v // 8)))
+    with pytest.raises(FormatError, match=r"c\.cscd: code_length must be >= 1, got 0$"):
+        formats.load_codes(path)
 
 
 def _set_bits(path, offset, mask):
@@ -279,6 +291,14 @@ def test_checkpoint_of_numpy_integer_dims_and_seed_saves(tmp_path):
     back = formats.load_checkpoint(tmp_path / "model.csmv")
     assert back.dims == net.Dims(5, 7, 4, 6) and back.init_seed == 33
     assert (back.flat == net.init_params(net.Dims(5, 7, 4, 6), seed=33).flat).all()
+
+
+def test_checkpoint_with_a_zero_dim_fails_closed(tmp_path):
+    # a hand-written header with d = 0, so no parameter bytes follow it
+    path = tmp_path / "m.csmv"
+    path.write_bytes(struct.pack("<4sIIIIIIQ", b"CSMV", 1, 8, 8, 0, 4, 2, 0))
+    with pytest.raises(FormatError, match=r"m\.csmv: d must be >= 1, got 0$"):
+        formats.load_checkpoint(path)
 
 
 def test_checkpoint_bad_version(tmp_path):

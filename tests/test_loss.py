@@ -5,21 +5,7 @@ import pytest
 
 from mvhash import loss as L
 from mvhash.errors import InvalidArgument
-
-
-def fd_grad(fn, he, eps=1e-7):
-    g = np.zeros_like(he)
-    it = np.nditer(he, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        orig = he[idx]
-        he[idx] = orig + eps
-        up = fn(he)
-        he[idx] = orig - eps
-        dn = fn(he)
-        he[idx] = orig
-        g[idx] = (up - dn) / (2 * eps)
-    return g
+from oracles import central_difference, seed_batch_loss
 
 
 def test_central_loss_perfect_match_limit():
@@ -42,7 +28,7 @@ def test_central_loss_grad_matches_finite_differences():
     he = rng.uniform(-0.9, 0.9, size=(3, 4))
     c = np.sign(rng.normal(size=(3, 4)))
     _, g = L.central_similarity_loss(he, c)
-    ref = fd_grad(lambda x: L.central_similarity_loss(x, c)[0], he)
+    ref = central_difference(lambda x: L.central_similarity_loss(x, c)[0], he, 1e-7)
     assert np.abs(g - ref).max() / np.abs(ref).max() < 1e-6
 
 
@@ -50,6 +36,12 @@ def test_central_loss_rejects_out_of_range():
     for bad in (1.2, -1.0000001, np.nan, np.inf, -np.inf):  # NaN compares False
         with pytest.raises(InvalidArgument, match=r"outside \[-1, 1\]"):
             L.central_similarity_loss(np.array([[bad, 0.0]]), np.array([[1, 1]]))
+
+
+def test_central_loss_rejects_a_shape_mismatch():
+    message = r"^shape mismatch: he \(2, 4\) vs centers \(2, 3\)$"
+    with pytest.raises(InvalidArgument, match=message):
+        L.central_similarity_loss(np.zeros((2, 4)), np.ones((2, 3)))
 
 
 def test_central_loss_nonnegative_and_zero_only_at_center():
@@ -91,8 +83,13 @@ def test_quantization_grad_matches_finite_differences():
     rng = np.random.default_rng(4)
     he = rng.uniform(0.1, 0.9, size=(3, 4)) * np.sign(rng.normal(size=(3, 4)))
     _, g = L.quantization_loss(he)
-    ref = fd_grad(lambda x: L.quantization_loss(x)[0], he)
+    ref = central_difference(lambda x: L.quantization_loss(x)[0], he, 1e-7)
     assert np.abs(g - ref).max() / np.abs(ref).max() < 1e-6
+
+
+def test_quantization_loss_rejects_nan():
+    with pytest.raises(InvalidArgument, match="^hash logits contain NaN/Inf$"):
+        L.quantization_loss(np.array([[0.5, np.nan]]))
 
 
 def test_quantization_loss_sign_flip_invariant():
@@ -148,19 +145,6 @@ def test_total_loss_rejects_unknown_mode():
         L.total_loss(np.zeros((1, 2)), np.ones((1, 2)), mode="central")
 
 
-def _seed_batch_loss(he, target_centers, lam, loss_mode):
-    """The trainer's per-mode loss from before total_loss took the mode, with
-    that total_loss inlined: the oracle for the mode argument."""
-    if loss_mode == "quant":
-        l_q, g_q = L.quantization_loss(he)
-        return L.LossReport(l_central=0.0, l_quant=l_q, l_total=l_q), g_q
-    if loss_mode == "central":
-        lam = 0.0
-    l_c, g_c = L.central_similarity_loss(he, target_centers)
-    l_q, g_q = L.quantization_loss(he)
-    return L.LossReport(l_central=l_c, l_quant=l_q, l_total=l_c + lam * l_q), g_c + lam * g_q
-
-
 @pytest.mark.parametrize("mode", ["full", "central", "quant"])
 @pytest.mark.parametrize("lam", [0.0, 0.25, 3.0])
 def test_total_loss_mode_matches_seed_dispatch(mode, lam):
@@ -172,7 +156,7 @@ def test_total_loss_mode_matches_seed_dispatch(mode, lam):
         report, g = L.total_loss(he, c, 0.0, "full")
     else:
         report, g = L.total_loss(he, c, lam, mode)
-    want, want_g = _seed_batch_loss(he, c, lam, mode)
+    want, want_g = seed_batch_loss(he, c, lam, mode)
     assert (report.l_central, report.l_quant, report.l_total) == (
         want.l_central, want.l_quant, want.l_total)
     assert g.tobytes() == want_g.tobytes()

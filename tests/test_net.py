@@ -5,6 +5,7 @@ import pytest
 
 from mvhash import net
 from mvhash.errors import CacheMismatch, InvalidArgument, ShapeMismatch
+from oracles import central_difference, seed_backward, seed_init_blocks
 
 SMALL = net.Dims(d_img=8, d_txt=8, d=6, code_length=4)
 
@@ -16,27 +17,10 @@ def test_init_deterministic():
         assert (arr == net.block_views(b.flat, b.dims)[name]).all()
 
 
-def _seed_init_blocks(dims, seed):
-    """The per-block initialisation the flat buffer replaced, kept as its oracle."""
-    rng = np.random.default_rng(seed)
-
-    def w(rows, cols):
-        bound = 1.0 / np.sqrt(cols)
-        return rng.uniform(-bound, bound, size=(rows, cols))
-
-    d, k = dims.d, dims.code_length
-    return {
-        "W_vnorm": w(d, dims.d_img), "b_vnorm": np.zeros(d),
-        "W_tnorm": w(d, dims.d_txt), "b_tnorm": np.zeros(d),
-        "W_i": w(d, d), "W_t": w(d, d), "W_z": w(d, 2 * d),
-        "W_hash": w(k, d), "b_hash": np.zeros(k),
-    }
-
-
 @pytest.mark.parametrize("dims", [SMALL, net.Dims(d_img=64, d_txt=48, d=84, code_length=37)])
 def test_init_matches_per_block_draws(dims):
     p = net.init_params(dims, seed=2**63 + 5)
-    want = _seed_init_blocks(dims, 2**63 + 5)
+    want = seed_init_blocks(dims, 2**63 + 5)
     assert list(net.block_views(p.flat, p.dims)) == list(want) == list(net.PARAM_NAMES)
     for name, block in net.block_views(p.flat, p.dims).items():
         assert block.shape == want[name].shape and (block == want[name]).all(), name
@@ -184,29 +168,30 @@ def test_forward_shape_and_finite_errors():
     p = net.init_params(SMALL, seed=2)
     with pytest.raises(ShapeMismatch):
         net.forward(p, np.ones(5), np.ones(8))
+    with pytest.raises(ShapeMismatch, match="^batch sizes differ: 2 vs 3$"):
+        net.forward(p, np.ones((2, 8)), np.ones((3, 8)))
     bad = np.ones(8)
     bad[0] = np.nan
     with pytest.raises(InvalidArgument):
         net.forward(p, bad, np.ones(8))
 
 
+@pytest.mark.parametrize("dtype, size", [(np.float32, 0), (np.float64, 1)])
+def test_params_reject_a_flat_buffer_of_another_dtype_or_size(dtype, size):
+    n = SMALL.param_count()
+    flat = np.zeros(n + size, dtype)
+    with pytest.raises(ShapeMismatch, match=rf"^flat parameters: expected float64 \({n},\), "
+                                            rf"got {np.dtype(dtype)} \({n + size},\)$"):
+        net.ModelParams(SMALL, 0, flat)
+
+
 def finite_difference_grads(p, img, txt, grad_he, masks=None, eps=1e-5):
     """Central differences of sum(grad_he * he) w.r.t. every parameter."""
-    out = {}
-    for name, arr in net.block_views(p.flat, p.dims).items():
-        g = np.zeros_like(arr)
-        it = np.nditer(arr, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            orig = arr[idx]
-            arr[idx] = orig + eps
-            hp, _ = net.forward(p, img, txt, dropout_masks=masks)
-            arr[idx] = orig - eps
-            hm, _ = net.forward(p, img, txt, dropout_masks=masks)
-            arr[idx] = orig
-            g[idx] = np.sum(grad_he * (hp - hm)) / (2 * eps)
-        out[name] = g
-    return out
+    def f(_):  # each block is a view of p.flat, so forward sees the perturbation
+        return np.sum(grad_he * net.forward(p, img, txt, dropout_masks=masks)[0])
+
+    return {name: central_difference(f, arr, eps)
+            for name, arr in net.block_views(p.flat, p.dims).items()}
 
 
 def assert_grads_close(analytic, numeric, rtol=1e-4):
@@ -263,59 +248,6 @@ def test_backward_gate_grad_vanishes_when_views_agree():
     assert np.abs(net.block_views(grad, SMALL)["W_z"]).max() < 1e-12
 
 
-def _seed_backward(params, cache, grad_he):
-    """The dict-of-blocks backward the flat gradient replaced, kept as its oracle."""
-    d = params.dims.d
-    g_a = grad_he * (1.0 - cache.he**2)
-    gW_hash = g_a.T @ cache.h_f
-    gb_hash = g_a.sum(axis=0)
-    g_hf = g_a @ params.W_hash
-    g_xi = np.zeros_like(cache.x_i)
-    g_xt = np.zeros_like(cache.x_t)
-    gW_z = np.zeros_like(params.W_z)
-    gW_i = np.zeros_like(params.W_i)
-    gW_t = np.zeros_like(params.W_t)
-
-    def through_hi(g_hi):
-        nonlocal gW_i, g_xi
-        g_p = g_hi * (1.0 - cache.h_i**2)
-        gW_i = g_p.T @ cache.x_i
-        g_xi += g_p @ params.W_i
-
-    def through_ht(g_ht):
-        nonlocal gW_t, g_xt
-        g_p = g_ht * (1.0 - cache.h_t**2)
-        gW_t = g_p.T @ cache.x_t
-        g_xt += g_p @ params.W_t
-
-    if cache.fusion == "gmu":
-        g_z = g_hf * (cache.h_i - cache.h_t)
-        g_u = g_z * cache.z * (1.0 - cache.z)
-        xc = np.concatenate([cache.x_i, cache.x_t], axis=1)
-        gW_z = g_u.T @ xc
-        g_xi += g_u @ params.W_z[:, :d]
-        g_xt += g_u @ params.W_z[:, d:]
-        through_hi(g_hf * cache.z)
-        through_ht(g_hf * (1.0 - cache.z))
-    elif cache.fusion == "image":
-        through_hi(g_hf)
-    elif cache.fusion == "text":
-        through_ht(g_hf)
-    else:
-        hc = np.concatenate([cache.h_i, cache.h_t], axis=1)
-        gW_z = g_hf.T @ hc
-        through_hi(g_hf @ params.W_z[:, :d])
-        through_ht(g_hf @ params.W_z[:, d:])
-    if cache.mask_i is not None:
-        g_xi = g_xi * cache.mask_i
-        g_xt = g_xt * cache.mask_t
-    return {
-        "W_vnorm": g_xi.T @ cache.img, "b_vnorm": g_xi.sum(axis=0),
-        "W_tnorm": g_xt.T @ cache.txt, "b_tnorm": g_xt.sum(axis=0),
-        "W_i": gW_i, "W_t": gW_t, "W_z": gW_z, "W_hash": gW_hash, "b_hash": gb_hash,
-    }
-
-
 # SMALL, and the train-multilabel benchmark head with its batch of 64
 @pytest.mark.parametrize("dims, n", [(SMALL, 3), (net.Dims(64, 64, 84, 64), 64)],
                          ids=["small", "train_multilabel"])
@@ -332,7 +264,7 @@ def test_flat_backward_equals_per_block_oracle(fusion, dropout, dims, n):
     grad_he = rng.normal(size=he.shape)
     grad = net.backward(p, cache, grad_he)
     assert grad.dtype == np.float64 and grad.shape == p.flat.shape
-    want = _seed_backward(p, cache, grad_he)
+    want = seed_backward(p, cache, grad_he)
     for name, block in net.block_views(grad, dims).items():
         assert (block == want[name]).all(), name
 

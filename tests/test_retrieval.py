@@ -3,14 +3,11 @@ import pytest
 
 from mvhash import retrieval as R
 from mvhash.errors import InvalidArgument, InvalidState
+from oracles import brute_force_metrics, ranking, seed_metrics, seed_terms
 
 
 def random_codes(rng, n, k):
     return (rng.integers(0, 2, size=(n, k)) * 2 - 1).astype(np.int8)
-
-
-def naive_distance(a, b):
-    return int(sum(1 for x, y in zip(a.tolist(), b.tolist()) if x != y))
 
 
 def scan_distances(query, codes):
@@ -30,7 +27,7 @@ def test_hamming_distance_non_word_aligned():
     rng = np.random.default_rng(1)
     for _ in range(50):
         a, b = random_codes(rng, 2, 37)
-        assert scan_distances(a, b) == [naive_distance(a, b)]
+        assert scan_distances(a, b) == ranking([b], a)[1].tolist()
 
 
 @pytest.mark.parametrize("k", [8, 16, 37, 63, 64, 65, 128])
@@ -38,7 +35,7 @@ def test_packed_distance_equals_bit_loop(k):
     rng = np.random.default_rng(k)
     for _ in range(20):
         a, b = random_codes(rng, 2, k)
-        assert scan_distances(a, b) == [naive_distance(a, b)]
+        assert scan_distances(a, b) == ranking([b], a)[1].tolist()
 
 
 def test_hamming_distance_length_mismatch():
@@ -103,22 +100,15 @@ def _make_index(rng, n=100, k=16, v=5):
     return codes, labels, R.RetrievalIndex.from_signs(codes, labels)
 
 
-def brute_force_ranking(codes, query):
-    """Full-sort oracle: ascending distance, ties by ascending id."""
-    d = [naive_distance(c, query) for c in codes]
-    order = sorted(range(len(d)), key=lambda i: (d[i], i))
-    return order, d
-
-
 def test_query_topk_matches_full_sort_oracle():
     rng = np.random.default_rng(4)
     codes, labels, index = _make_index(rng)
     for _ in range(10):
         q = random_codes(rng, 1, 16)[0]
-        oracle_order, d = brute_force_ranking(codes, q)
+        order, d = ranking(codes, q)
         result = index.query_topk(q, 10)
-        assert result.ids.tolist() == oracle_order[:10]
-        assert result.distances.tolist() == [d[i] for i in oracle_order[:10]]
+        assert result.ids.tolist() == order[:10].tolist()
+        assert result.distances.tolist() == d[order[:10]].tolist()
 
 
 def test_query_topk_full_ranking_is_permutation():
@@ -199,31 +189,6 @@ def test_average_precision_no_relevant_items():
     assert R.average_precision(np.array([0, 1]), ranking, index) == 0.0
 
 
-def brute_force_metrics(query_codes, query_labels, codes, labels, r_cap=None, at_k=None):
-    """Independent reference: per-bit loops and explicit Eq-style sums."""
-    n = len(codes)
-    cap = n if r_cap is None else min(r_cap, n)
-    aps, recalls = [], []
-    for q_code, q_label in zip(query_codes, query_labels):
-        order, _ = brute_force_ranking(codes, q_code)
-        rel = [int((labels[i] & q_label).any()) for i in order]
-        m = sum(int((lab & q_label).any()) for lab in labels)
-        if m == 0:
-            aps.append(0.0)
-            recalls.append(0.0)
-            continue
-        ap = 0.0
-        hits = 0
-        upto = cap if at_k is None else min(at_k, n)
-        for r in range(1, upto + 1):
-            if rel[r - 1]:
-                hits += 1
-                ap += hits / r
-        aps.append(ap / m)
-        recalls.append(hits / m)
-    return sum(aps) / len(aps), sum(recalls) / len(recalls)
-
-
 def test_mean_average_precision_examples():
     labels = np.array([[1, 0], [0, 1], [1, 0], [0, 1]], dtype=np.uint8)
     codes = np.ones((4, 8), dtype=np.int8)
@@ -278,10 +243,9 @@ def test_curves_match_brute_force():
     q_codes = random_codes(rng, 5, 10)
     q_labels = np.zeros((5, 3), dtype=np.uint8)
     q_labels[np.arange(5), rng.integers(0, 3, size=5)] = 1
-    for k, map_k, recall_k in R.curves(q_codes, q_labels, index, [3, 9, 30]):
-        ref_map, ref_recall = brute_force_metrics(
-            q_codes, q_labels, codes, labels, at_k=k
-        )
+    _, want = brute_force_metrics(q_codes, q_labels, codes, labels, k_grid=[3, 9, 30])
+    for (_, map_k, recall_k), (_, ref_map, ref_recall) in zip(
+            R.curves(q_codes, q_labels, index, [3, 9, 30]), want, strict=True):
         assert map_k == pytest.approx(ref_map, abs=1e-12)
         assert recall_k == pytest.approx(ref_recall, abs=1e-12)
 
@@ -339,34 +303,6 @@ def test_curves_rejects_k_below_one(grid, bad):
 
 # ---- the ranked pass against the seed formulas and the brute-force ranking ----
 
-def seed_ap(rel_mask, ids, cap):
-    """AP exactly as first written: uint8 @ int64 relevance, float64 cumsum."""
-    m = int(rel_mask.sum())
-    if m == 0:
-        return 0.0
-    rel = rel_mask[ids[:cap]].astype(np.float64)
-    cum = np.cumsum(rel)
-    ranks = np.arange(1, cap + 1, dtype=np.float64)
-    return float(np.sum(rel * cum / ranks) / m)
-
-
-def seed_metrics(codes, labels, q_codes, q_labels, r_cap, k_grid):
-    """(mAP at r_cap, curve rows) from the oracle ranking and the seed arithmetic."""
-    n = len(codes)
-    orders = [np.array(brute_force_ranking(codes, q)[0]) for q in q_codes]
-    masks = [(labels.astype(np.uint8) @ q.astype(np.int64)) > 0 for q in q_labels]
-    cap = n if r_cap is None else min(r_cap, n)
-    full = float(np.mean([seed_ap(m, o, cap) for m, o in zip(masks, orders)]))
-    rows = []
-    for k in k_grid:
-        kk = min(k, n)
-        aps = [seed_ap(m, o, kk) for m, o in zip(masks, orders)]
-        recalls = [int(m[o[:kk]].sum()) / int(m.sum()) if m.any() else 0.0
-                   for m, o in zip(masks, orders)]
-        rows.append((k, float(np.mean(aps)), float(np.mean(recalls))))
-    return full, rows
-
-
 def tied_multilabel_index(rng, n, k, v):
     """Codes drawn from a few bases (many distance ties), 1-3 labels per item.
 
@@ -399,11 +335,11 @@ def test_ranked_pass_matches_oracle_and_seed_formulas(k, v):
     q_labels[4, 1] = 1  # no item has class 1: AP 0
     q_labels[5] = labels[0]
     for q in q_codes:
-        order, d = brute_force_ranking(codes, q)
+        order, d = ranking(codes, q)
         for top in (n, 17):
             res = index.query_topk(q, top)
-            assert res.ids.tolist() == order[:top]
-            assert res.distances.tolist() == [d[i] for i in order[:top]]
+            assert res.ids.tolist() == order[:top].tolist()
+            assert res.distances.tolist() == d[order[:top]].tolist()
     grid = [1, 5, 17, 60, n, n + 10]
     for r_cap in (None, 20):
         want_map, want_rows = seed_metrics(codes, labels, q_codes, q_labels, r_cap, grid)
@@ -513,13 +449,13 @@ def kernel_case(rng, n, k):
 def check_kernel(query, index, order, d, ks):
     got = index.distances(query)
     assert got.dtype == np.min_scalar_type(index.code_length)
-    assert got.tolist() == list(d)
+    assert got.tolist() == d.tolist()
     for top in ks:
         res = index.query_topk(query, top)
         want = order[:top]
-        assert res.ids.tolist() == list(want)
+        assert res.ids.tolist() == want.tolist()
         assert res.distances.dtype == np.int64
-        assert res.distances.tolist() == [d[i] for i in want]
+        assert res.distances.tolist() == d[want].tolist()
 
 
 @pytest.mark.parametrize("k", KERNEL_KS)
@@ -532,7 +468,7 @@ def test_scan_kernel_matches_oracles_at_chunk_edges(k, monkeypatch):
     for n in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
         codes, query = kernel_case(rng, n, k)
         index = R.RetrievalIndex.from_signs(codes, np.ones((n, 1), dtype=np.uint8))
-        order, d = brute_force_ranking(codes, query)
+        order, d = ranking(codes, query)
         ks = [top for top in (1, 10, n - 1, n, n + 5) if top >= 1]
         check_kernel(query, index, order, d, ks)
         same = R.RetrievalIndex.from_signs(np.repeat(codes[:1], n, axis=0),
@@ -548,10 +484,8 @@ def test_scan_kernel_matches_oracles_at_real_chunk_size(k):
     codes, query = kernel_case(rng, 2 * chunk + 3, k)
     for n in (chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
         index = R.RetrievalIndex.from_signs(codes[:n], np.ones((n, 1), dtype=np.uint8))
-        d = (codes[:n] != query).sum(axis=1)  # bit loop, vectorised over rows
-        order = np.lexsort((np.arange(n), d))  # (distance, ascending id)
-        check_kernel(query, index, order.tolist(), d.tolist(),
-                     [1, 10, n - 1, n, n + 5])
+        order, d = ranking(codes[:n], query)
+        check_kernel(query, index, order, d, [1, 10, n - 1, n, n + 5])
 
 
 # ---- the sampled select and the sparse AP terms against the oracles ----
@@ -574,11 +508,11 @@ def select_case(rng, n, k, sampled):
 def check_select(codes, query, tops):
     n = len(codes)
     index = R.RetrievalIndex.from_signs(codes, np.ones((n, 1), dtype=np.uint8))
-    order, d = brute_force_ranking(codes, query)
+    order, d = ranking(codes, query)
     for top in tops:
         res = index.query_topk(query, top)
-        assert res.ids.tolist() == order[:top]
-        assert res.distances.tolist() == [d[i] for i in order[:top]]
+        assert res.ids.tolist() == order[:top].tolist()
+        assert res.distances.tolist() == d[order[:top]].tolist()
 
 
 @pytest.mark.parametrize("k", SELECT_KS)
@@ -647,12 +581,6 @@ def test_sampled_select_falls_back_at_real_stride(k):
     n = 3 * R._SAMPLE_STRIDE + 5  # 4 sampled rows at distance 0
     codes, query = select_case(rng, n, k, 0)
     check_select(codes, query, [1, 4, 5, 10, n - 1])
-
-
-def seed_terms(rel):
-    """The seed's precision terms, dense: rel * cumsum(rel) / ranks."""
-    r = rel.astype(np.float64)
-    return r * np.cumsum(r) / np.arange(1, r.size + 1, dtype=np.float64)
 
 
 @pytest.mark.parametrize("k", SELECT_KS)
@@ -762,14 +690,14 @@ def test_lazy_distances_match_the_oracle_and_read_the_same_twice(k, monkeypatch)
             # tied codes, and a sample at distance 0 that under-guesses (the exact fallback)
             for codes, query in (kernel_case(rng, n, k), select_case(rng, n, k, 0)):
                 index = R.RetrievalIndex.from_signs(codes, np.ones((n, 1), dtype=np.uint8))
-                order, d = brute_force_ranking(codes, query)
+                order, d = ranking(codes, query)
                 for top in sorted({t for t in (1, 10, n - 1, n, n + 5) if t >= 1}):
                     res = index.query_topk(query, top)
                     first = res.distances
                     assert first.dtype == np.int64
-                    assert first.tolist() == [d[i] for i in order[:top]]
+                    assert first.tolist() == d[order[:top]].tolist()
                     assert res.distances is first
-                    assert res.ids.tolist() == order[:top]
+                    assert res.ids.tolist() == order[:top].tolist()
 
 
 def test_query_result_returns_the_distances_it_was_given():

@@ -6,6 +6,7 @@ import pytest
 
 from mvhash import retrieval as R
 from mvhash.errors import InvalidArgument
+from oracles import ranking
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -53,8 +54,7 @@ def test_scan_and_select_match_row_major_oracle(k, n, chunk, stride, top, flip, 
     codes = np.where(rng.random((n, k)) < flip, -codes, codes).astype(np.int8)
     query = codes[-1] if rng.random() < 0.5 else np.where(rng.random(k) < 0.5, 1, -1)
     codes[0] = -query  # distance K: a uint8 accumulator would wrap at K >= 256
-    d = (codes != query).sum(axis=1)
-    order = np.lexsort((np.arange(n), d))
+    order, d = ranking(codes, query)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(R, "_CHUNK_WORDS", chunk * -(-k // 64))
         mp.setattr(R, "_SAMPLE_STRIDE", stride)

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import threading
 import types
@@ -9,6 +10,7 @@ from mvhash import loss, net, retrieval, trainer
 from mvhash.centers import generate_centers
 from mvhash.data import SynthSpec, make_synthetic
 from mvhash.errors import DivergenceError, InvalidArgument, ShapeMismatch
+from oracles import seed_adam_step
 
 SMALL = net.Dims(d_img=8, d_txt=8, d=6, code_length=4)
 
@@ -85,19 +87,6 @@ def test_adam_step_leaves_the_gradient_unchanged():
         assert not np.shares_memory(g, state.scratch) and not np.shares_memory(g, state.denom)
 
 
-def _seed_adam_step(blocks, grads, m, v, step_index, config):
-    """The per-block Adam loop the flat update replaced, kept as its oracle."""
-    b1, b2 = config.adam_betas
-    lr, eps = config.learning_rate, config.adam_epsilon
-    for name, p in blocks.items():
-        g = grads[name]
-        m[name] = b1 * m[name] + (1 - b1) * g
-        v[name] = b2 * v[name] + (1 - b2) * g * g
-        m_hat = m[name] / (1 - b1**step_index)
-        v_hat = v[name] / (1 - b2**step_index)
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
-
-
 # SMALL, and the train-multilabel benchmark head (44,584 parameters)
 @pytest.mark.parametrize("dims", [SMALL, net.Dims(d_img=64, d_txt=64, d=84, code_length=64)],
                          ids=["small", "train_multilabel"])
@@ -113,7 +102,7 @@ def test_flat_adam_step_matches_per_block_loop(dims):
         scale = 10.0 ** rng.integers(-6, 3)
         grad = scale * rng.normal(size=p.flat.shape)
         trainer.adam_step(p, grad, state, step, cfg)
-        _seed_adam_step(blocks, net.block_views(grad, dims), m, v, step, cfg)
+        seed_adam_step(blocks, net.block_views(grad, dims), m, v, step, cfg)
         state_m, state_v = net.block_views(state.m, dims), net.block_views(state.v, dims)
         for name in net.PARAM_NAMES:
             assert (net.block_views(p.flat, p.dims)[name] == blocks[name]).all(), (step, name)
@@ -389,6 +378,21 @@ def test_train_rejects_class_mismatch():
     cs = generate_centers(5, 8, seed=0)
     with pytest.raises(InvalidArgument):
         trainer.train(ds, cs, _config())
+
+
+def test_train_rejects_an_empty_train_split():
+    ds = _tiny_dataset()
+    empty = dataclasses.replace(ds, train_mask=np.zeros_like(ds.train_mask))
+    with pytest.raises(InvalidArgument, match="^empty training set$"):
+        trainer.train(empty, generate_centers(4, 8, seed=0), _config())
+
+
+def test_non_finite_loss_raises_divergence():
+    # lam * l_quant overflows to inf in the first step, while the hash logits are finite
+    cfg = _config(lam=1e308)
+    diverged = pytest.raises(DivergenceError, match="^non-finite loss at epoch 1$")
+    with np.errstate(over="ignore"), diverged:
+        trainer.train(_tiny_dataset(), generate_centers(4, 8, seed=0), cfg, dims_hidden=8)
 
 
 def test_train_writes_csv_log(tmp_path):
