@@ -142,6 +142,8 @@ def load_centers(path) -> centers_mod.HashCenterSet:
 def save_features(matrix: np.ndarray, path) -> None:
     with np.errstate(over="ignore"):  # an overflow casts to inf, which is refused below
         m = np.ascontiguousarray(np.atleast_2d(matrix), dtype="<f4")
+    if m.shape[1] < 1:
+        raise InvalidArgument(f"{path}: feature dim must be >= 1, got {m.shape[1]}")
     bad = np.argwhere(~np.isfinite(m))
     if len(bad):
         raise InvalidArgument(f"{path}: non-finite float32 at row {bad[0][0]}, column {bad[0][1]}")
@@ -153,6 +155,8 @@ def load_features(path, expected_dim: int | None = None) -> np.ndarray:
     r = _Reader(path, b"CSFT")
     n = r.u32("row count")
     dim = r.u32("dim")
+    if dim == 0:  # no feature to fuse; zero rows still load
+        raise FormatError(f"{r.path}: dim must be >= 1, got 0")
     if expected_dim is not None and dim != expected_dim:
         raise ShapeMismatch(f"{r.path}: file dim {dim} != expected {expected_dim}")
     body = r.pos

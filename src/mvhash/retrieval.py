@@ -10,6 +10,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import workers
 from .errors import InvalidArgument, InvalidState, integer
 
 
@@ -95,6 +96,10 @@ class QueryResult:
 # popcount buffers stay in L2, and the query words are tiled once per call.
 _CHUNK_WORDS = 1 << 15
 
+# index words from which a scan's chunks run on every CPU. Two threads on a 2-core
+# x86-64 took 0.79-0.87x the time of one from 1M words, 0.91-1.05x at 512k, 1.2x at 100k.
+_PARALLEL_WORDS = 1 << 20
+
 # rows between the sampled distances that guess the k-th smallest in query_topk
 _SAMPLE_STRIDE = 1000
 
@@ -127,10 +132,10 @@ class RetrievalIndex:
     def distances(self, query_code: np.ndarray) -> np.ndarray:
         """Hamming distance from one +-1 query code to every row, as np.min_scalar_type(K).
 
-        The scan every query runs, in row-major chunks. Per chunk: XOR the flat
-        word stream with the query words tiled to the chunk (the one word
-        broadcast at W = 1), popcount through a transposed view into W contiguous
-        uint8 lanes, then sum the lanes with contiguous adds.
+        The scan every query runs, in row-major chunks, on every CPU from
+        _PARALLEL_WORDS index words. Per chunk: XOR the flat word stream with the
+        query words tiled to the chunk (the one word broadcast at W = 1), popcount
+        through a transposed view into W contiguous uint8 lanes, then add the lanes.
         """
         q = np.asarray(query_code).ravel()
         if q.shape[0] != self.code_length:
@@ -141,21 +146,21 @@ class RetrievalIndex:
         w = qw.size
         words = self._words.reshape(-1)
         rows = min(self.size, max(1, _CHUNK_WORDS // w))
-        # at W = 1, tiled[:m] is the one query word, broadcast over the chunk
+        # at W = 1, tiled[:n] is the one query word, broadcast over the chunk
         tiled = np.tile(qw, rows) if w > 1 else qw
-        xor = np.empty(rows * w, dtype=np.uint64)
-        lanes = np.empty((w, rows), dtype=np.uint8)
         dist = np.empty(self.size, dtype=np.min_scalar_type(self.code_length))
-        for start in range(0, self.size, rows):
+
+        def scan(start):  # buffers of its own, so that chunks run at once
             n = min(rows, self.size - start)
-            m = n * w
-            np.bitwise_xor(words[start * w:start * w + m], tiled[:m], out=xor[:m])
+            xor = np.bitwise_xor(words[start * w:(start + n) * w], tiled[:n * w])
             out = dist[start:start + n]
             if w == 1:
-                np.bitwise_count(xor[:m], out=out)
+                np.bitwise_count(xor, out=out)
             else:
-                np.bitwise_count(xor[:m].reshape(n, w).T, out=lanes[:, :n])
-                np.add.reduce(lanes[:, :n], axis=0, dtype=out.dtype, out=out)
+                lanes = np.bitwise_count(xor.reshape(n, w).T, order="C")
+                np.add.reduce(lanes, axis=0, dtype=out.dtype, out=out)
+
+        workers.run(range(0, self.size, rows), scan, words.size >= _PARALLEL_WORDS)
         return dist
 
     def query_topk(self, query_code: np.ndarray, k: int) -> QueryResult:

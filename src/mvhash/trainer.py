@@ -3,14 +3,13 @@
 import csv
 import math
 import os
-import threading
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import loss as loss_mod
-from . import net, retrieval
+from . import net, retrieval, workers
 from .centers import HashCenterSet, semantic_centers_for
 from .data import MultiViewDataset
 from .errors import DivergenceError, InvalidArgument, ShapeMismatch, integer
@@ -133,37 +132,22 @@ _ENCODE_ROWS = 512
 def encode(params, image_feats, text_feats) -> np.ndarray:
     """Inference path: forward without dropout, then sign binarization, over blocks
     of _ENCODE_ROWS rows. Under a one-thread BLAS (the first of its thread variables
-    that is set reads 1) the blocks run on every usable CPU."""
+    that is set reads 1) the blocks run on every usable CPU, through workers.run."""
     img = np.atleast_2d(image_feats)
     txt = np.atleast_2d(text_feats)
     n = img.shape[0]
     if txt.shape[0] != n:
         raise ShapeMismatch(f"batch sizes differ: {n} vs {txt.shape[0]}")
     codes = np.empty((n, params.dims.code_length), dtype=np.int8)
-    # at least one block, so that forward checks the widths of an empty input too
-    starts, errors = range(0, max(n, 1), _ENCODE_ROWS), {}
-    blocks = iter(starts)
 
-    def work():  # numpy releases the GIL inside BLAS and ufunc loops
-        for start in blocks:
-            rows = slice(start, start + _ENCODE_ROWS)
-            try:
-                codes[rows] = net.binarize(net.forward(params, img[rows], txt[rows])[0])
-            except BaseException as exc:  # re-raised below, once every thread has stopped
-                errors[start] = exc
-                list(blocks)  # the other threads stop after their current block
+    def block(start):  # numpy releases the GIL inside BLAS and ufunc loops
+        rows = slice(start, start + _ENCODE_ROWS)
+        codes[rows] = net.binarize(net.forward(params, img[rows], txt[rows])[0])
 
     blas = next(filter(None, map(os.environ.get, ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
                                                   "OMP_NUM_THREADS"))), None)
-    cpus = len(os.sched_getaffinity(0)) if blas == "1" and hasattr(os, "sched_getaffinity") else 1
-    helpers = [threading.Thread(target=work) for _ in range(min(cpus, len(starts)) - 1)]
-    for helper in helpers:
-        helper.start()
-    work()
-    for helper in helpers:
-        helper.join()
-    if errors:  # blocks are taken in order, so every block below a failed one finished
-        raise errors[min(errors)]
+    # at least one block, so that forward checks the widths of an empty input too
+    workers.run(range(0, max(n, 1), _ENCODE_ROWS), block, blas == "1")
     return codes
 
 

@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from mvhash import cli
-from mvhash.centers import generate_centers, min_pairwise_distance
-from mvhash.data import MultiViewDataset, SynthSpec, make_synthetic
+from mvhash.centers import generate_centers
+from mvhash.data import SynthSpec, make_synthetic
 from mvhash.loss import central_similarity_loss, quantization_loss, total_loss
 from mvhash.net import Dims, PARAM_NAMES, block_views, forward, init_params, backward
 from mvhash.retrieval import (

@@ -204,6 +204,25 @@ def test_save_codes_rejects_values_that_are_not_bytes(tmp_path, bad):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("matrix", [np.zeros((3, 0)), np.zeros((0, 0)), np.zeros(0)])
+def test_save_features_refuses_a_dim_of_zero(tmp_path, matrix):
+    # dim 0 wrote a 16-byte file that loaded, and `train` then failed without naming it
+    with pytest.raises(InvalidArgument, match=r"f\.csft: feature dim must be >= 1, got 0$"):
+        formats.save_features(matrix, tmp_path / "f.csft")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("n", [3, 0])
+def test_features_without_a_dim_fail_closed(tmp_path, n):
+    # a hand-written header: dim 0, so no feature bytes follow it
+    path = tmp_path / "f.csft"
+    path.write_bytes(struct.pack("<4sIII", b"CSFT", 1, n, 0))
+    with pytest.raises(FormatError, match=r"f\.csft: dim must be >= 1, got 0$"):
+        formats.load_features(path)
+    formats.save_features(np.zeros((0, 4)), path)  # zero rows of a real dim still load
+    assert formats.load_features(path).shape == (0, 4)
+
+
 def test_save_codes_writes_in_range_int64_rows_as_their_bytes(tmp_path):
     packed = np.array([[0, 255], [7, 128]])  # int64 rows, K = 16
     formats.save_codes(packed, np.ones((2, 3)), 16, tmp_path / "wide.cscd")

@@ -1,7 +1,12 @@
+import multiprocessing
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from mvhash import retrieval as R
+from mvhash import net, trainer, workers
 from mvhash.errors import InvalidArgument, InvalidState
 from oracles import brute_force_metrics, ranking, seed_metrics, seed_terms
 
@@ -725,3 +730,179 @@ def test_map_and_curves_never_build_distances(monkeypatch):
     assert "distances" not in vars(res)  # nothing is gathered before the first read
     assert res.distances[0] == 0 and "distances" in vars(res)
     assert reads == [1]
+
+
+# ---- the scan's chunks on helper threads against the oracle and the serial scan ----
+
+THREAD_KS = [8, 37, 63, 64, 65, 128]
+
+
+def threaded_scan(monkeypatch, k):
+    """5-row chunks, and every scan on two threads whatever the host has."""
+    monkeypatch.setattr(R, "_CHUNK_WORDS", 5 * -(-k // 64))
+    monkeypatch.setattr(R, "_PARALLEL_WORDS", 0)
+    monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+@pytest.mark.parametrize("k", THREAD_KS)
+def test_threaded_scan_matches_oracle_and_serial_metrics(k, monkeypatch, pool):
+    rng = np.random.default_rng(6000 + k)
+    n = 63
+    codes, labels, index = tied_multilabel_index(rng, n, k, 5)
+    q_codes = np.vstack([random_codes(rng, 3, k), -codes[[3]], codes[[3]]])
+    q_labels = labels[rng.integers(0, n, size=5)]
+    grid = [1, 5, 17, n, n + 10]
+    serial = (R.mean_average_precision(q_codes, q_labels, index),
+              R.curves(q_codes, q_labels, index, grid))
+    threaded_scan(monkeypatch, k)
+    for q in q_codes:
+        order, d = ranking(codes, q)
+        calls = pool.watch(2)  # both threads take a chunk of each scan
+        assert index.distances(q).tolist() == d.tolist()
+        assert len(set(calls)) == 2 and len(calls) == 13  # 63 rows in 5-row chunks
+        for top in (n, 17):
+            res = index.query_topk(q, top)
+            assert res.ids.tolist() == order[:top].tolist()
+            assert res.distances.tolist() == d[order[:top]].tolist()
+    calls = pool.watch(2)
+    threaded = (R.mean_average_precision(q_codes, q_labels, index),
+                R.curves(q_codes, q_labels, index, grid))
+    assert len(set(calls)) == 2 and len(calls) == 13 * len(q_codes) * 2
+    assert threaded[0].hex() == serial[0].hex()
+    assert [(k, a.hex(), r.hex()) for k, a, r in threaded[1]] \
+        == [(k, a.hex(), r.hex()) for k, a, r in serial[1]]
+    pool.check_idle(2, calls)
+
+
+@pytest.mark.parametrize("k", [64, 128])
+def test_threaded_scan_matches_oracle_at_real_chunk_size(k, monkeypatch, pool):
+    # chunks large enough that numpy releases the GIL, so the two threads' chunks
+    # overlap on a multi-core host: a buffer shared between them shows here
+    monkeypatch.setattr(R, "_PARALLEL_WORDS", 0)
+    monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: {0, 1})
+    n = 4 * chunk_rows(k) + 3
+    codes = random_codes(np.random.default_rng(6050 + k), n, k)
+    index = R.RetrievalIndex.from_signs(codes, np.ones((n, 1), np.uint8))
+    for q in codes[:4]:
+        calls = pool.watch(2)
+        assert index.distances(q).tolist() == ranking(codes, q)[1].tolist()
+        assert len(set(calls)) == 2 and len(calls) == 5
+    pool.check_idle(2, calls)
+
+
+@pytest.mark.parametrize("k", [64, 65])
+def test_scan_runs_on_every_cpu_from_the_size_constant(k, monkeypatch, pool):
+    rng = np.random.default_rng(6100 + k)
+    codes = random_codes(rng, 41, k)
+    threaded_scan(monkeypatch, k)
+    monkeypatch.setattr(R, "_PARALLEL_WORDS", 40 * -(-k // 64))
+    for n, threads in ((39, 1), (40, 2), (41, 2)):
+        index = R.RetrievalIndex.from_signs(codes[:n], np.ones((n, 1), np.uint8))
+        calls = pool.watch(threads)
+        assert index.distances(codes[0]).tolist() == ranking(codes[:n], codes[0])[1].tolist()
+        assert len(set(calls)) == threads
+    pool.check_idle(2, calls)
+
+
+def test_a_chunk_that_raises_on_a_helper_raises_in_the_caller(monkeypatch, pool):
+    rng = np.random.default_rng(6200)
+    codes, labels, index = tied_multilabel_index(rng, 63, 65, 5)
+    threaded_scan(monkeypatch, 65)
+    caller, calls = threading.get_ident(), pool.watch(2)
+    watched, failed = workers.run, []
+
+    def failing(blocks, job, parallel):
+        def chunk(start):
+            if threading.get_ident() != caller and not failed:
+                failed.append(start)
+                raise MemoryError(f"chunk at row {start}")
+            job(start)
+        watched(blocks, chunk, parallel)
+
+    with monkeypatch.context() as m:
+        m.setattr(workers, "run", failing)
+        with pytest.raises(MemoryError, match="^chunk at row"):
+            index.query_topk(codes[0], 10)
+    assert len(failed) == 1 and len(set(calls)) == 2
+    pool.check_idle(2, calls)
+    for q in codes[:3]:  # the same helper scans again
+        calls = pool.watch(2)
+        order, d = ranking(codes, q)
+        assert index.query_topk(q, 10).ids.tolist() == order[:10].tolist()
+        assert len(set(calls)) == 2
+    pool.check_idle(2, calls)
+
+
+def test_concurrent_callers_of_one_index_get_the_oracle_result(monkeypatch, pool):
+    rng = np.random.default_rng(6300)
+    codes, labels, index = tied_multilabel_index(rng, 63, 128, 5)
+    threaded_scan(monkeypatch, 128)
+    queries = random_codes(rng, 24, 128)
+    want = [ranking(codes, q)[0][:10].tolist() for q in queries]
+    got, start = {}, threading.Barrier(4, timeout=20)
+
+    def client(c):
+        start.wait()
+        for i in range(c, len(queries), 4):
+            got[i] = index.query_topk(queries[i], 10).ids.tolist()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        clients = [threading.Thread(target=client, args=(c,)) for c in range(4)]
+        for t in clients:
+            t.start()
+        for t in clients:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in clients)
+    assert [got.get(i) for i in range(len(queries))] == want
+    pool.check_idle(2)
+
+
+def test_a_scan_inside_a_block_runs_serially(monkeypatch, pool):
+    rng = np.random.default_rng(6400)
+    codes, labels, index = tied_multilabel_index(rng, 63, 64, 5)
+    threaded_scan(monkeypatch, 64)
+    got, calls = {}, pool.watch(2)
+
+    def block(i):  # each block scans the index from inside workers.run
+        got[i] = index.distances(codes[i]).tolist()
+
+    outer = threading.Thread(target=workers.run, args=(range(8), block, True), daemon=True)
+    outer.start()
+    outer.join(timeout=60)
+    assert not outer.is_alive()  # a nested call that waited for the helpers would hang
+    assert got == {i: ranking(codes, codes[i])[1].tolist() for i in range(8)}
+    assert set(calls) == {outer.ident, pool.helpers[0].ident} and len(calls) == 8 + 8 * 13
+    pool.check_idle(2)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="the fork start method")
+def test_a_fork_child_starts_its_own_helpers(monkeypatch, pool):
+    rng = np.random.default_rng(6500)
+    codes, labels, index = tied_multilabel_index(rng, 63, 128, 5)
+    threaded_scan(monkeypatch, 128)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    params = net.init_params(net.Dims(d_img=8, d_txt=8, d=6, code_length=4), seed=0)
+    x = rng.normal(size=(3 * trainer._ENCODE_ROWS, 8))
+    want = (index.distances(codes[0]).tolist(), trainer.encode(params, x, x).tolist())
+    assert len(pool.helpers) == 1  # the parent's helper, which the child does not have
+    ctx = multiprocessing.get_context("fork")
+    out = ctx.Queue()
+
+    def child():
+        got = (index.distances(codes[0]).tolist(), trainer.encode(params, x, x).tolist())
+        out.put((got, [h.ident for h in workers._helpers]))
+
+    proc = ctx.Process(target=child)
+    proc.start()
+    try:
+        got, helpers = out.get(timeout=60)
+    finally:
+        proc.join(timeout=20)
+        if proc.is_alive():
+            proc.kill()
+    assert proc.exitcode == 0
+    assert got == want and len(helpers) == 1

@@ -46,8 +46,8 @@ def test_relevance_matches_row_major_oracle(c, n, density, seed):
 @SCAN_SETTINGS
 @given(k=st.integers(1, 300), n=st.integers(1, 40), chunk=st.integers(1, 12),
        stride=st.integers(1, 9), top=st.integers(1, 45), flip=st.sampled_from([0.0, 0.02, 0.5]),
-       seed=st.integers(0, 2**32 - 1))
-def test_scan_and_select_match_row_major_oracle(k, n, chunk, stride, top, flip, seed):
+       parallel=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_scan_and_select_match_row_major_oracle(k, n, chunk, stride, top, flip, parallel, seed):
     rng = np.random.default_rng(seed)
     base = np.where(rng.random((3, k)) < 0.5, 1, -1)
     codes = base[rng.integers(0, 3, size=n)]
@@ -58,6 +58,7 @@ def test_scan_and_select_match_row_major_oracle(k, n, chunk, stride, top, flip, 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(R, "_CHUNK_WORDS", chunk * -(-k // 64))
         mp.setattr(R, "_SAMPLE_STRIDE", stride)
+        mp.setattr(R, "_PARALLEL_WORDS", 0 if parallel else R._PARALLEL_WORDS)
         index = R.RetrievalIndex.from_signs(codes, np.ones((n, 1), np.uint8))
         assert index.distances(query).tolist() == d.tolist()
         res = index.query_topk(query, top)

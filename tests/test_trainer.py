@@ -1,12 +1,11 @@
 import dataclasses
 import sys
-import threading
-import types
+import weakref
 
 import numpy as np
 import pytest
 
-from mvhash import loss, net, retrieval, trainer
+from mvhash import loss, net, retrieval, trainer, workers
 from mvhash.centers import generate_centers
 from mvhash.data import SynthSpec, make_synthetic
 from mvhash.errors import DivergenceError, InvalidArgument, ShapeMismatch
@@ -135,35 +134,11 @@ def _blas_env(monkeypatch, cpus, **pins):
         monkeypatch.delenv(var, raising=False)
     for var, value in pins.items():
         monkeypatch.setenv(var, value)
-    monkeypatch.setattr(trainer.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-
-
-def _watch_threads(monkeypatch, parties):
-    """Wraps net.forward so that each thread's first call waits until `parties`
-    threads have made one, and records the helper threads that encode starts.
-    Returns (the calling thread of every forward call, the helpers started)."""
-    calls, helpers = [], []
-    barrier, forward = threading.Barrier(parties, timeout=20), net.forward
-
-    class Helper(threading.Thread):
-        def start(self):
-            helpers.append(self)
-            super().start()
-
-    def counted(*args, **kwargs):
-        first = threading.get_ident() not in calls
-        calls.append(threading.get_ident())
-        if first:
-            barrier.wait()  # breaks, and encode raises, unless exactly `parties` threads run
-        return forward(*args, **kwargs)
-
-    monkeypatch.setattr(net, "forward", counted)
-    monkeypatch.setattr(trainer, "threading", types.SimpleNamespace(Thread=Helper))
-    return calls, helpers
+    monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
 
 @pytest.mark.parametrize("rows", ["1d", 0, 1, "R-1", "R", "R+1", "2R+3", "5R"])
-def test_encode_in_row_blocks_equals_one_forward(rows, monkeypatch):
+def test_encode_in_row_blocks_equals_one_forward(rows, monkeypatch, pool):
     R = trainer._ENCODE_ROWS
     n = {"1d": 1, "R-1": R - 1, "R": R, "R+1": R + 1, "2R+3": 2 * R + 3, "5R": 5 * R}.get(rows, rows)
     dims = net.Dims(d_img=8, d_txt=8, d=6, code_length=37)
@@ -171,8 +146,7 @@ def test_encode_in_row_blocks_equals_one_forward(rows, monkeypatch):
     img, txt = rng.normal(size=(n, 8)), rng.normal(size=(n, 8))
     if rows == "1d":
         img, txt = img[0], txt[0]
-    blocks = max(1, -(-n // R))
-    threads_before = threading.active_count()
+    blocks, most = max(1, -(-n // R)), 1
     for fusion in ("gmu", "concat"):
         p = net.init_params(dims, seed=5, fusion=fusion)
         want = net.binarize(net.forward(p, img, txt)[0])
@@ -185,13 +159,15 @@ def test_encode_in_row_blocks_equals_one_forward(rows, monkeypatch):
                 with monkeypatch.context() as m:
                     _blas_env(m, cpus, **({"OPENBLAS_NUM_THREADS": "1"} if pinned else {}))
                     threads = min(cpus, blocks) if pinned else 1
-                    calls, helpers = _watch_threads(m, threads)
+                    calls = pool.watch(threads)
                     got = trainer.encode(p, img, txt)
-                assert len(helpers) == threads - 1 and len(set(calls)) == threads
+                most = max(most, threads)
+                assert len(set(calls)) == threads
+                assert len(pool.helpers) == most - 1  # no helper woken that no block needs
                 assert len(calls) == blocks
                 assert got.dtype == np.int8 and got.shape == (n, 37)
                 assert (got == want).all()
-                assert threading.active_count() == threads_before
+                pool.check_idle(3, calls)
 
 
 @pytest.mark.parametrize("pins, threads", [
@@ -204,39 +180,42 @@ def test_encode_in_row_blocks_equals_one_forward(rows, monkeypatch):
     ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 3),
     ({"OMP_NUM_THREADS": "4"}, 1),
 ])
-def test_encode_uses_every_cpu_only_under_a_one_thread_blas(monkeypatch, pins, threads):
+def test_encode_uses_every_cpu_only_under_a_one_thread_blas(monkeypatch, pool, pins, threads):
     R = trainer._ENCODE_ROWS
     p = net.init_params(SMALL, seed=0)
     x = np.random.default_rng(1).normal(size=(3 * R, 8))
     want = trainer.encode(p, x, x)
     _blas_env(monkeypatch, 3, **pins)
-    calls, helpers = _watch_threads(monkeypatch, threads)
+    calls = pool.watch(threads)
     assert (trainer.encode(p, x, x) == want).all()
-    assert len(helpers) == threads - 1 and len(set(calls)) == threads
+    assert len(set(calls)) == threads and len(pool.helpers) == threads - 1
+    pool.check_idle(3, calls)
 
 
-def test_encode_takes_each_block_once_with_more_threads_than_cores(monkeypatch):
+def test_encode_takes_each_block_once_with_more_threads_than_cores(monkeypatch, pool):
     R = trainer._ENCODE_ROWS
     p = net.init_params(SMALL, seed=0)
     x = np.random.default_rng(3).normal(size=(40 * R + 5, 8))
     _blas_env(monkeypatch, 8)
     want = trainer.encode(p, x, x)
     _blas_env(monkeypatch, 8, OPENBLAS_NUM_THREADS="1")
-    calls, helpers = _watch_threads(monkeypatch, 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
     try:
-        got = trainer.encode(p, x, x)
+        for _ in range(2):  # the second call reuses the 7 helpers of the first
+            calls = pool.watch(8)
+            got = trainer.encode(p, x, x)
+            assert len(pool.helpers) == 7
+            assert len(set(calls)) == 8 and len(calls) == 41  # each block taken exactly once
+            assert (got == want).all()
+            pool.check_idle(8, calls)
     finally:
         sys.setswitchinterval(interval)
-    assert len(helpers) == 7 and not any(h.is_alive() for h in helpers)
-    assert len(set(calls)) == 8 and len(calls) == 41  # each block taken exactly once
-    assert (got == want).all()
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("pinned", [True, False])
-def test_encode_raises_the_first_failing_block_error(monkeypatch, cpus, pinned):
+def test_encode_raises_the_first_failing_block_error(monkeypatch, pool, cpus, pinned):
     R = trainer._ENCODE_ROWS
     p = net.init_params(SMALL, seed=0)
     rng = np.random.default_rng(2)
@@ -247,26 +226,40 @@ def test_encode_raises_the_first_failing_block_error(monkeypatch, cpus, pinned):
         net.forward(p, img[3 * R:4 * R], txt[3 * R:4 * R])
     assert str(serial.value) == "text features contains NaN/Inf"
     _blas_env(monkeypatch, cpus, **({"OPENBLAS_NUM_THREADS": "1"} if pinned else {}))
-    threads_before = threading.active_count()
+    sizes = []
     for _ in range(3):
         with pytest.raises(InvalidArgument) as got:
             trainer.encode(p, img, txt)
         assert str(got.value) == str(serial.value)
-        assert threading.active_count() == threads_before
+        pool.check_idle(cpus)
+        sizes.append(len(pool.helpers))
+    assert sizes == [cpus - 1 if pinned else 0] * 3  # the helpers of the first call are reused
     img[3 * R + 1], txt[3 * R + 1] = 0.0, 0.0  # now only the last block fails, on its image
     with pytest.raises(InvalidArgument, match="^image features contains NaN/Inf$"):
         trainer.encode(p, img, txt)
-    assert threading.active_count() == threads_before
+    pool.check_idle(cpus)
     # both blocks of 2R rows fail, and with two threads both are in flight at once
     img, txt = img[:2 * R], txt[:2 * R]
     img[R + 5, 0], txt[2] = np.inf, np.nan
     threads = min(cpus, 2) if pinned else 1
-    calls, helpers = _watch_threads(monkeypatch, threads)
+    calls = pool.watch(threads)
     with pytest.raises(InvalidArgument, match="^text features contains NaN/Inf$"):
         trainer.encode(p, img, txt)
-    assert len(helpers) == threads - 1 and len(set(calls)) == threads
+    assert len(set(calls)) == threads
     assert len(calls) == threads  # a serial encode stops at the failed block
-    assert threading.active_count() == threads_before
+    pool.check_idle(cpus, calls)
+
+
+def test_encode_inputs_are_freed_once_it_returns(monkeypatch, pool):
+    p = net.init_params(SMALL, seed=0)
+    img = np.random.default_rng(4).normal(size=(4 * trainer._ENCODE_ROWS, 8))
+    held = weakref.ref(img)
+    _blas_env(monkeypatch, 2, OPENBLAS_NUM_THREADS="1")
+    calls = pool.watch(2)
+    trainer.encode(p, img, img)
+    assert len(set(calls)) == 2
+    del img
+    assert held() is None  # no helper holds its last job, nor the rows that job read
 
 
 def test_encode_checks_row_counts_and_widths():
