@@ -2,7 +2,6 @@
 
 import csv
 import math
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -131,8 +130,8 @@ _ENCODE_ROWS = 512
 
 def encode(params, image_feats, text_feats) -> np.ndarray:
     """Inference path: forward without dropout, then sign binarization, over blocks
-    of _ENCODE_ROWS rows. Under a one-thread BLAS (the first of its thread variables
-    that is set reads 1) the blocks run on every usable CPU, through workers.run."""
+    of _ENCODE_ROWS rows. Where workers.one_blas_thread holds BLAS at one thread the
+    blocks run on every usable CPU, through workers.run; elsewhere they run serially."""
     img = np.atleast_2d(image_feats)
     txt = np.atleast_2d(text_feats)
     n = img.shape[0]
@@ -144,10 +143,9 @@ def encode(params, image_feats, text_feats) -> np.ndarray:
         rows = slice(start, start + _ENCODE_ROWS)
         codes[rows] = net.binarize(net.forward(params, img[rows], txt[rows])[0])
 
-    blas = next(filter(None, map(os.environ.get, ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
-                                                  "OMP_NUM_THREADS"))), None)
-    # at least one block, so that forward checks the widths of an empty input too
-    workers.run(range(0, max(n, 1), _ENCODE_ROWS), block, blas == "1")
+    with workers.one_blas_thread() as pinned:
+        # at least one block, so that forward checks the widths of an empty input too
+        workers.run(range(0, max(n, 1), _ENCODE_ROWS), block, pinned)
     return codes
 
 
@@ -158,6 +156,7 @@ def _log_row(path, row, mode="a"):
             csv.writer(fh).writerow(row)
 
 
+@workers.one_blas_thread()  # one BLAS thread: the same bytes whatever the thread count
 def train(
     dataset: MultiViewDataset,
     centers: HashCenterSet,
@@ -168,6 +167,9 @@ def train(
     """Shuffled mini-batch Adam over the train split for config.epochs epochs."""
     if len(dataset) == 0 or not dataset.train_mask.any():
         raise InvalidArgument("empty training set")
+    for split in ("retrieval", "query") if config.eval_every else ():
+        if not getattr(dataset, f"{split}_mask").any():
+            raise InvalidArgument(f"empty {split} split, which eval_every > 0 evaluates on")
     if dataset.num_classes != centers.num_classes:
         raise InvalidArgument(
             f"dataset has {dataset.num_classes} classes, centers {centers.num_classes}"

@@ -1,15 +1,20 @@
 """Row blocks of numpy work that releases the GIL, on every usable CPU, through helper
 threads that start on first use and wait for the next call: a thread started per
-call costs more than a query's scan saves by it."""
+call costs more than a query's scan saves by it. Also one_blas_thread, the BLAS pin."""
 
+import contextlib
+import functools
 import os
 import queue
 import threading
 
 
-def _reset():  # at import, and in a fork child, which has none of the helper threads
-    global _lock, _jobs, _done, _helpers  # _lock: held by the one call using the helpers
+def _reset():  # at import, and in a fork child, which has no helper threads and no holders
+    global _lock, _jobs, _done, _helpers, _pin_lock, _holders, _saved  # _lock: helpers in use
+    if globals().get("_holders"):  # a child forked during a hold gets the saved count back
+        _openblas()[1](_saved)
     _lock, _jobs, _done, _helpers = threading.Lock(), queue.SimpleQueue(), queue.SimpleQueue(), []
+    _pin_lock, _holders = threading.Lock(), 0  # _holders: how many are inside one_blas_thread
 
 
 _reset()
@@ -59,3 +64,36 @@ def run(blocks: range, job, parallel: bool) -> None:
             _lock.release()
     if errors:
         raise errors[min(errors)]
+
+
+@functools.cache
+def _openblas():  # (get, set) of the thread count of numpy's bundled OpenBLAS, or None
+    import ctypes  # here, on first use: importing mvhash loads nothing more
+    import glob
+    import numpy
+    home = os.path.dirname(numpy.__file__)  # numpy.libs/, or numpy/.dylibs/ on macOS
+    for path in glob.glob(home + ".libs/*openblas*") + glob.glob(home + "/.dylibs/*openblas*"):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads"):
+            get, put = (getattr(lib, name.format(op), None) for op in ("get", "set"))
+            if get and put:
+                return get, put
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Holds numpy's bundled OpenBLAS at one thread in the block and yields whether it does;
+    nested and concurrent holders share one save and one restore, also on an exception."""
+    global _holders, _saved
+    with _pin_lock:
+        blas, _holders = _openblas(), _holders + 1
+        if blas and _holders == 1:
+            _saved = blas[0]()
+            blas[1](1)
+    try:
+        yield blas is not None
+    finally:
+        with _pin_lock:
+            _holders -= 1
+            if blas and not _holders:
+                blas[1](_saved)

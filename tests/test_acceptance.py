@@ -90,18 +90,16 @@ def usable_cpus():
 
 def starmap_on_workers(fn, tasks, workers):
     """`[fn(*task) for task in tasks]`, on `workers` spawn processes when
-    there are at least two. Each worker is pinned to one OpenBLAS thread
-    (unpinned, the workers' thread pools oversubscribe the cores and the
-    grid runs slower than serially) and, like pytest's own process, turns a
-    RuntimeWarning into an error, which the pool re-raises here."""
+    there are at least two. Each worker, like pytest's own process, turns a
+    RuntimeWarning into an error, which the pool re-raises here. `train`
+    holds BLAS at one thread itself, so the workers' BLAS thread pools do
+    not oversubscribe the cores."""
     if workers < 2:
         return [fn(*task) for task in tasks]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("OPENBLAS_NUM_THREADS", "1")  # read by each worker at start-up
-        with multiprocessing.get_context("spawn").Pool(
-            workers, initializer=warnings.simplefilter, initargs=("error", RuntimeWarning)
-        ) as pool:
-            return pool.starmap(fn, tasks, chunksize=1)
+    with multiprocessing.get_context("spawn").Pool(
+        workers, initializer=warnings.simplefilter, initargs=("error", RuntimeWarning)
+    ) as pool:
+        return pool.starmap(fn, tasks, chunksize=1)
 
 
 @pytest.fixture(scope="module")

@@ -262,6 +262,24 @@ def test_bad_json_input_exits_one_naming_the_file(pipeline, tmp_path, capsys, ta
     assert not (tmp_path / "q.cscd").exists()
 
 
+@pytest.mark.parametrize("split", ["retrieval", "query"])
+def test_train_with_evaluation_on_an_empty_split_exits_one_before_writing(
+        pipeline, tmp_path, capsys, split):
+    data, splits = pipeline / "data", tmp_path / "splits.json"
+    splits.write_text(json.dumps({**json.loads((data / "splits.json").read_text()), split: []}))
+    ckpt, log = tmp_path / "m.csmv", tmp_path / "log.csv"
+    argv = ["train", "--image-features", str(data / "image_features.csft"),
+            "--text-features", str(data / "text_features.csft"),
+            "--labels", str(data / "labels.cslb"), "--splits", str(splits),
+            "--centers", str(pipeline / "centers.cshc"), "--out", str(ckpt),
+            "--log-csv", str(log), "--epochs", "4", "--hidden-dim", "8"]
+    assert run(*argv, "--eval-every", "2") == 1
+    assert f"[errors.InvalidArgument]: empty {split} split" in capsys.readouterr().err
+    assert not log.exists() and not ckpt.exists() and not Path(f"{ckpt}.json").exists()
+    assert run(*argv, "--eval-every", "0") == 0  # a split nothing evaluates on may be empty
+    assert len(log.read_text().splitlines()) == 5 and ckpt.exists()
+
+
 def test_train_with_undecodable_splits_exits_one_naming_the_file(pipeline, tmp_path, capsys):
     data, splits = pipeline / "data", tmp_path / "splits.json"
     splits.write_text("{not json")

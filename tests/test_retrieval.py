@@ -884,7 +884,6 @@ def test_a_fork_child_starts_its_own_helpers(monkeypatch, pool):
     rng = np.random.default_rng(6500)
     codes, labels, index = tied_multilabel_index(rng, 63, 128, 5)
     threaded_scan(monkeypatch, 128)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     params = net.init_params(net.Dims(d_img=8, d_txt=8, d=6, code_length=4), seed=0)
     x = rng.normal(size=(3 * trainer._ENCODE_ROWS, 8))
     want = (index.distances(codes[0]).tolist(), trainer.encode(params, x, x).tolist())

@@ -6,7 +6,7 @@ import pytest
 
 from mvhash import retrieval as R
 from mvhash.errors import InvalidArgument
-from oracles import ranking
+from oracles import ranking, seed_metrics
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -64,3 +64,27 @@ def test_scan_and_select_match_row_major_oracle(k, n, chunk, stride, top, flip, 
         res = index.query_topk(query, top)
     assert res.ids.tolist() == order[:top].tolist()
     assert res.distances.tolist() == d[order[:top]].tolist()
+
+
+@SETTINGS
+@given(k=st.sampled_from([8, 37, 63, 64, 65, 128]), n=st.integers(1, 40),
+       bases=st.integers(1, 4), flip=st.sampled_from([0.0, 0.03, 0.5]), q=st.integers(1, 5),
+       c=st.integers(1, 6), r_cap=st.integers(1, 50), seed=st.integers(0, 2**32 - 1))
+def test_metrics_equal_the_seed_formulas(k, n, bases, flip, q, c, r_cap, seed):
+    rng = np.random.default_rng(seed)
+    base = np.where(rng.random((bases, k)) < 0.5, 1, -1)  # few bases: many tied distances
+
+    def draw(rows):
+        codes = base[rng.integers(0, bases, size=rows)]
+        return np.where(rng.random((rows, k)) < flip, -codes, codes).astype(np.int8)
+
+    codes, q_codes = draw(n), draw(q)
+    labels = (rng.random((n, c)) < 0.4).astype(np.uint8)
+    q_labels = (rng.random((q, c)) < 0.4).astype(np.uint8)  # a row of zeros has AP 0
+    grid = sorted({int(g) for g in rng.integers(1, n + 10, size=4)})
+    index = R.RetrievalIndex.from_signs(codes, labels)
+    full, rows = seed_metrics(codes, labels, q_codes, q_labels, None, grid)
+    capped, _ = seed_metrics(codes, labels, q_codes, q_labels, r_cap, grid)
+    assert R.mean_average_precision(q_codes, q_labels, index) == full
+    assert R.mean_average_precision(q_codes, q_labels, index, r_cap) == capped
+    assert R.curves(q_codes, q_labels, index, grid) == rows

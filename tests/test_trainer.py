@@ -1,6 +1,13 @@
 import dataclasses
+import glob
+import json
+import multiprocessing
+import os
+import subprocess
 import sys
+import threading
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,16 +132,15 @@ def test_blocks_are_views_of_flat_after_init_and_train():
     assert_views(report.params)
 
 
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-def _blas_env(monkeypatch, cpus, **pins):
-    """Pins the BLAS thread variables (the others unset) and the usable CPU count."""
-    for var in BLAS_THREAD_VARS:
-        monkeypatch.delenv(var, raising=False)
-    for var, value in pins.items():
-        monkeypatch.setenv(var, value)
+def _cpus(monkeypatch, cpus):
+    """Pins the usable CPU count."""
     monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def _no_openblas(monkeypatch):
+    """The library lookup finds nothing to hold at one thread, as where numpy is built on
+    MKL or Accelerate: workers.one_blas_thread sets nothing and yields False."""
+    monkeypatch.setattr(workers, "_openblas", lambda: None)
 
 
 @pytest.mark.parametrize("rows", ["1d", 0, 1, "R-1", "R", "R+1", "2R+3", "5R"])
@@ -157,7 +163,9 @@ def test_encode_in_row_blocks_equals_one_forward(rows, monkeypatch, pool):
         for cpus in (1, 2, 3):
             for pinned in (True, False):
                 with monkeypatch.context() as m:
-                    _blas_env(m, cpus, **({"OPENBLAS_NUM_THREADS": "1"} if pinned else {}))
+                    _cpus(m, cpus)
+                    if not pinned:
+                        _no_openblas(m)
                     threads = min(cpus, blocks) if pinned else 1
                     calls = pool.watch(threads)
                     got = trainer.encode(p, img, txt)
@@ -170,22 +178,17 @@ def test_encode_in_row_blocks_equals_one_forward(rows, monkeypatch, pool):
                 pool.check_idle(3, calls)
 
 
-@pytest.mark.parametrize("pins, threads", [
-    ({}, 1),
-    ({"OPENBLAS_NUM_THREADS": "1"}, 3),
-    ({"GOTO_NUM_THREADS": "1"}, 3),
-    ({"OMP_NUM_THREADS": "1"}, 3),
-    ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "1"}, 3),  # empty reads as unset
-    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),  # the first one set decides
-    ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 3),
-    ({"OMP_NUM_THREADS": "4"}, 1),
-])
-def test_encode_uses_every_cpu_only_under_a_one_thread_blas(monkeypatch, pool, pins, threads):
+@pytest.mark.parametrize("pinned, threads", [(True, 3), (False, 1)])
+def test_encode_uses_every_cpu_exactly_when_blas_is_pinned(monkeypatch, pool, pinned, threads):
     R = trainer._ENCODE_ROWS
     p = net.init_params(SMALL, seed=0)
     x = np.random.default_rng(1).normal(size=(3 * R, 8))
-    want = trainer.encode(p, x, x)
-    _blas_env(monkeypatch, 3, **pins)
+    with monkeypatch.context() as m:
+        _no_openblas(m)
+        want = trainer.encode(p, x, x)  # serial: no helper yet
+    _cpus(monkeypatch, 3)
+    if not pinned:
+        _no_openblas(monkeypatch)
     calls = pool.watch(threads)
     assert (trainer.encode(p, x, x) == want).all()
     assert len(set(calls)) == threads and len(pool.helpers) == threads - 1
@@ -196,9 +199,10 @@ def test_encode_takes_each_block_once_with_more_threads_than_cores(monkeypatch, 
     R = trainer._ENCODE_ROWS
     p = net.init_params(SMALL, seed=0)
     x = np.random.default_rng(3).normal(size=(40 * R + 5, 8))
-    _blas_env(monkeypatch, 8)
-    want = trainer.encode(p, x, x)
-    _blas_env(monkeypatch, 8, OPENBLAS_NUM_THREADS="1")
+    with monkeypatch.context() as m:
+        _no_openblas(m)
+        want = trainer.encode(p, x, x)
+    _cpus(monkeypatch, 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
     try:
@@ -225,7 +229,9 @@ def test_encode_raises_the_first_failing_block_error(monkeypatch, pool, cpus, pi
     with pytest.raises(InvalidArgument) as serial:
         net.forward(p, img[3 * R:4 * R], txt[3 * R:4 * R])
     assert str(serial.value) == "text features contains NaN/Inf"
-    _blas_env(monkeypatch, cpus, **({"OPENBLAS_NUM_THREADS": "1"} if pinned else {}))
+    _cpus(monkeypatch, cpus)
+    if not pinned:
+        _no_openblas(monkeypatch)
     sizes = []
     for _ in range(3):
         with pytest.raises(InvalidArgument) as got:
@@ -254,7 +260,7 @@ def test_encode_inputs_are_freed_once_it_returns(monkeypatch, pool):
     p = net.init_params(SMALL, seed=0)
     img = np.random.default_rng(4).normal(size=(4 * trainer._ENCODE_ROWS, 8))
     held = weakref.ref(img)
-    _blas_env(monkeypatch, 2, OPENBLAS_NUM_THREADS="1")
+    _cpus(monkeypatch, 2)
     calls = pool.watch(2)
     trainer.encode(p, img, img)
     assert len(set(calls)) == 2
@@ -270,6 +276,145 @@ def test_encode_checks_row_counts_and_widths():
     with pytest.raises(ShapeMismatch):
         trainer.encode(p, np.ones((0, 7)), np.ones((0, 8)))
     assert trainer.encode(p, np.ones((0, 8)), np.ones((0, 8))).shape == (0, 4)
+
+
+# Run in fresh interpreters: it reads the OpenBLAS thread count through its own ctypes lookup,
+# not mvhash's, and trains the 64/64/84/64 head at batch 64, whose gate product and gradient
+# reductions two BLAS threads sum in another order than one. It prints what it saw as JSON.
+_BLAS_PROBE = r"""
+import ctypes, glob, hashlib, json, os, sys, threading
+import numpy as np
+from mvhash import net, trainer
+from mvhash.centers import generate_centers
+from mvhash.data import SynthSpec, make_synthetic
+from mvhash.errors import DivergenceError
+
+lib = ctypes.CDLL(glob.glob(os.path.dirname(np.__file__) + ".libs/*openblas*")[0])
+count, set_count = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+local, meet, a_done = threading.local(), threading.Barrier(2), threading.Event()
+inside, forward = [], net.forward
+
+def counted(*args, **kwargs):  # the count that every forward, in train and encode, runs under
+    local.calls = getattr(local, "calls", 0) + 1
+    if getattr(local, "name", None) and local.calls == 1:
+        meet.wait(60)  # both threads are inside train
+    if getattr(local, "name", None) == "b" and local.calls == 3:
+        a_done.wait(60)  # thread a has left train while b has steps to go
+    inside.append(count())
+    return forward(*args, **kwargs)
+
+net.forward = counted
+ds = make_synthetic(SynthSpec(num_classes=8, samples_per_class=40, d_img=64, d_txt=64, seed=3))
+cs = generate_centers(8, 64, seed=3)
+
+def train(**kw):
+    cfg = trainer.TrainConfig(epochs=2, batch_size=64, seed=3, **kw)
+    return trainer.train(ds, cs, cfg, dims_hidden=84).params
+
+def sha(params):
+    return hashlib.sha256(params.flat.tobytes()).hexdigest()
+
+def in_thread(name, shas):
+    local.name = name
+    shas[name] = sha(train())
+    if name == "a":
+        a_done.set()
+
+out = {"start": count(), "sha": sha(train()), "after": {"train": count()}}
+if sys.argv[1] == "all":
+    set_count(3)  # a count other than 1, also on a one-CPU host
+    out["set"] = count()
+    trainer.encode(train(), ds.image_features, ds.text_features)
+    out["after"]["encode"] = count()
+    with np.errstate(all="ignore"):
+        try:
+            train(learning_rate=1e308)
+        except DivergenceError:
+            out["after"]["DivergenceError"] = count()
+    shas = {}
+    threads = [threading.Thread(target=in_thread, args=(name, shas)) for name in "ab"]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    out["threads"], out["after"]["threads"] = shas, count()
+out["inside"] = sorted(set(inside))
+print(json.dumps(out))
+"""
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+OPENBLAS_FILES = glob.glob(os.path.dirname(np.__file__) + ".libs/*openblas*")  # not mvhash's
+needs_openblas = pytest.mark.skipif(not OPENBLAS_FILES, reason="no OpenBLAS in numpy.libs/")
+
+
+@pytest.fixture(scope="module")
+def blas_probes():
+    """The probe with the BLAS thread variables unset ("all" of it), and with
+    OPENBLAS_NUM_THREADS=1 (its first training only)."""
+    path = [str(Path(trainer.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
+    out = {}
+    for name, extra in (("all", {}), ("pinned", {"OPENBLAS_NUM_THREADS": "1"})):
+        done = subprocess.run([sys.executable, "-c", _BLAS_PROBE, name], env={**env, **extra},
+                              capture_output=True, text=True, check=True, timeout=300)
+        out[name] = json.loads(done.stdout)
+    return out
+
+
+@needs_openblas
+def test_train_bytes_do_not_depend_on_the_blas_thread_variables(blas_probes):
+    unset, pinned = blas_probes["all"], blas_probes["pinned"]
+    assert pinned["start"] == 1
+    assert unset["sha"] == pinned["sha"]
+    assert unset["inside"] == pinned["inside"] == [1]  # every forward ran under one thread
+
+
+@needs_openblas
+def test_blas_thread_count_is_restored_after_train_encode_and_divergence(blas_probes):
+    unset = blas_probes["all"]
+    assert unset["set"] == 3
+    assert unset["after"] == {"train": unset["start"], "encode": 3, "DivergenceError": 3,
+                              "threads": 3}
+
+
+@needs_openblas
+def test_two_threads_training_at_once_both_get_the_pinned_bytes(blas_probes):
+    unset, pinned = blas_probes["all"], blas_probes["pinned"]
+    assert unset["threads"] == {"a": pinned["sha"], "b": pinned["sha"]}
+    assert unset["after"]["threads"] == 3 and unset["inside"] == [1]
+
+
+@needs_openblas
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="the fork start method")
+def test_a_child_forked_during_a_hold_has_no_holders_and_the_saved_count():
+    import ctypes
+
+    lib = ctypes.CDLL(OPENBLAS_FILES[0])
+    count, set_count = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    before, held, release = count(), threading.Event(), threading.Event()
+
+    def hold():
+        with workers.one_blas_thread():
+            held.set()
+            release.wait(60)
+
+    set_count(3)  # a count other than 1, also on a one-CPU host
+    holder = threading.Thread(target=hold)
+    holder.start()
+    try:
+        assert held.wait(60) and count() == 1
+        ctx = multiprocessing.get_context("fork")
+        out = ctx.Queue()
+        child = ctx.Process(target=lambda: out.put((workers._holders, count())))
+        child.start()
+        got = out.get(timeout=60)
+        child.join(60)
+    finally:
+        release.set()
+        holder.join(60)
+        after = count()
+        set_count(before)
+    assert got == (0, 3) and after == 3
 
 
 def test_config_validation():
@@ -378,6 +523,21 @@ def test_train_rejects_an_empty_train_split():
     empty = dataclasses.replace(ds, train_mask=np.zeros_like(ds.train_mask))
     with pytest.raises(InvalidArgument, match="^empty training set$"):
         trainer.train(empty, generate_centers(4, 8, seed=0), _config())
+
+
+@pytest.mark.parametrize("split", ["retrieval", "query"])
+def test_train_with_evaluation_rejects_an_empty_split_before_its_first_step(
+        split, tmp_path, monkeypatch):
+    ds = _tiny_dataset()
+    empty = dataclasses.replace(ds, **{f"{split}_mask": np.zeros(len(ds), bool)})
+    cs, path = generate_centers(4, 8, seed=0), tmp_path / "log.csv"
+    with monkeypatch.context() as m:
+        m.setattr(net, "forward", None)  # a step would call it
+        with pytest.raises(InvalidArgument, match=f"^empty {split} split, "):
+            trainer.train(empty, cs, _config(eval_every=2), dims_hidden=8, log_csv_path=path)
+    assert not path.exists()  # not even the CSV header
+    report = trainer.train(empty, cs, _config(epochs=2), dims_hidden=8, log_csv_path=path)
+    assert len(report.epoch_losses) == 2 and report.final_map is None
 
 
 def test_non_finite_loss_raises_divergence():
