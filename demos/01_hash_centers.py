@@ -3,7 +3,7 @@
 
 import numpy as np
 
-from mvhash import generate_centers, hamming_from_inner, sylvester_hadamard
+from mvhash import generate_centers, sylvester_hadamard
 from mvhash.centers import min_pairwise_distance
 
 # A Sylvester-Hadamard matrix has mutually orthogonal +-1 rows, so any two
@@ -17,7 +17,7 @@ print(H @ H.T)
 
 # Inner product <a,b> and Hamming distance are two views of the same number:
 # dist = (K - <a,b>)/2. Orthogonal rows at K=8 sit at distance 4.
-print("\ndistance between rows 1 and 2:", hamming_from_inner(int(H[1] @ H[2]), 8))
+print("\ndistance between rows 1 and 2:", (8 - int(H[1] @ H[2])) // 2)
 
 # generate_centers picks the construction for you. Power-of-two K with few
 # classes comes straight from the Hadamard stack:

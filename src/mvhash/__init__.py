@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .centers import (
     HashCenterSet,
     generate_centers,
-    hamming_from_inner,
     min_pairwise_distance,
     sylvester_hadamard,
 )
@@ -25,7 +24,7 @@ from .retrieval import (
 from .trainer import TrainConfig, adam_step, train
 
 __all__ = [
-    "HashCenterSet", "generate_centers", "hamming_from_inner",
+    "HashCenterSet", "generate_centers",
     "min_pairwise_distance", "sylvester_hadamard",
     "MultiViewDataset", "SynthSpec", "make_synthetic",
     "total_loss", "Dims", "ModelParams", "forward", "backward", "init_params",

@@ -35,15 +35,6 @@ def sylvester_hadamard(order: int) -> np.ndarray:
     return h
 
 
-def hamming_from_inner(inner_product: int, code_length: int) -> int:
-    """Hamming distance from the inner product of two +-1 codes: (K - <a,b>)/2."""
-    k = integer(code_length, "code_length", 0)
-    ip = integer(inner_product, "inner_product", -k, k + 1)
-    if (k - ip) % 2 != 0:
-        raise InvalidArgument(f"inner product {ip} has wrong parity for K={k}")
-    return (k - ip) // 2
-
-
 @dataclass(frozen=True)
 class HashCenterSet:
     """V mutually well-separated centers of length K, plus how they were made."""

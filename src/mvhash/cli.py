@@ -149,8 +149,7 @@ def cmd_train(args):
     report = trainer.train(
         dataset, cset, config, dims_hidden=args.hidden_dim, log_csv_path=args.log_csv
     )
-    formats.save_checkpoint(report.params, args.out,
-                            sidecar={"train_config": dataclasses.asdict(config)})
+    formats.save_checkpoint(report.params, args.out)
     outputs = {"checkpoint": args.out}
     if args.log_csv:
         outputs["log_csv"] = args.log_csv

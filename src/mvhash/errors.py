@@ -23,16 +23,8 @@ class FormatError(RuntimeError):
     """A binary file is malformed (bad magic, truncation, bad version)."""
 
 
-class CacheMismatch(RuntimeError):
-    """A backward pass was given a cache from a different forward call."""
-
-
 class DivergenceError(RuntimeError):
     """Training produced a non-finite loss or gradient."""
-
-
-class InvalidState(RuntimeError):
-    """An operation was called on an object in an unusable state."""
 
 
 def integer(value, name: str, least: int, below: int | None = None) -> int:

@@ -10,7 +10,7 @@
   CSMV  checkpoint:    magic, u32 version=1, u32 d_img, u32 d_txt, u32 d,
         u32 K, u32 num_views=2, u64 init_seed, parameter blocks as finite f64
         in PARAM_NAMES order (ModelParams.flat); the JSON sidecar <path>.json holds
-        dims, init_seed, the fusion mode and csmv_sha256, the digest of the .csmv
+        only dims, init_seed, the fusion mode and csmv_sha256, the digest of the .csmv
         bytes written with it. Load reads the mode back (gmu if absent) and rejects
         sidecar dims, init_seed or digest that differ from the .csmv's
 """
@@ -215,10 +215,9 @@ def load_codes(path) -> tuple[np.ndarray, np.ndarray, int]:
 
 # ---- CSMV: model checkpoint ----
 
-def save_checkpoint(params: ModelParams, path, sidecar: dict | None = None) -> None:
-    """Writes the model to `path` and the sidecar <path>.json: the caller's
-    `sidecar` keys, and the model's dims, init_seed, fusion and the sha256 of
-    the .csmv bytes, which win."""
+def save_checkpoint(params: ModelParams, path) -> None:
+    """Writes the model to `path` and the sidecar <path>.json: the model's dims,
+    init_seed, fusion and the sha256 of the .csmv bytes."""
     d = params.dims
     head = struct.pack(
         "<4sIIIIIIQ", b"CSMV", 1, d.d_img, d.d_txt, d.d, d.code_length,
@@ -226,8 +225,7 @@ def save_checkpoint(params: ModelParams, path, sidecar: dict | None = None) -> N
     )
     data = head + params.flat.astype("<f8", copy=False).tobytes()
     _atomic_write(path, data)
-    meta = {**(sidecar or {}),
-            "dims": {"d_img": d.d_img, "d_txt": d.d_txt, "d": d.d,
+    meta = {"dims": {"d_img": d.d_img, "d_txt": d.d_txt, "d": d.d,
                      "code_length": d.code_length, "num_views": 2},
             "init_seed": params.init_seed, "fusion": params.fusion,
             "csmv_sha256": hashlib.sha256(data).hexdigest()}

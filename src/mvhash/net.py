@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CacheMismatch, InvalidArgument, ShapeMismatch, integer
+from .errors import InvalidArgument, ShapeMismatch, integer
 
 FUSION_MODES = ("gmu", "image", "text", "concat")
 
@@ -214,13 +214,13 @@ def backward(
     """Exact gradient of sum(grad_he * he) w.r.t. every parameter, as one
     float64 vector laid out like params.flat; block_views names its blocks."""
     if cache.dims != params.dims:
-        raise CacheMismatch("cache was produced under different dims")
+        raise InvalidArgument("cache was produced under different dims")
     if cache.fusion != params.fusion:
-        raise CacheMismatch(f"cache was produced under fusion {cache.fusion!r}, "
-                            f"params run {params.fusion!r}")
+        raise InvalidArgument(f"cache was produced under fusion {cache.fusion!r}, "
+                              f"params run {params.fusion!r}")
     g_he = np.asarray(grad_he, dtype=np.float64)
     if g_he.shape != cache.he.shape:
-        raise CacheMismatch(f"grad_he shape {g_he.shape} != he shape {cache.he.shape}")
+        raise ShapeMismatch(f"grad_he shape {g_he.shape} != he shape {cache.he.shape}")
 
     d = params.dims.d
     grad = np.empty_like(params.flat)  # each block is written once below

@@ -11,7 +11,7 @@ from functools import cached_property
 import numpy as np
 
 from . import workers
-from .errors import InvalidArgument, InvalidState, integer
+from .errors import InvalidArgument, integer
 
 
 def pack_bits(rows: np.ndarray) -> np.ndarray:
@@ -116,7 +116,7 @@ class RetrievalIndex:
                 f"codes ({packed.shape[0]}) and labels ({labels.shape[0]}) differ in length"
             )
         if packed.shape[0] < 1:
-            raise InvalidState("index is empty")
+            raise InvalidArgument("index is empty")
         self.code_length = code_length
         self.size = packed.shape[0]
         self._words = _to_words(packed)

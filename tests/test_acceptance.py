@@ -402,7 +402,7 @@ def test_criterion_10_determinism(tmp_path):
         replayed = Path(str(mpath).replace(str(run_a), str(run_b)))
         assert json.loads(replayed.read_text())["argv"] == argv  # a fixed point
         outputs.extend(m["outputs"].values())
-        if m["argv"][0] == "train":  # the checkpoint's JSON sidecar records the config
+        if m["argv"][0] == "train":  # no checksum covers the JSON sidecar
             outputs.append(m["outputs"]["checkpoint"] + ".json")
 
     diffs = []

@@ -25,23 +25,6 @@ def test_hadamard_rejects_non_power_of_two(bad):
         C.sylvester_hadamard(bad)
 
 
-def test_hamming_from_inner_trivials():
-    assert C.hamming_from_inner(16, 16) == 0
-    assert C.hamming_from_inner(0, 16) == 8
-    assert C.hamming_from_inner(-16, 16) == 16
-
-
-def test_hamming_from_inner_rejects_bad_input():
-    with pytest.raises(InvalidArgument):
-        C.hamming_from_inner(17, 16)  # out of range
-    with pytest.raises(InvalidArgument):
-        C.hamming_from_inner(3, 16)  # parity
-    with pytest.raises(InvalidArgument, match=r"^code_length must be an integer, got 16\.5$"):
-        C.hamming_from_inner(0, 16.5)  # int() made it 16
-    with pytest.raises(InvalidArgument, match=r"^inner_product must be an integer, got 2\.0$"):
-        C.hamming_from_inner(2.0, 16)
-
-
 def test_inner_product_identity_random_pairs():
     rng = np.random.default_rng(7)
     for k in (16, 32, 64, 128):

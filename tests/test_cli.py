@@ -99,13 +99,12 @@ def test_train_writes_log_and_manifest(pipeline):
     assert manifest["outputs"]["log_csv"] == str(pipeline / "log.csv")
 
 
-def test_train_manifest_and_sidecar_record_eval_every(pipeline):
+def test_train_config_is_in_the_manifest_and_not_the_sidecar(pipeline):
     manifest = json.loads((pipeline / "model.csmv.manifest.json").read_text())
     sidecar = json.loads((pipeline / "model.csmv.json").read_text())
-    assert "--eval-every=25" in manifest["argv"]
-    assert sidecar["train_config"]["eval_every"] == 25
-    assert sidecar["train_config"]["lam"] == 0.25
-    assert sidecar["fusion"] == sidecar["train_config"]["fusion"] == "gmu"
+    assert {"--eval-every=25", "--lam=0.25"} <= set(manifest["argv"])
+    assert sorted(sidecar) == ["csmv_sha256", "dims", "fusion", "init_seed"]
+    assert sidecar["fusion"] == "gmu"
 
 
 def test_index_subcommand(pipeline, capsys):
@@ -119,6 +118,13 @@ def test_index_of_a_code_file_without_label_classes(tmp_path, capsys):
     formats.save_codes(np.zeros((3, 1), dtype=np.uint8), np.zeros((3, 0)), 8, codes)
     assert run("index", "--codes", str(codes)) == 0
     assert capsys.readouterr().out == f"{codes}: R=3 K=8 classes=0 label_counts=[]\n"
+
+
+def test_index_of_an_empty_code_file_exits_one(tmp_path, capsys):
+    codes = tmp_path / "c.cscd"
+    formats.save_codes(np.zeros((0, 1), dtype=np.uint8), np.zeros((0, 3)), 8, codes)
+    assert run("index", "--codes", str(codes)) == 1
+    assert capsys.readouterr().err == "error [errors.InvalidArgument]: index is empty\n"
 
 
 def test_query_subcommand(pipeline):

@@ -1,13 +1,14 @@
 import multiprocessing
 import sys
 import threading
+import types
 
 import numpy as np
 import pytest
 
 from mvhash import retrieval as R
 from mvhash import net, trainer, workers
-from mvhash.errors import InvalidArgument, InvalidState
+from mvhash.errors import InvalidArgument
 from oracles import brute_force_metrics, ranking, seed_metrics, seed_terms
 
 
@@ -151,7 +152,7 @@ def test_query_topk_k_above_size_returns_all():
 
 
 def test_empty_index_rejected():
-    with pytest.raises((InvalidState, InvalidArgument)):
+    with pytest.raises(InvalidArgument, match="^index is empty$"):
         R.RetrievalIndex(np.zeros((0, 2), dtype=np.uint8), np.zeros((0, 3)), 16)
 
 
@@ -830,6 +831,35 @@ def test_a_chunk_that_raises_on_a_helper_raises_in_the_caller(monkeypatch, pool)
         order, d = ranking(codes, q)
         assert index.query_topk(q, 10).ids.tolist() == order[:10].tolist()
         assert len(set(calls)) == 2
+    pool.check_idle(2, calls)
+
+
+def test_a_helper_that_fails_to_start_raises_and_leaves_the_pool_usable(monkeypatch, pool):
+    monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: {0, 1})
+
+    class Unstartable(threading.Thread):
+        def start(self):
+            raise RuntimeError("can't start new thread")
+
+    ran, raised = [], []
+
+    def call():
+        try:
+            workers.run(range(6), ran.append, True)
+        except RuntimeError as exc:
+            raised.append(str(exc))
+
+    with monkeypatch.context() as m:
+        m.setattr(workers, "threading", types.SimpleNamespace(Thread=Unstartable))
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(timeout=20)
+    assert not caller.is_alive()  # a run waiting for answers to jobs it never queued hangs
+    assert raised == ["can't start new thread"] and ran == [] and pool.helpers == []
+    pool.check_idle(2)
+    calls = pool.watch(2)
+    workers.run(range(6), ran.append, True)
+    assert sorted(ran) == list(range(6)) and len(set(calls)) == 2
     pool.check_idle(2, calls)
 
 
