@@ -6,7 +6,7 @@ uint64 words with a vectorized popcount; padding bits are zero on both
 sides (the index rejects code rows that set them) so they never contribute.
 """
 
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -243,6 +243,16 @@ def _query_rows(query_codes, query_labels) -> tuple[np.ndarray, np.ndarray]:
     return qc, ql
 
 
+def _each_query(query_codes, query_labels, index, k, score) -> np.ndarray:
+    """score(label, index.query_topk(code, k)) per query, in query order; trained codes
+    repeat, so each distinct (code, label) row runs once, in first-occurrence order."""
+    qc, ql = _query_rows(query_codes, query_labels)
+    groups = {}
+    at = [groups.setdefault(c.tobytes() + lab.tobytes(), (len(groups), c, lab))[0]
+          for c, lab in zip(qc, ql)]
+    return np.array([score(lab, index.query_topk(c, k)) for _, c, lab in groups.values()])[at]
+
+
 def mean_average_precision(
     query_codes: np.ndarray,
     query_labels: np.ndarray,
@@ -250,12 +260,9 @@ def mean_average_precision(
     r_cap: int | None = None,
 ) -> float:
     """Mean AP over queries (+-1 code rows), each over its first r_cap ranks or all R."""
-    qc, ql = _query_rows(query_codes, query_labels)
     cap = index.size if r_cap is None else min(integer(r_cap, "r_cap", 1), index.size)
-    return float(np.mean([
-        average_precision(label, index.query_topk(code, cap), index)
-        for code, label in zip(qc, ql)
-    ]))
+    ap = partial(average_precision, index=index)
+    return float(np.mean(_each_query(query_codes, query_labels, index, cap, ap)))
 
 
 def curves(
@@ -264,24 +271,22 @@ def curves(
     index: RetrievalIndex,
     k_grid: list[int],
 ) -> list[tuple[int, float, float]]:
-    """(k, mAP@k, Recall@k) rows for a strictly increasing k grid, one ranked pass per query."""
+    """(k, mAP@k, Recall@k) rows for a strictly increasing k grid, one pass per distinct query."""
     ks = [integer(k, "k_grid value", 1) for k in k_grid]
     if not ks:
         raise InvalidArgument("k_grid is empty")
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise InvalidArgument("k_grid must be strictly increasing")
-    qc, ql = _query_rows(query_codes, query_labels)
-    caps = [min(k, index.size) for k in ks]
-    aps, recalls = scores = np.zeros((2, len(ks), qc.shape[0]))
-    for j, (code, label) in enumerate(zip(qc, ql)):
-        rel, m = _ranked_relevance(label, index.query_topk(code, max(caps)).ids, index)
-        if m == 0:
-            continue
-        terms, hits = _precision_terms(rel), np.cumsum(rel)
-        for i, cap in enumerate(caps):
-            aps[i, j] = np.sum(terms[:cap]) / m
-            recalls[i, j] = int(hits[cap - 1]) / m
-    return [(k, float(a), float(r)) for k, a, r in zip(ks, *scores.mean(axis=-1))]
+    caps = np.array([min(k, index.size) for k in ks])
+
+    def score(label, top):  # AP@k over Recall@k; with M = 0 every term is 0
+        rel, m = _ranked_relevance(label, top.ids, index)
+        terms = _precision_terms(rel)
+        return np.array([[np.sum(terms[:c]) for c in caps], np.cumsum(rel)[caps - 1]]) / max(m, 1)
+
+    # a C-order (2, len(ks), Q) copy, so that each mean sums its Q scores contiguously
+    scores = np.moveaxis(_each_query(query_codes, query_labels, index, caps[-1], score), 0, -1)
+    return [(k, float(a), float(r)) for k, a, r in zip(ks, *scores.copy().mean(axis=-1))]
 
 
 def random_ranking_map(

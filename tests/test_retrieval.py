@@ -395,6 +395,73 @@ def test_every_query_runs_the_one_scan_once(monkeypatch):
     assert len(calls) == 5
 
 
+def test_repeated_query_rows_are_ranked_and_scored_once(monkeypatch):
+    rng = np.random.default_rng(23)
+    codes, labels, index = _make_index(rng, n=60)
+    assert (codes[0] != codes[1]).any() and (labels[0] != labels[1]).any()
+    # A, A, B, A', B: A' is A's code with a label row that shares no class with A's
+    q_codes = codes[[0, 0, 1, 0, 1]]
+    q_labels = np.vstack([labels[0], labels[0], labels[1], 1 - labels[0], labels[1]])
+    grid = [1, 5, 10, 25, 60]
+    singles = list(zip(q_codes[:, None], q_labels[:, None]))
+    maps = [R.mean_average_precision(c, lab, index) for c, lab in singles]
+    rows = [R.curves(c, lab, index, grid) for c, lab in singles]
+    assert maps[0] != maps[3]
+    scans, masks = [], []
+    distances, relevance = R.RetrievalIndex.distances, R.relevance
+    monkeypatch.setattr(R.RetrievalIndex, "distances",
+                        lambda idx, code: scans.append(1) or distances(idx, code))
+    monkeypatch.setattr(R, "relevance",
+                        lambda label, idx: masks.append(1) or relevance(label, idx))
+    assert R.mean_average_precision(q_codes, q_labels, index) == float(np.mean(maps))
+    assert (len(scans), len(masks)) == (3, 3)
+    scans.clear()
+    masks.clear()
+    got = R.curves(q_codes, q_labels, index, grid)
+    assert (len(scans), len(masks)) == (3, 3)
+    for i, k in enumerate(grid):
+        assert got[i] == (k, float(np.mean([r[i][1] for r in rows])),
+                          float(np.mean([r[i][2] for r in rows])))
+
+
+def pinned_case():
+    """Codes and labels from integer draws only, so the float bits below hold on any
+    host: 300 items at K = 37 near 8 bases, 6 classes, and 40 queries that pair
+    5 code rows with 3 label rows into 10 distinct (code, label) rows."""
+    rng = np.random.default_rng(2028)
+    n, k, v, q = 300, 37, 6, 40
+    codes = (rng.integers(0, 2, size=(8, k)) * 2 - 1)[rng.integers(0, 8, size=n)]
+    codes = np.where(rng.integers(0, 20, size=(n, k)) == 0, -codes, codes).astype(np.int8)
+    labels = (rng.integers(0, 3, size=(n, v)) == 0).astype(np.uint8)
+    q_codes = codes[rng.integers(0, n, size=5)][rng.integers(0, 5, size=q)]
+    q_labels = labels[rng.integers(0, n, size=3)][rng.integers(0, 3, size=q)]
+    return q_codes, q_labels, R.RetrievalIndex.from_signs(codes, labels)
+
+
+# captured from the per-query loops that preceded the grouped pass: mAP in full and
+# at r_cap = 50, then (k, mAP@k, Recall@k) for each k of the grid
+PINNED_MAP = ("0x1.680e5782a4940p-2", "0x1.13a0be8c275e6p-4")
+PINNED_CURVES = [
+    (1, "0x1.e760024707303p-9", "0x1.e760024707303p-9"),
+    (10, "0x1.5fd505fb8647dp-6", "0x1.263582bb06c06p-5"),
+    (37, "0x1.cce08a6bd1ec3p-5", "0x1.04bfdb41d04c0p-3"),
+    (100, "0x1.002ca8a61cea2p-3", "0x1.5077b7d7ba1edp-2"),
+    (300, "0x1.680e5782a4940p-2", "0x1.0000000000000p+0"),
+    (400, "0x1.680e5782a4940p-2", "0x1.0000000000000p+0"),
+]
+
+
+def test_metric_bits_are_pinned():
+    q_codes, q_labels, index = pinned_case()
+    rows = {c.tobytes() + lab.tobytes() for c, lab in zip(q_codes, q_labels)}
+    assert (len(q_codes), len(rows), len({c.tobytes() for c in q_codes})) == (40, 10, 5)
+    got = [R.mean_average_precision(q_codes, q_labels, index, r_cap) for r_cap in (None, 50)]
+    assert tuple(m.hex() for m in got) == PINNED_MAP
+    grid = [k for k, _, _ in PINNED_CURVES]
+    assert [(k, a.hex(), r.hex()) for k, a, r in R.curves(q_codes, q_labels, index, grid)] == \
+        PINNED_CURVES
+
+
 @pytest.mark.parametrize("active", [[0, 3], [1, 2, 4]])
 def test_relevance_never_writes_into_the_index(active):
     rng = np.random.default_rng(17)

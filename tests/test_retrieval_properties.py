@@ -82,6 +82,9 @@ def test_metrics_equal_the_seed_formulas(k, n, bases, flip, q, c, r_cap, seed):
     labels = (rng.random((n, c)) < 0.4).astype(np.uint8)
     q_labels = (rng.random((q, c)) < 0.4).astype(np.uint8)  # a row of zeros has AP 0
     grid = sorted({int(g) for g in rng.integers(1, n + 10, size=4)})
+    # every query row once and q more whole (code, label) rows again, interleaved
+    again = rng.permutation(np.concatenate([np.arange(q), rng.integers(0, q, size=q)]))
+    q_codes, q_labels = q_codes[again], q_labels[again]
     index = R.RetrievalIndex.from_signs(codes, labels)
     full, rows = seed_metrics(codes, labels, q_codes, q_labels, None, grid)
     capped, _ = seed_metrics(codes, labels, q_codes, q_labels, r_cap, grid)
