@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__, centers as centers_mod, formats, retrieval, trainer
 from .data import MultiViewDataset, SynthSpec, make_synthetic
-from .errors import FormatError, InvalidArgument
+from .errors import FormatError, InvalidArgument, ShapeMismatch
 
 # dests of the file arguments a manifest records as inputs, when the stage was given them
 _INPUTS = ("checkpoint", "image_features", "text_features", "labels", "splits", "centers",
@@ -168,6 +168,9 @@ def cmd_encode(args):
     img = formats.load_features(args.image_features, expected_dim=params.dims.d_img)
     txt = formats.load_features(args.text_features, expected_dim=params.dims.d_txt)
     labels = formats.load_labels(args.labels)
+    rows = {args.image_features: len(img), args.text_features: len(txt), args.labels: len(labels)}
+    if len(set(rows.values())) > 1:
+        raise ShapeMismatch("row counts differ: " + ", ".join(f"{f} {n}" for f, n in rows.items()))
     if args.split:
         take = _load_splits(args.splits, img.shape[0], (args.split,))[args.split]
         img, txt, labels = img[take], txt[take], labels[take]

@@ -9,16 +9,14 @@
         codes, u32 V, R x ceil(V/8) packed multi-hot rows
   CSMV  checkpoint:    magic, u32 version=1, u32 d_img, u32 d_txt, u32 d,
         u32 K, u32 num_views=2, u64 init_seed, parameter blocks as finite f64
-        in PARAM_NAMES order (ModelParams.flat); the JSON sidecar <path>.json holds
-        only dims, init_seed, the fusion mode and csmv_sha256, the digest of the .csmv
-        bytes written with it. Load reads the mode back (gmu if absent) and rejects
-        sidecar dims, init_seed or digest that differ from the .csmv's
+        in PARAM_NAMES order (ModelParams.flat); the JSON sidecar <path>.json holds two
+        keys, fusion (the mode) and csmv_sha256 (the digest of the .csmv bytes written
+        with it). Load requires both and rejects a digest that differs from the .csmv's
 """
 
 import hashlib
 import json
 import struct
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -216,8 +214,8 @@ def load_codes(path) -> tuple[np.ndarray, np.ndarray, int]:
 # ---- CSMV: model checkpoint ----
 
 def save_checkpoint(params: ModelParams, path) -> None:
-    """Writes the model to `path` and the sidecar <path>.json: the model's dims,
-    init_seed, fusion and the sha256 of the .csmv bytes."""
+    """Writes the model to `path` and the sidecar <path>.json: its fusion and
+    csmv_sha256, the sha256 of the .csmv bytes."""
     d = params.dims
     head = struct.pack(
         "<4sIIIIIIQ", b"CSMV", 1, d.d_img, d.d_txt, d.d, d.code_length,
@@ -225,10 +223,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
     )
     data = head + params.flat.astype("<f8", copy=False).tobytes()
     _atomic_write(path, data)
-    meta = {"dims": {"d_img": d.d_img, "d_txt": d.d_txt, "d": d.d,
-                     "code_length": d.code_length, "num_views": 2},
-            "init_seed": params.init_seed, "fusion": params.fusion,
-            "csmv_sha256": hashlib.sha256(data).hexdigest()}
+    meta = {"fusion": params.fusion, "csmv_sha256": hashlib.sha256(data).hexdigest()}
     side = Path(str(path) + ".json")
     _atomic_write(side, (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode())
 
@@ -255,14 +250,10 @@ def load_checkpoint(path) -> ModelParams:
         )
     side = Path(str(path) + ".json")
     meta = load_json_object(side)
-    # a key the sidecar lacks is not checked: older sidecars have no digest
-    csmv = {"dims": {**asdict(dims), "num_views": views}, "init_seed": seed,
-            "csmv_sha256": hashlib.sha256(r.buf).hexdigest()}
-    for key, value in csmv.items():
-        got = meta.get(key, value)
-        if got != value:
-            raise FormatError(f"{side}: {key} {got!r} does not match the .csmv's {value!r}")
+    got, digest = meta.get("csmv_sha256"), hashlib.sha256(r.buf).hexdigest()
+    if got != digest:  # the digest covers the header's dims and init_seed
+        raise FormatError(f"{side}: csmv_sha256 {got!r} does not match the .csmv's {digest!r}")
     try:
-        return ModelParams(dims, seed, flat, meta.get("fusion", "gmu"))
+        return ModelParams(dims, seed, flat, meta.get("fusion"))
     except InvalidArgument as exc:
         raise FormatError(f"{side}: {exc}") from exc

@@ -38,7 +38,7 @@ class Dims:
     code_length: int
 
     def __post_init__(self):
-        for name in ("d_img", "d_txt", "d", "code_length"):  # as ints: the sidecar is JSON
+        for name in ("d_img", "d_txt", "d", "code_length"):  # as ints: a numpy product wraps
             object.__setattr__(self, name, integer(getattr(self, name), name, 1))
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:

@@ -103,7 +103,7 @@ def test_train_config_is_in_the_manifest_and_not_the_sidecar(pipeline):
     manifest = json.loads((pipeline / "model.csmv.manifest.json").read_text())
     sidecar = json.loads((pipeline / "model.csmv.json").read_text())
     assert {"--eval-every=25", "--lam=0.25"} <= set(manifest["argv"])
-    assert sorted(sidecar) == ["csmv_sha256", "dims", "fusion", "init_seed"]
+    assert sorted(sidecar) == ["csmv_sha256", "fusion"]
     assert sidecar["fusion"] == "gmu"
 
 
@@ -332,6 +332,29 @@ def test_encode_splits_without_split_fails(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "[errors.InvalidArgument]: --split and --splits must be given together" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, split", [
+    ("--labels", "query"), ("--text-features", "retrieval"), ("--labels", None),
+], ids=["labels-query", "text-retrieval", "labels-every-row"])
+def test_encode_of_inputs_with_differing_row_counts_exits_one_naming_them(
+        pipeline, tmp_path, capsys, flag, split):
+    # the split's indices ran past the short file (IndexError), or every row was
+    # encoded before save_codes raised an error that named no file
+    data, out = pipeline / "data", tmp_path / "c.cscd"
+    argv = _encode_args(pipeline, out, *(["--splits", str(data / "splits.json"),
+                                          "--split", split] if split else []))
+    full = argv[argv.index(flag) + 1]
+    short = tmp_path / Path(full).name
+    if flag == "--labels":
+        formats.save_labels(formats.load_labels(full)[:20], short)
+    else:
+        formats.save_features(formats.load_features(full)[:20], short)
+    argv[argv.index(flag) + 1] = str(short)
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert "[errors.ShapeMismatch]: row counts differ" in err and f"{short} 20" in err
+    assert list(tmp_path.iterdir()) == [short]  # no codes, no manifest
 
 
 def test_splits_file_without_a_split_exits_one_naming_it(pipeline, tmp_path, capsys):

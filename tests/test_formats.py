@@ -298,9 +298,7 @@ def test_checkpoint_roundtrip(tmp_path):
     for name, arr in net.block_views(p.flat, p.dims).items():
         assert (arr == net.block_views(back.flat, back.dims)[name]).all()
     side = json.loads(path.with_name("model.csmv.json").read_text())
-    assert side == {"dims": {"d_img": 5, "d_txt": 7, "d": 4, "code_length": 6, "num_views": 2},
-                    "init_seed": 33, "fusion": "gmu",
-                    "csmv_sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+    assert side == {"fusion": "gmu", "csmv_sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
 
 
 def test_checkpoint_of_numpy_integer_dims_and_seed_saves(tmp_path):
@@ -390,48 +388,74 @@ def test_checkpoint_carries_its_fusion_mode(tmp_path, fusion):
     assert formats.load_checkpoint(path).fusion == fusion
 
 
-def test_checkpoint_sidecar_without_fusion_loads_as_gmu(tmp_path):
+def test_checkpoint_sidecar_without_fusion_is_rejected(tmp_path):
+    # it loaded as gmu, whatever mode the weights were trained in
     path = tmp_path / "m.csmv"
     formats.save_checkpoint(net.init_params(net.Dims(2, 3, 2, 4), seed=1, fusion="concat"), path)
     side = tmp_path / "m.csmv.json"
     meta = json.loads(side.read_text())
     del meta["fusion"]
     side.write_text(json.dumps(meta))
-    assert formats.load_checkpoint(path).fusion == "gmu"
+    with pytest.raises(FormatError, match=r"m\.csmv\.json: unknown fusion mode None$"):
+        formats.load_checkpoint(path)
+
+
+def test_checkpoint_sidecar_without_digest_cannot_relabel_the_fusion(tmp_path):
+    # a sidecar without csmv_sha256 was not checked against the .csmv at all
+    path = tmp_path / "m.csmv"
+    formats.save_checkpoint(net.init_params(net.Dims(2, 3, 2, 4), seed=1, fusion="gmu"), path)
+    (tmp_path / "m.csmv.json").write_text('{"fusion": "concat"}')
+    with pytest.raises(FormatError, match=r"m\.csmv\.json: csmv_sha256 None does not match "):
+        formats.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("extra", [{}, {"train_config": {"epochs": 3, "lam": 0.25}}],
+                         ids=["four-keys", "train-config"])
+def test_checkpoint_loads_beside_an_older_sidecar_layout(tmp_path, extra):
+    """Sidecars once also held dims and init_seed, and some train_config: the
+    digest binds them to the .csmv, and the keys no loader reads are ignored."""
+    dims, fusion = net.Dims(d_img=5, d_txt=7, d=4, code_length=6), "text"
+    p = net.init_params(dims, seed=2**64 - 3, fusion=fusion)
+    path = tmp_path / "m.csmv"
+    formats.save_checkpoint(p, path)
+    (tmp_path / "m.csmv.json").write_text(json.dumps({
+        "dims": {"d_img": 5, "d_txt": 7, "d": 4, "code_length": 6, "num_views": 2},
+        "init_seed": 2**64 - 3, "fusion": fusion,
+        "csmv_sha256": hashlib.sha256(path.read_bytes()).hexdigest(), **extra,
+    }, indent=2, sort_keys=True) + "\n")
+    back = formats.load_checkpoint(path)
+    assert (back.dims, back.init_seed, back.fusion) == (dims, 2**64 - 3, fusion)
+    assert (back.flat == p.flat).all()
 
 
 @pytest.mark.parametrize("text, message", [
-    ('{"fusion": "sum"}', "unknown fusion mode 'sum'"),
-    ('{"fusion": null}', "unknown fusion mode None"),
+    ('{"fusion": "sum", "csmv_sha256": DIGEST}', "unknown fusion mode 'sum'"),
+    ('{"fusion": null, "csmv_sha256": DIGEST}', "unknown fusion mode None"),
     ('["concat"]', "expected a JSON object, got list"),
     ("{not json", "not valid JSON"),
 ], ids=["unknown-mode", "null-mode", "not-object", "undecodable"])
 def test_checkpoint_rejects_bad_sidecar_naming_it(tmp_path, text, message):
     path = tmp_path / "m.csmv"
     formats.save_checkpoint(net.init_params(net.Dims(2, 3, 2, 4), seed=1), path)
-    (tmp_path / "m.csmv.json").write_text(text)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()  # the mode check comes after it
+    (tmp_path / "m.csmv.json").write_text(text.replace("DIGEST", json.dumps(digest)))
     with pytest.raises(FormatError, match=rf"m\.csmv\.json: {message}"):
         formats.load_checkpoint(path)
 
 
-@pytest.mark.parametrize("key, edit, message", [
-    ("dims", lambda m: m["dims"].update(d=99), r"dims \{.*'d': 99.*\} does not match the "
-                                              r"\.csmv's \{.*'d': 3.*\}"),
-    ("init_seed", lambda m: m.update(init_seed=7), "init_seed 7 does not match the .csmv's 1"),
-    ("csmv_sha256", lambda m: m.update(csmv_sha256="0" * 64),
-     "csmv_sha256 '0{64}' does not match the .csmv's '[0-9a-f]{64}'"),
-], ids=["d=99", "init_seed=7", "digest"])
-def test_checkpoint_rejects_sidecar_that_disagrees_with_header(tmp_path, key, edit, message):
+@pytest.mark.parametrize("edit, got", [
+    (lambda m: m.update(csmv_sha256="0" * 64), "'0{64}'"),
+    (lambda m: m.pop("csmv_sha256"), "None"),  # as a sidecar written before the digest
+], ids=["digest", "no-digest"])
+def test_checkpoint_rejects_sidecar_that_disagrees_with_header(tmp_path, edit, got):
     path, side = tmp_path / "m.csmv", tmp_path / "m.csmv.json"
     formats.save_checkpoint(net.init_params(net.Dims(2, 3, 3, 4), seed=1), path)
     meta = json.loads(side.read_text())
     edit(meta)
     side.write_text(json.dumps(meta))
-    with pytest.raises(FormatError, match=rf"m\.csmv\.json: {message}"):
+    with pytest.raises(FormatError, match=rf"m\.csmv\.json: csmv_sha256 {got} does not match "
+                                          rf"the \.csmv's '[0-9a-f]{{64}}'$"):
         formats.load_checkpoint(path)
-    del meta[key]  # a sidecar without the key is not checked, as one written before it
-    side.write_text(json.dumps(meta))
-    assert formats.load_checkpoint(path).init_seed == 1
 
 
 @pytest.mark.parametrize("seed", [0, 33, 2**63, 2**64 - 1])
@@ -521,7 +545,7 @@ def test_checkpoint_without_sidecar_is_not_loaded(tmp_path):
 def _mutation_files(tmp_path):
     """(loader, path, header bytes that hold magic, version and sizes) per format.
     The CSHC seed field is left out: no checksum covers it. The CSMV seed is
-    covered by the sidecar's init_seed and csmv_sha256."""
+    covered by the sidecar's csmv_sha256."""
     from mvhash.retrieval import pack_codes
 
     rng = np.random.default_rng(7)
