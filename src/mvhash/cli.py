@@ -126,24 +126,25 @@ def _load_splits(path, n, names):
     return out
 
 
-def _load_dataset(args):
-    img = formats.load_features(args.image_features)
-    txt = formats.load_features(args.text_features)
+def _load_rows(args, dims=None):
+    """The feature and label arrays, checked for equal row counts before any split is read;
+    a checkpoint's `dims` fixes the feature widths."""
+    img = formats.load_features(args.image_features, None if dims is None else dims.d_img)
+    txt = formats.load_features(args.text_features, None if dims is None else dims.d_txt)
     labels = formats.load_labels(args.labels)
-    n = img.shape[0]
-    masks = {}
-    for name, idx in _load_splits(args.splits, n, ("train", "retrieval", "query")).items():
-        masks[name] = np.zeros(n, dtype=bool)
-        masks[name][idx] = True
-    return MultiViewDataset(
-        image_features=img, text_features=txt, labels=labels,
-        train_mask=masks["train"], retrieval_mask=masks["retrieval"],
-        query_mask=masks["query"],
-    )
+    rows = {args.image_features: len(img), args.text_features: len(txt), args.labels: len(labels)}
+    if len(set(rows.values())) > 1:
+        raise ShapeMismatch("row counts differ: " + ", ".join(f"{f} {n}" for f, n in rows.items()))
+    return img, txt, labels
 
 
 def cmd_train(args):
-    dataset = _load_dataset(args)
+    img, txt, labels = _load_rows(args)
+    masks = {}
+    for name, idx in _load_splits(args.splits, len(img), ("train", "retrieval", "query")).items():
+        masks[f"{name}_mask"] = np.zeros(len(img), dtype=bool)
+        masks[f"{name}_mask"][idx] = True
+    dataset = MultiViewDataset(img, txt, labels, **masks)
     cset = formats.load_centers(args.centers)
     config = _from_flags(trainer.TrainConfig, args, adam_betas=(args.beta1, args.beta2))
     report = trainer.train(
@@ -165,14 +166,9 @@ def cmd_encode(args):
     if (args.split is None) != (args.splits is None):
         raise InvalidArgument("--split and --splits must be given together")
     params = formats.load_checkpoint(args.checkpoint)
-    img = formats.load_features(args.image_features, expected_dim=params.dims.d_img)
-    txt = formats.load_features(args.text_features, expected_dim=params.dims.d_txt)
-    labels = formats.load_labels(args.labels)
-    rows = {args.image_features: len(img), args.text_features: len(txt), args.labels: len(labels)}
-    if len(set(rows.values())) > 1:
-        raise ShapeMismatch("row counts differ: " + ", ".join(f"{f} {n}" for f, n in rows.items()))
+    img, txt, labels = _load_rows(args, params.dims)
     if args.split:
-        take = _load_splits(args.splits, img.shape[0], (args.split,))[args.split]
+        take = _load_splits(args.splits, len(img), (args.split,))[args.split]
         img, txt, labels = img[take], txt[take], labels[take]
     codes = trainer.encode(params, img, txt)
     formats.save_codes(retrieval.pack_codes(codes), labels, params.dims.code_length, args.out)

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -104,6 +105,52 @@ def test_generate_rejects_non_integer_sizes_and_seed():
             C.generate_centers(*args)
     cs = C.generate_centers(np.int64(4), np.uint8(16), np.uint64(3))  # numpy integers pass
     assert type(cs.seed) is int and (cs.num_classes, cs.code_length, cs.seed) == (4, 16, 3)
+
+
+# sha256 of generate_centers(V, K, seed).centers.tobytes(). The oracles draw from the same
+# numpy, so only these literals fail when numpy's Generator stream or the arithmetic of the
+# tie coins moves; a change of a pinned value is a change of every trained model
+PINNED_CENTERS = [
+    (12, 8, 0, "hadamard", "acffcf174c85c6cd235d5ff305dcc522a540527915f4f2a8eebe6989e54c8c48"),
+    (20, 8, 1, "hadamard_plus_bernoulli",
+     "cf555b4dc128ee35de80d709d13b85a299654c8daa4e8548c6a444f827ad6900"),
+    (40, 37, 2, "bernoulli", "fe49d3f9f19fd974cc8ac04e8d15cbbace0422dd664875153d73f97f9b678a32"),
+    (40, 63, 3, "bernoulli", "9ebfc497dc08bf1913c4635a54a5664e17c68dce32d626b70c68b3885a9afd14"),
+    (100, 64, 4, "hadamard", "959175e5d8472be0567e38258f68adf0e93b8d27a163f920266383532f182b88"),
+    (40, 65, 5, "bernoulli", "dd7ce102c7126cf6a66d8d43150ff4d0cccb79d6aa930e873f9c9fe81493683f"),
+    (260, 128, 2**32 + 7, "hadamard_plus_bernoulli",
+     "10a449adeed8826e32f809c3dfbaf6f51fb7ab71d0dc91236fd8e037e43c851f"),
+    (40, 200, 2**64 - 1, "bernoulli",
+     "1683927192e49a47d2e888422123fc8b14c364ae6892d4bd2117816865bc6d74"),
+]
+# sha256 of semantic_centers_for(labels, generate_centers(12, K, 3), seed).tobytes() on the
+# fixed labels of _pinned_labels, with the count of tied bits that take a coin
+PINNED_SEMANTIC = [
+    (37, 0, 776, "31081dbfdc59e8336b28712ce915501b45ef213c9c6d6f1a24026cf17e1af37c"),
+    (37, 2**32 + 7, 776, "924175e188bf9c9e5dcf761983bffa8dcb6ce91bb3e070419134293501813cda"),
+    (64, 0, 1344, "a2c9a51ef8c54d2591da769959f0fc540a1b8cace97026ae7ae60a41f1ebfd28"),
+    (64, 2**32 + 7, 1344, "16090884bff966e039b61b5a467fc1410a77263327c729d7a701286d241cbeee"),
+]
+
+
+def _pinned_labels():
+    """96 rows over 12 classes with 1-4 active labels, built without a random draw."""
+    labels = np.zeros((96, 12), dtype=np.uint8)
+    for r in range(96):
+        labels[r, [(7 * r + 3 * j) % 12 for j in range(r % 4 + 1)]] = 1
+    return labels
+
+
+def test_center_bytes_are_pinned():
+    for v, k, seed, method, digest in PINNED_CENTERS:
+        cs = C.generate_centers(v, k, seed)
+        assert (cs.method, hashlib.sha256(cs.centers.tobytes()).hexdigest()) == (method, digest)
+    labels = _pinned_labels()
+    for k, seed, tied, digest in PINNED_SEMANTIC:
+        cs = C.generate_centers(12, k, 3)
+        assert int((labels.astype(np.int64) @ cs.centers.astype(np.int64) == 0).sum()) == tied
+        out = C.semantic_centers_for(labels, cs, seed)
+        assert hashlib.sha256(out.tobytes()).hexdigest() == digest
 
 
 def _outcome(make, *args):

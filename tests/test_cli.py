@@ -334,16 +334,28 @@ def test_encode_splits_without_split_fails(pipeline, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag, split", [
-    ("--labels", "query"), ("--text-features", "retrieval"), ("--labels", None),
-], ids=["labels-query", "text-retrieval", "labels-every-row"])
+@pytest.mark.parametrize("stage, flag, split", [
+    ("encode", "--labels", "query"), ("encode", "--text-features", "retrieval"),
+    ("encode", "--labels", None), ("train", "--image-features", "train"),
+    ("train", "--text-features", "train"), ("train", "--labels", "train"),
+    ("train", "--image-features", None),
+], ids=["labels-query", "text-retrieval", "labels-every-row", "train-image", "train-text",
+        "train-labels", "train-image-splits-missing"])
 def test_encode_of_inputs_with_differing_row_counts_exits_one_naming_them(
-        pipeline, tmp_path, capsys, flag, split):
-    # the split's indices ran past the short file (IndexError), or every row was
-    # encoded before save_codes raised an error that named no file
-    data, out = pipeline / "data", tmp_path / "c.cscd"
-    argv = _encode_args(pipeline, out, *(["--splits", str(data / "splits.json"),
-                                          "--split", split] if split else []))
+        pipeline, tmp_path, capsys, stage, flag, split):
+    # both stages check row counts before --splits is read; without that check a split's
+    # indices ran past the short file, or the error named no file
+    data, out = pipeline / "data", tmp_path / "out"
+    if stage == "encode":
+        argv = _encode_args(pipeline, out, *(["--splits", str(data / "splits.json"),
+                                              "--split", split] if split else []))
+    else:  # without a split, --splits names a file that does not exist
+        splits = data / "splits.json" if split else tmp_path / "missing.json"
+        argv = ["train", "--image-features", str(data / "image_features.csft"),
+                "--text-features", str(data / "text_features.csft"),
+                "--labels", str(data / "labels.cslb"), "--splits", str(splits),
+                "--centers", str(pipeline / "centers.cshc"), "--out", str(out),
+                "--log-csv", str(tmp_path / "log.csv"), "--epochs", "1"]
     full = argv[argv.index(flag) + 1]
     short = tmp_path / Path(full).name
     if flag == "--labels":
@@ -353,8 +365,10 @@ def test_encode_of_inputs_with_differing_row_counts_exits_one_naming_them(
     argv[argv.index(flag) + 1] = str(short)
     assert run(*argv) == 1
     err = capsys.readouterr().err
-    assert "[errors.ShapeMismatch]: row counts differ" in err and f"{short} 20" in err
-    assert list(tmp_path.iterdir()) == [short]  # no codes, no manifest
+    named = ", ".join(f"{argv[argv.index(f) + 1]} {20 if f == flag else 120}"
+                      for f in ("--image-features", "--text-features", "--labels"))
+    assert f"[errors.ShapeMismatch]: row counts differ: {named}\n" in err
+    assert list(tmp_path.iterdir()) == [short]  # no output, sidecar, log or manifest
 
 
 def test_splits_file_without_a_split_exits_one_naming_it(pipeline, tmp_path, capsys):
