@@ -1,17 +1,14 @@
 """Binary file formats (all little-endian, all fail-closed on truncation).
 
-  CSHC  hash centers:  magic, u32 version=1, u32 V, u32 K, u64 seed,
-        u8 method tag (its index in centers.METHODS), V x ceil(K/8) packed rows
-        (LSB of byte 0 = bit 0)
-  CSFT  features:      magic, u32 version=1, u32 N, u32 dim, N*dim f32
-  CSLB  labels:        magic, u32 version=1, u32 N, u32 V, N x ceil(V/8) packed rows
-  CSCD  codes+labels:  magic, u32 version=1, u32 R, u32 K, R x ceil(K/8) packed
-        codes, u32 V, R x ceil(V/8) packed multi-hot rows
-  CSMV  checkpoint:    magic, u32 version=1, u32 d_img, u32 d_txt, u32 d,
-        u32 K, u32 num_views=2, u64 init_seed, parameter blocks as finite f64
-        in PARAM_NAMES order (ModelParams.flat); the JSON sidecar <path>.json holds two
-        keys, fusion (the mode) and csmv_sha256 (the digest of the .csmv bytes written
-        with it). Load requires both and rejects a digest that differs from the .csmv's
+Each file is its magic, a u32 VERSION, the header fields HEADERS declares, then:
+  CSHC  hash centers:  V x ceil(K/8) packed rows (LSB of byte 0 = bit 0)
+  CSFT  features:      N*dim f32
+  CSLB  labels:        N x ceil(V/8) packed rows
+  CSCD  codes+labels:  R x ceil(K/8) packed codes, u32 V, R x ceil(V/8) packed rows
+  CSMV  checkpoint:    parameter blocks as finite f64 in PARAM_NAMES order
+        (ModelParams.flat); the JSON sidecar <path>.json holds two keys, fusion
+        (the mode) and csmv_sha256 (the digest of the .csmv bytes written with
+        it). Load requires both and rejects a digest that differs from the .csmv's
 """
 
 import hashlib
@@ -28,19 +25,38 @@ from .retrieval import (check_code_rows, pack_bits, pack_codes, padding_bits_set
                         unpack_codes)
 
 
+VERSION = 1
+# per magic: the struct codes (B u8, I u32, Q u64) and names of the fields after the version
+HEADERS = {  # a CSHC method tag is its index in centers.METHODS; CSMV num_views is 2
+    b"CSHC": ("IIQB", "num_classes", "code_length", "seed", "method tag"),
+    b"CSFT": ("II", "row count", "dim"),
+    b"CSLB": ("II", "row count", "num_classes"),
+    b"CSCD": ("II", "code count", "code_length"),
+    b"CSMV": ("IIIIIQ", "d_img", "d_txt", "d", "code_length", "num_views", "init_seed"),
+}
+
+
+def _header(magic, *values) -> bytes:
+    return struct.pack("<4sI" + HEADERS[magic][0], magic, VERSION, *values)
+
+
 class _Reader:
-    """A file's bytes, read in order; opening checks the magic and version 1."""
+    """A file's bytes, read in order; opening checks magic and VERSION and reads `head`."""
 
     def __init__(self, path, magic):
         self.path = Path(path)
-        self.buf = self.path.read_bytes()
+        try:
+            self.buf = self.path.read_bytes()
+        except OSError as exc:  # missing, a directory, not permitted
+            raise FormatError(f"{self.path}: cannot read: {exc.strerror}") from exc
         self.pos = 0
         got = self.take(4, "magic")
         if got != magic:
             raise FormatError(f"{self.path}: bad magic {got!r}, expected {magic!r}")
-        ver = self.u32("version")
-        if ver != 1:
+        (ver,) = self.fields("I", "version")
+        if ver != VERSION:
             raise FormatError(f"{self.path}: unsupported version {ver}")
+        self.head = self.fields(*HEADERS[magic])
 
     def take(self, n, what):
         if self.pos + n > len(self.buf):
@@ -51,14 +67,10 @@ class _Reader:
         self.pos += n
         return out
 
-    def u32(self, what):
-        return struct.unpack("<I", self.take(4, what))[0]
-
-    def u64(self, what):
-        return struct.unpack("<Q", self.take(8, what))[0]
-
-    def u8(self, what):
-        return self.take(1, what)[0]
+    def fields(self, codes, *names):
+        """One little-endian unsigned int per struct code, each taken under its name."""
+        return [int.from_bytes(self.take(struct.calcsize("<" + c), name), "little")
+                for c, name in zip(codes, names, strict=True)]
 
     def array(self, dtype, count, what):
         raw = self.take(np.dtype(dtype).itemsize * count, what)
@@ -86,6 +98,8 @@ class _Reader:
 def load_json_object(path) -> dict:
     try:
         obj = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise FormatError(f"{path}: cannot read: {exc.strerror}") from exc
     except ValueError as exc:  # undecodable bytes or JSON
         raise FormatError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
@@ -107,21 +121,14 @@ def _atomic_write(path, data: bytes):
 # ---- CSHC: hash centers ----
 
 def save_centers(center_set: centers_mod.HashCenterSet, path) -> None:
-    head = struct.pack(
-        "<4sIIIQB",
-        b"CSHC", 1,
-        center_set.num_classes, center_set.code_length, center_set.seed,
-        centers_mod.METHODS.index(center_set.method),
-    )
+    head = _header(b"CSHC", center_set.num_classes, center_set.code_length, center_set.seed,
+                   centers_mod.METHODS.index(center_set.method))
     _atomic_write(path, head + pack_codes(center_set.centers).tobytes())
 
 
 def load_centers(path) -> centers_mod.HashCenterSet:
     r = _Reader(path, b"CSHC")
-    v = r.u32("num_classes")
-    k = r.u32("code_length")
-    seed = r.u64("seed")
-    tag = r.u8("method tag")
+    v, k, seed, tag = r.head
     if tag >= len(centers_mod.METHODS):
         raise FormatError(f"{r.path}: unknown method tag {tag}")
     packed = r.packed_rows(v, k, "packed centers")
@@ -145,14 +152,12 @@ def save_features(matrix: np.ndarray, path) -> None:
     bad = np.argwhere(~np.isfinite(m))
     if len(bad):
         raise InvalidArgument(f"{path}: non-finite float32 at row {bad[0][0]}, column {bad[0][1]}")
-    head = struct.pack("<4sIII", b"CSFT", 1, m.shape[0], m.shape[1])
-    _atomic_write(path, head + m.tobytes())
+    _atomic_write(path, _header(b"CSFT", *m.shape) + m.tobytes())
 
 
 def load_features(path, expected_dim: int | None = None) -> np.ndarray:
     r = _Reader(path, b"CSFT")
-    n = r.u32("row count")
-    dim = r.u32("dim")
+    n, dim = r.head
     if dim == 0:  # no feature to fuse; zero rows still load
         raise FormatError(f"{r.path}: dim must be >= 1, got 0")
     if expected_dim is not None and dim != expected_dim:
@@ -172,14 +177,12 @@ def load_features(path, expected_dim: int | None = None) -> np.ndarray:
 
 def save_labels(labels: np.ndarray, path) -> None:
     rows = np.atleast_2d(labels) != 0
-    head = struct.pack("<4sIII", b"CSLB", 1, rows.shape[0], rows.shape[1])
-    _atomic_write(path, head + pack_bits(rows).tobytes())
+    _atomic_write(path, _header(b"CSLB", *rows.shape) + pack_bits(rows).tobytes())
 
 
 def load_labels(path) -> np.ndarray:
     r = _Reader(path, b"CSLB")
-    n = r.u32("row count")
-    v = r.u32("num_classes")
+    n, v = r.head
     packed = r.packed_rows(n, v, "label rows")
     r.done()
     return unpack_bits(packed, v)
@@ -192,7 +195,7 @@ def save_codes(packed_codes: np.ndarray, labels: np.ndarray, code_length: int, p
     rows = np.atleast_2d(labels) != 0
     if pc.shape[0] != rows.shape[0]:
         raise ShapeMismatch(f"codes rows {pc.shape[0]} != label rows {rows.shape[0]}")
-    head = struct.pack("<4sIII", b"CSCD", 1, pc.shape[0], code_length)
+    head = _header(b"CSCD", pc.shape[0], code_length)
     mid = struct.pack("<I", rows.shape[1])
     _atomic_write(path, head + pc.tobytes() + mid + pack_bits(rows).tobytes())
 
@@ -200,12 +203,11 @@ def save_codes(packed_codes: np.ndarray, labels: np.ndarray, code_length: int, p
 def load_codes(path) -> tuple[np.ndarray, np.ndarray, int]:
     """Returns (packed codes R x ceil(K/8), multi-hot labels R x V, K)."""
     r = _Reader(path, b"CSCD")
-    n = r.u32("code count")
-    k = r.u32("code_length")
+    n, k = r.head
     if k == 0:  # no code to rank by; R = 0 and V = 0 still load
         raise FormatError(f"{r.path}: code_length must be >= 1, got 0")
     packed = r.packed_rows(n, k, "packed codes")
-    v = r.u32("num_classes")
+    (v,) = r.fields("I", "num_classes")
     lab = r.packed_rows(n, v, "label rows")
     r.done()
     return packed, unpack_bits(lab, v), k
@@ -217,10 +219,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
     """Writes the model to `path` and the sidecar <path>.json: its fusion and
     csmv_sha256, the sha256 of the .csmv bytes."""
     d = params.dims
-    head = struct.pack(
-        "<4sIIIIIIQ", b"CSMV", 1, d.d_img, d.d_txt, d.d, d.code_length,
-        2, params.init_seed,  # num_views
-    )
+    head = _header(b"CSMV", d.d_img, d.d_txt, d.d, d.code_length, 2, params.init_seed)
     data = head + params.flat.astype("<f8", copy=False).tobytes()
     _atomic_write(path, data)
     meta = {"fusion": params.fusion, "csmv_sha256": hashlib.sha256(data).hexdigest()}
@@ -230,9 +229,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 def load_checkpoint(path) -> ModelParams:
     r = _Reader(path, b"CSMV")
-    d_img, d_txt, d, k, views = (r.u32(x) for x in
-                                 ("d_img", "d_txt", "d", "code_length", "num_views"))
-    seed = r.u64("init_seed")
+    d_img, d_txt, d, k, views, seed = r.head
     if views != 2:  # the fusion equations are written for two views
         raise FormatError(f"{r.path}: num_views must be 2, got {views}")
     try:

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -296,6 +297,36 @@ def test_train_with_undecodable_splits_exits_one_naming_the_file(pipeline, tmp_p
                "--out", str(tmp_path / "m.csmv"), "--epochs", "1") == 1
     err = capsys.readouterr().err
     assert "[errors.FormatError]" in err and f"{splits}: not valid JSON" in err
+
+
+def test_unreadable_codes_exit_one_naming_them(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run("index", "--codes", "nope.cscd") == 1
+    assert capsys.readouterr().err == \
+        "error [errors.FormatError]: nope.cscd: cannot read: No such file or directory\n"
+    (tmp_path / "dir.cscd").mkdir()
+    assert run("index", "--codes", "dir.cscd") == 1
+    assert capsys.readouterr().err == \
+        f"error [errors.FormatError]: dir.cscd: cannot read: {os.strerror(errno.EISDIR)}\n"
+
+
+@pytest.mark.parametrize("missing", ["splits", "sidecar"])
+def test_missing_json_input_exits_one_naming_it(pipeline, tmp_path, capsys, missing):
+    data, ckpt = pipeline / "data", tmp_path / "m.csmv"
+    ckpt.write_bytes((pipeline / "model.csmv").read_bytes())
+    if missing == "sidecar":
+        splits, gone = data / "splits.json", tmp_path / "m.csmv.json"
+    else:
+        (tmp_path / "m.csmv.json").write_bytes((pipeline / "model.csmv.json").read_bytes())
+        splits = gone = tmp_path / "splits.json"
+    assert run("encode", "--checkpoint", str(ckpt),
+               "--image-features", str(data / "image_features.csft"),
+               "--text-features", str(data / "text_features.csft"),
+               "--labels", str(data / "labels.cslb"), "--splits", str(splits),
+               "--split", "query", "--out", str(tmp_path / "q.cscd")) == 1
+    assert capsys.readouterr().err == \
+        f"error [errors.FormatError]: {gone}: cannot read: {os.strerror(errno.ENOENT)}\n"
+    assert not (tmp_path / "q.cscd").exists()
 
 
 @pytest.mark.parametrize("fusion", ["concat", "image"])

@@ -1,6 +1,7 @@
 import errno
 import hashlib
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -538,8 +539,23 @@ def test_checkpoint_without_sidecar_is_not_loaded(tmp_path):
     path = tmp_path / "m.csmv"
     formats.save_checkpoint(net.init_params(net.Dims(2, 3, 2, 4), seed=1, fusion="image"), path)
     (tmp_path / "m.csmv.json").unlink()
-    with pytest.raises(FileNotFoundError, match=r"m\.csmv\.json"):
+    with pytest.raises(FormatError) as exc:
         formats.load_checkpoint(path)
+    assert str(exc.value) == f"{path}.json: cannot read: {os.strerror(errno.ENOENT)}"
+
+
+@pytest.mark.parametrize("load", [formats.load_centers, formats.load_features,
+                                  formats.load_labels, formats.load_codes,
+                                  formats.load_checkpoint, formats.load_json_object])
+@pytest.mark.parametrize("code", [errno.ENOENT, errno.EISDIR], ids=["missing", "directory"])
+def test_unreadable_input_fails_closed_naming_it(tmp_path, load, code):
+    # load_json_object reads --splits and the checkpoint sidecar
+    path = tmp_path / "input"
+    if code == errno.EISDIR:
+        path.mkdir()
+    with pytest.raises(FormatError) as exc:
+        load(path)
+    assert str(exc.value) == f"{path}: cannot read: {os.strerror(code)}"
 
 
 def _mutation_files(tmp_path):
@@ -584,3 +600,37 @@ def test_byte_mutations_rejected_naming_the_file(tmp_path, kind):
         with pytest.raises(FormatError) as exc:
             load(path)
         assert str(path) in str(exc.value), what
+
+
+def _header_fields(kind, good):
+    """(name, offset, size) of each fixed-width field that the loader of `kind` reads
+    before the first row bytes, and of CSCD's label width after its code rows."""
+    names = {
+        "centers": [("num_classes", 4), ("code_length", 4), ("seed", 8), ("method tag", 1)],
+        "features": [("row count", 4), ("dim", 4)],
+        "labels": [("row count", 4), ("num_classes", 4)],
+        "codes": [("code count", 4), ("code_length", 4)],
+        "checkpoint": [("d_img", 4), ("d_txt", 4), ("d", 4), ("code_length", 4),
+                       ("num_views", 4), ("init_seed", 8)],
+    }[kind]
+    out, offset = [], 0
+    for name, size in [("magic", 4), ("version", 4), *names]:
+        out.append((name, offset, size))
+        offset += size
+    if kind == "codes":
+        r, k = struct.unpack_from("<II", good, 8)
+        out.append(("num_classes", offset + r * -(-k // 8), 4))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["centers", "features", "labels", "codes", "checkpoint"])
+def test_header_truncation_names_the_field_and_its_offset(tmp_path, kind):
+    load, path, _ = _mutation_files(tmp_path)[kind]
+    good = path.read_bytes()
+    for name, offset, size in _header_fields(kind, good):
+        for cut in range(offset, offset + size):
+            path.write_bytes(good[:cut])
+            with pytest.raises(FormatError) as exc:
+                load(path)
+            assert str(exc.value) == \
+                f"{path}: truncated reading {name} at byte offset {offset}", cut

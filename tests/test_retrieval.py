@@ -1,3 +1,4 @@
+import hashlib
 import multiprocessing
 import sys
 import threading
@@ -460,6 +461,44 @@ def test_metric_bits_are_pinned():
     grid = [k for k, _, _ in PINNED_CURVES]
     assert [(k, a.hex(), r.hex()) for k, a, r in R.curves(q_codes, q_labels, index, grid)] == \
         PINNED_CURVES
+
+
+# sha256 over every query row of pinned_topk_case(K), in order, and k = 10 and 1200 (the
+# select path) and k = R (the stable sort), of query_topk's ids then distances as <i8
+PINNED_TOPK = {
+    8: "ff3f47ee1b670434cf110848b3e9dcea87b5cf17c08ac186a7ddd620d4bc1dcb",
+    37: "8891a3cce06fe48c46bb31eb275453a3072dbba10189ebe51731358b083be51b",
+    63: "f6b344718704c47e24d35e7bfb997d1cf900cc1d63d6c1237f49da096e2bef16",
+    64: "3aea88857a99821255ede21a6d067a02158d904585527bc2c04c2ba53936c968",
+    65: "2162abfc6e137642be0751cfdc9f0f995af96e09de77f33b17a10800f43d95ec",
+    128: "9a202af9c6c1c12d581ec7cc64aef5caca81a61dcbbf913afe9d8e0b9c6435d5",
+}
+
+
+def pinned_topk_case(k):
+    """2500 codes near 12 bases, and 6 query rows that repeat 3 of those codes, drawn
+    with integer RNG calls only, so they are the same bytes on every host."""
+    rng = np.random.default_rng(k)
+    n = 2500
+    bases = rng.integers(0, 2, size=(12, k)) * 2 - 1
+    codes = bases[rng.integers(0, 12, size=n)]
+    codes = np.where(rng.integers(0, 8, size=(n, k)) == 0, -codes, codes).astype(np.int8)
+    return codes, codes[rng.integers(0, n, size=3)][rng.integers(0, 3, size=6)]
+
+
+def test_query_topk_is_pinned():
+    for k, digest in PINNED_TOPK.items():
+        codes, queries = pinned_topk_case(k)
+        index = R.RetrievalIndex.from_signs(codes, np.ones((len(codes), 1), dtype=np.uint8))
+        h = hashlib.sha256()
+        for q in queries:
+            order, d = ranking(codes, q)
+            for top in (10, 1200, index.size):
+                res = index.query_topk(q, top)
+                assert res.ids.tolist() == order[:top].tolist()
+                assert res.distances.tolist() == d[order[:top]].tolist()
+                h.update(res.ids.astype("<i8").tobytes() + res.distances.astype("<i8").tobytes())
+        assert h.hexdigest() == digest, k
 
 
 @pytest.mark.parametrize("active", [[0, 3], [1, 2, 4]])
