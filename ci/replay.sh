@@ -14,10 +14,13 @@
 # encode hold BLAS at one thread themselves, so the codes, checkpoints and
 # sidecars must be the same bytes. A train whose labels file holds 3 rows must
 # exit 1 (a pipeline failure), name that file on stderr and write nothing.
+# Everything is written in a temporary directory, removed when the script exits.
 set -euo pipefail
 read -r -a mvhash <<< "${MVHASH:-mvhash}"
 
-cd "$(mktemp -d)"
+work="$(mktemp -d)"
+trap 'rm -rf "$work"' EXIT
+cd "$work"
 "${mvhash[@]}" --version
 "${mvhash[@]}" centers --classes 4 --bits 16 --seed 3 --out a.cshc
 "${mvhash[@]}" synth --classes 4 --per-class 10 --d-img 8 --d-txt 8 --seed 3 --out-dir data

@@ -3,8 +3,7 @@
 
 import numpy as np
 
-from mvhash import generate_centers, sylvester_hadamard
-from mvhash.centers import min_pairwise_distance
+from mvhash.centers import generate_centers, min_pairwise_distance, sylvester_hadamard
 
 # A Sylvester-Hadamard matrix has mutually orthogonal +-1 rows, so any two
 # rows disagree on exactly half their entries. That makes its rows (and their

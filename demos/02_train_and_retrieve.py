@@ -3,7 +3,8 @@
 
 import numpy as np
 
-from mvhash import SynthSpec, generate_centers, make_synthetic
+from mvhash.centers import generate_centers
+from mvhash.data import SynthSpec, make_synthetic
 from mvhash.retrieval import RetrievalIndex, curves, mean_average_precision
 from mvhash.trainer import TrainConfig, encode, train
 

@@ -108,8 +108,8 @@ def make_synthetic(spec: SynthSpec) -> MultiViewDataset:
         query[idx[n_train + n_retr:]] = True
 
     return MultiViewDataset(
-        image_features=img.astype(np.float64),
-        text_features=txt.astype(np.float64),
+        image_features=img,
+        text_features=txt,
         labels=labels,
         train_mask=train,
         retrieval_mask=retrieval,

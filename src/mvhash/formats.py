@@ -11,6 +11,7 @@ Each file is its magic, a u32 VERSION, the header fields HEADERS declares, then:
         it). Load requires both and rejects a digest that differs from the .csmv's
 """
 
+import contextlib
 import hashlib
 import json
 import struct
@@ -113,8 +114,11 @@ def _atomic_write(path, data: bytes):
     try:
         tmp.write_bytes(data)
         tmp.replace(path)
-    except BaseException:  # a partial write must not outlive the failure
-        tmp.unlink(missing_ok=True)
+    except BaseException as exc:  # a partial write must not outlive the failure
+        with contextlib.suppress(FileNotFoundError, NotADirectoryError):  # no temporary was made
+            tmp.unlink()
+        if isinstance(exc, OSError):  # no such directory, a directory, not permitted
+            raise FormatError(f"{path}: cannot write: {exc.strerror}") from exc
         raise
 
 

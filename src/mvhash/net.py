@@ -260,5 +260,5 @@ def binarize(he: np.ndarray) -> np.ndarray:
     a = np.asarray(he)
     if not np.isfinite(a).all():
         raise InvalidArgument("hash logits contain NaN/Inf")
-    return np.where(a > 0, 1, -1).astype(np.int8)
+    return (a > 0).view(np.int8) * np.int8(2) - np.int8(1)
 

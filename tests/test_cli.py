@@ -161,6 +161,17 @@ def test_importing_the_cli_leaves_numpy_random_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_importing_the_package_loads_only_its_version():
+    # every public name is imported from its module; the package root runs nothing
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    code = ("import sys, mvhash; print(mvhash.__version__); "
+            "print(sorted(m for m in sys.modules if m.startswith('mvhash.') or m == 'numpy'))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [cli.__version__, "[]"]
+
+
 def test_eval_subcommand(pipeline):
     out = pipeline / "eval.csv"
     assert run("eval", "--codes", str(pipeline / "retrieval.cscd"),
@@ -308,6 +319,18 @@ def test_unreadable_codes_exit_one_naming_them(tmp_path, capsys, monkeypatch):
     assert run("index", "--codes", "dir.cscd") == 1
     assert capsys.readouterr().err == \
         f"error [errors.FormatError]: dir.cscd: cannot read: {os.strerror(errno.EISDIR)}\n"
+
+
+@pytest.mark.parametrize("parent, code", [("nodir", errno.ENOENT), ("afile", errno.ENOTDIR)])
+def test_unwritable_output_exits_one_naming_it(tmp_path, capsys, monkeypatch, parent, code):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").touch()
+    out = f"{parent}/c.cshc"
+    assert run("centers", "--classes", "4", "--bits", "8", "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err == f"error [errors.FormatError]: {out}: cannot write: {os.strerror(code)}\n"
+    assert ".tmp" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
 
 
 @pytest.mark.parametrize("missing", ["splits", "sidecar"])

@@ -2,6 +2,7 @@ import errno
 import hashlib
 import json
 import os
+import re
 import struct
 from pathlib import Path
 
@@ -494,7 +495,7 @@ def test_failed_write_keeps_the_old_target_and_leaves_no_temporary_file(tmp_path
         raise OSError(errno.ENOSPC, "No space left on device")
 
     monkeypatch.setattr(Path, "write_bytes", disk_full)
-    with pytest.raises(OSError, match="No space left"):
+    with pytest.raises(FormatError, match=f"^{re.escape(str(target))}: cannot write: No space left"):
         formats.save_codes(np.ones((3, 1), dtype=np.uint8), np.ones((3, 1)), 8, target)
     assert target.read_bytes() == old
     assert sorted(p.name for p in tmp_path.iterdir()) == ["x.cscd"]

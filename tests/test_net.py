@@ -309,6 +309,8 @@ def test_backward_rejects_cache_of_another_fusion_mode(made, run):
 def test_binarize():
     assert net.binarize(np.array([0.9, -0.2, 0.0001, -0.9])).tolist() == [1, -1, 1, -1]
     assert net.binarize(np.zeros(4)).tolist() == [-1, -1, -1, -1]
+    assert net.binarize(np.array([-0.0, 0.0])).tolist() == [-1, -1]
+    assert net.binarize(np.ones((2, 3))).dtype == np.int8
     he = np.array([0.3, -0.7, 0.01, -0.001])
     assert (net.binarize(he) == net.binarize(0.5 * he)).all()
 
