@@ -3,7 +3,8 @@
 Centers live in {-1,+1}^K. Orthogonal centers come from a Sylvester
 Hadamard matrix (rows, then their negations); everything else is drawn by
 one seeded Bernoulli acceptance loop with a minimum-separation rule, its
-inner products taken in int64.
+inner products taken in int64. A HashCenterSet is the V x K array and its
+seed; V, K and the method (so the .cshc tag) are read from the array.
 """
 
 from dataclasses import dataclass
@@ -14,11 +15,8 @@ from .errors import CapacityError, GenerationFailure, InvalidArgument, integer
 
 MAX_RETRIES_PER_CENTER = 1000
 
-METHOD_HADAMARD = "hadamard"
-METHOD_HADAMARD_PLUS_BERNOULLI = "hadamard_plus_bernoulli"
-METHOD_BERNOULLI = "bernoulli"
 # a method's .cshc tag is its position here
-METHODS = (METHOD_HADAMARD, METHOD_HADAMARD_PLUS_BERNOULLI, METHOD_BERNOULLI)
+METHODS = ("hadamard", "hadamard_plus_bernoulli", "bernoulli")
 
 
 def sylvester_hadamard(order: int) -> np.ndarray:
@@ -35,29 +33,40 @@ def sylvester_hadamard(order: int) -> np.ndarray:
     return h
 
 
+def _hadamard_rows(num_classes: int, code_length: int) -> int:
+    """Hadamard rows among V centers of K bits: min(V, 2K) if K is a power of two, else 0."""
+    return min(num_classes, 2 * code_length) if code_length & (code_length - 1) == 0 else 0
+
+
 @dataclass(frozen=True)
 class HashCenterSet:
-    """V mutually well-separated centers of length K, plus how they were made."""
+    """V well-separated centers of K bits and their seed; V, K and the method follow from them."""
 
     centers: np.ndarray  # V x K, int8, entries in {-1,+1}
-    code_length: int
-    num_classes: int
-    method: str
     seed: int  # in [0, 2^64): the .cshc header holds it as a u64
 
     def __post_init__(self):
+        if self.centers.ndim != 2:
+            raise InvalidArgument(f"centers must be V x K, got shape {self.centers.shape}")
         integer(self.num_classes, "num_classes", 1)
         integer(self.code_length, "code_length", 1)
-        c = self.centers
-        if c.shape != (self.num_classes, self.code_length):
-            raise InvalidArgument(
-                f"centers shape {c.shape} != ({self.num_classes}, {self.code_length})"
-            )
-        if not np.isin(c, (-1, 1)).all():
+        if not np.isin(self.centers, (-1, 1)).all():
             raise InvalidArgument("center entries must be -1 or +1")
-        if self.method not in METHODS:
-            raise InvalidArgument(f"unknown center method {self.method!r}")
         integer(self.seed, "seed", 0, 2**64)
+
+    @property
+    def num_classes(self) -> int:
+        return self.centers.shape[0]
+
+    @property
+    def code_length(self) -> int:
+        return self.centers.shape[1]
+
+    @property
+    def method(self) -> str:
+        """The METHODS entry generate_centers uses for this V and K."""
+        rows = _hadamard_rows(self.num_classes, self.code_length)
+        return METHODS[0 if rows == self.num_classes else 1 if rows else 2]
 
     def mean_pairwise_inner(self) -> float:
         """(1/T) sum over unordered pairs of <hc_i, hc_j>."""
@@ -117,17 +126,10 @@ def generate_centers(num_classes: int, code_length: int, seed: int) -> HashCente
 
     rng = np.random.default_rng(seed)
     base = np.empty((0, k), dtype=np.int8)
-    if (k & (k - 1)) == 0:
+    if rows := _hadamard_rows(v, k):
         h = sylvester_hadamard(k)
-        base = np.vstack([h, -h])[:v]
-    return HashCenterSet(
-        centers=_sample_bernoulli_centers(base, v - len(base), k, rng).astype(np.int8),
-        code_length=k,
-        num_classes=v,
-        method=METHOD_HADAMARD if len(base) == v
-        else METHOD_HADAMARD_PLUS_BERNOULLI if len(base) else METHOD_BERNOULLI,
-        seed=seed,
-    )
+        base = np.vstack([h, -h])[:rows]
+    return HashCenterSet(_sample_bernoulli_centers(base, v - rows, k, rng).astype(np.int8), seed)
 
 
 # numpy.random.SeedSequence: a pool of 4 uint32 words mixed with these

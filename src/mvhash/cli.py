@@ -187,6 +187,8 @@ def _load_index_and_queries(args):
     q_packed, q_labels, qk = formats.load_codes(args.queries)
     if qk != index.code_length:
         raise InvalidArgument(f"query K={qk} != index K={index.code_length}")
+    if not len(q_packed):
+        raise InvalidArgument("empty query set")
     return index, retrieval.unpack_codes(q_packed, qk), q_labels
 
 

@@ -1,11 +1,12 @@
 """Binary file formats (all little-endian, all fail-closed on truncation).
 
 Each file is its magic, a u32 VERSION, the header fields HEADERS declares, then:
-  CSHC  hash centers:  V x ceil(K/8) packed rows (LSB of byte 0 = bit 0)
+  CSHC  hash centers:  V x ceil(K/8) packed rows (LSB of byte 0 = bit 0); the header's
+        method tag must name the method that V and K make (HashCenterSet.method)
   CSFT  features:      N*dim f32
   CSLB  labels:        N x ceil(V/8) packed rows
   CSCD  codes+labels:  R x ceil(K/8) packed codes, u32 V, R x ceil(V/8) packed rows
-  CSMV  checkpoint:    parameter blocks as finite f64 in PARAM_NAMES order
+  CSMV  checkpoint:    parameter blocks as finite f64 in Dims.param_shapes() order
         (ModelParams.flat); the JSON sidecar <path>.json holds two keys, fusion
         (the mode) and csmv_sha256 (the digest of the .csmv bytes written with
         it). Load requires both and rejects a digest that differs from the .csmv's
@@ -28,7 +29,7 @@ from .retrieval import (check_code_rows, pack_bits, pack_codes, padding_bits_set
 
 VERSION = 1
 # per magic: the struct codes (B u8, I u32, Q u64) and names of the fields after the version
-HEADERS = {  # a CSHC method tag is its index in centers.METHODS; CSMV num_views is 2
+HEADERS = {  # a CSHC method tag is centers.METHODS.index(the method); CSMV num_views is 2
     b"CSHC": ("IIQB", "num_classes", "code_length", "seed", "method tag"),
     b"CSFT": ("II", "row count", "dim"),
     b"CSLB": ("II", "row count", "num_classes"),
@@ -133,17 +134,15 @@ def save_centers(center_set: centers_mod.HashCenterSet, path) -> None:
 def load_centers(path) -> centers_mod.HashCenterSet:
     r = _Reader(path, b"CSHC")
     v, k, seed, tag = r.head
-    if tag >= len(centers_mod.METHODS):
-        raise FormatError(f"{r.path}: unknown method tag {tag}")
     packed = r.packed_rows(v, k, "packed centers")
     r.done()
     try:  # V = 0 or K = 0 fails closed, as the Dims of a checkpoint do
-        return centers_mod.HashCenterSet(
-            centers=unpack_codes(packed, k), code_length=k, num_classes=v,
-            method=centers_mod.METHODS[tag], seed=seed,
-        )
+        cset = centers_mod.HashCenterSet(unpack_codes(packed, k), seed)
     except InvalidArgument as exc:
         raise FormatError(f"{r.path}: {exc}") from exc
+    if tag != (want := centers_mod.METHODS.index(cset.method)):
+        raise FormatError(f"{r.path}: method tag {tag}, but V={v} K={k} make tag {want}")
+    return cset
 
 
 # ---- CSFT: feature matrices ----

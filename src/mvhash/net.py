@@ -23,12 +23,6 @@ from .errors import InvalidArgument, ShapeMismatch, integer
 
 FUSION_MODES = ("gmu", "image", "text", "concat")
 
-# parameter blocks in checkpoint order
-PARAM_NAMES = (
-    "W_vnorm", "b_vnorm", "W_tnorm", "b_tnorm",
-    "W_i", "W_t", "W_z", "W_hash", "b_hash",
-)
-
 
 @dataclass(frozen=True)
 class Dims:
@@ -42,7 +36,7 @@ class Dims:
             object.__setattr__(self, name, integer(getattr(self, name), name, 1))
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
-        """Shape of every parameter block, in PARAM_NAMES order."""
+        """Shape of every parameter block: the one declaration of the checkpoint order."""
         d, k = self.d, self.code_length
         return {
             "W_vnorm": (d, self.d_img), "b_vnorm": (d,),
@@ -56,7 +50,7 @@ class Dims:
 
 
 def block_views(flat: np.ndarray, dims: Dims) -> dict[str, np.ndarray]:
-    """The named blocks of a PARAM_NAMES-ordered vector, as reshaped views of it."""
+    """The named blocks of a vector in `Dims.param_shapes()` order, as reshaped views of it."""
     views, start = {}, 0
     for name, shape in dims.param_shapes().items():
         stop = start + math.prod(shape)
@@ -66,8 +60,8 @@ def block_views(flat: np.ndarray, dims: Dims) -> dict[str, np.ndarray]:
 
 
 def first_non_finite(flat: np.ndarray, dims: Dims) -> tuple[str, int] | None:
-    """(block name, flat index) of the first NaN/Inf in a PARAM_NAMES-ordered
-    vector, or None when every value is finite."""
+    """(block name, flat index) of the first NaN/Inf in a vector in
+    `Dims.param_shapes()` order, or None when every value is finite."""
     finite = np.isfinite(flat)
     if finite.all():
         return None
@@ -81,7 +75,7 @@ def first_non_finite(flat: np.ndarray, dims: Dims) -> tuple[str, int] | None:
 
 class ModelParams:
     """Every parameter in one contiguous float64 vector, `flat`, laid out in
-    PARAM_NAMES order (the .csmv body). Each named block is a reshaped view
+    `Dims.param_shapes()` order (the .csmv body). Each named block is a reshaped view
     of it, so writing a block writes `flat`; rebinding a block attribute
     would break that. `fusion` is the FUSION_MODES entry that forward runs."""
 
@@ -122,7 +116,7 @@ def init_params(dims: Dims, seed: int, fusion: str = "gmu") -> ModelParams:
     params = ModelParams(dims, seed, np.zeros(dims.param_count()), fusion)
     rng = np.random.default_rng(params.init_seed)
     for name, block in block_views(params.flat, dims).items():
-        if name.startswith("W_"):  # drawn in PARAM_NAMES order
+        if name.startswith("W_"):  # drawn in Dims.param_shapes() order
             bound = 1.0 / np.sqrt(block.shape[1])
             block[...] = rng.uniform(-bound, bound, size=block.shape)
     return params

@@ -88,9 +88,6 @@ class QueryResult:
     def distances(self) -> np.ndarray:
         return self._narrow[self._at].astype(np.int64)
 
-    def __len__(self):
-        return len(self.ids)
-
 
 # uint64 words per scan chunk (16k rows at K = 128): the chunk's XOR and
 # popcount buffers stay in L2, and the query words are tiled once per call.

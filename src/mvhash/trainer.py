@@ -11,7 +11,7 @@ from . import loss as loss_mod
 from . import net, retrieval, workers
 from .centers import HashCenterSet, semantic_centers_for
 from .data import MultiViewDataset
-from .errors import DivergenceError, InvalidArgument, ShapeMismatch, integer
+from .errors import DivergenceError, FormatError, InvalidArgument, ShapeMismatch, integer
 
 DEFAULT_HIDDEN_DIM = 84  # width d of each view's tanh tower
 
@@ -152,8 +152,11 @@ def encode(params, image_feats, text_feats) -> np.ndarray:
 def _log_row(path, row, mode="a"):
     """Write one CSV log row and close the file: a run that diverges keeps its finished epochs."""
     if path is not None:
-        with open(path, mode, newline="") as fh:
-            csv.writer(fh).writerow(row)
+        try:
+            with open(path, mode, newline="") as fh:
+                csv.writer(fh).writerow(row)
+        except OSError as exc:  # no such directory, a directory, not permitted
+            raise FormatError(f"{path}: cannot write: {exc.strerror}") from exc
 
 
 @workers.one_blas_thread()  # one BLAS thread: the same bytes whatever the thread count

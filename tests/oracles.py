@@ -106,6 +106,10 @@ def central_difference(f, x, eps):
 
 # ---- the loops that the flat parameter buffer replaced ----
 
+# the .csmv block order, written out here so that the layout tests do not read it from mvhash
+CHECKPOINT_BLOCKS = ("W_vnorm", "b_vnorm", "W_tnorm", "b_tnorm",
+                     "W_i", "W_t", "W_z", "W_hash", "b_hash")
+
 def seed_init_blocks(dims, seed):
     """The per-block initialisation the flat buffer replaced, kept as its oracle."""
     rng = np.random.default_rng(seed)
@@ -238,10 +242,10 @@ def oracle_generate_centers(v, k, seed):
         h = C.sylvester_hadamard(k)
         stacked = np.vstack([h, -h])
         if v <= 2 * k:
-            return C.METHOD_HADAMARD, stacked[:v]
+            return "hadamard", stacked[:v]
         extra = oracle_bernoulli_centers(list(stacked), v - 2 * k, k, rng)
-        return C.METHOD_HADAMARD_PLUS_BERNOULLI, np.vstack([stacked, extra])
-    return C.METHOD_BERNOULLI, np.array(oracle_bernoulli_centers([], v, k, rng))
+        return "hadamard_plus_bernoulli", np.vstack([stacked, extra])
+    return "bernoulli", np.array(oracle_bernoulli_centers([], v, k, rng))
 
 
 def oracle_semantic_center(label_vector, centers, sample_id, seed=0):

@@ -19,7 +19,7 @@ from mvhash import cli
 from mvhash.centers import generate_centers
 from mvhash.data import SynthSpec, make_synthetic
 from mvhash.loss import central_similarity_loss, quantization_loss, total_loss
-from mvhash.net import Dims, PARAM_NAMES, block_views, forward, init_params, backward
+from mvhash.net import Dims, block_views, forward, init_params, backward
 from mvhash.retrieval import (
     RetrievalIndex,
     curves,
@@ -28,7 +28,7 @@ from mvhash.retrieval import (
     random_ranking_map,
 )
 from mvhash.trainer import TrainConfig, encode, train
-from oracles import brute_force_metrics, central_difference
+from oracles import CHECKPOINT_BLOCKS, brute_force_metrics, central_difference
 
 
 def verdict(num, ok, detail):
@@ -185,7 +185,7 @@ def test_criterion_03_gradients():
         he, cache = forward(params, xi, xt)
         _, grad_he = total_loss(he, targets, lam)
         analytic = block_views(backward(params, cache, grad_he), dims)
-        for name in PARAM_NAMES:  # each block is a view of params.flat
+        for name in CHECKPOINT_BLOCKS:  # each block is a view of params.flat
             fd = central_difference(
                 lambda _: _end_to_end_loss(params, xi, xt, targets, lam),
                 getattr(params, name), eps)

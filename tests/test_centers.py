@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import tracemalloc
 
@@ -38,7 +39,7 @@ def test_inner_product_identity_random_pairs():
 
 def test_generate_hadamard_v_le_k():
     cs = C.generate_centers(4, 4, seed=3)
-    assert cs.method == C.METHOD_HADAMARD
+    assert cs.method == "hadamard"
     assert (cs.centers == C.sylvester_hadamard(4)).all()
     # orthogonal rows: every pairwise distance is exactly K/2
     for i in range(4):
@@ -61,7 +62,7 @@ def test_generate_hadamard_v_le_2k():
 
 def test_generate_bernoulli_non_power_of_two():
     cs = C.generate_centers(3, 6, seed=11)
-    assert cs.method == C.METHOD_BERNOULLI
+    assert cs.method == "bernoulli"
     # brute-force pairwise distances respect the acceptance floor ceil(K/4)=2
     for i in range(3):
         for j in range(i + 1, 3):
@@ -70,7 +71,7 @@ def test_generate_bernoulli_non_power_of_two():
 
 def test_generate_hadamard_plus_bernoulli():
     cs = C.generate_centers(10, 4, seed=5)
-    assert cs.method == C.METHOD_HADAMARD_PLUS_BERNOULLI
+    assert cs.method == "hadamard_plus_bernoulli"
     assert cs.num_classes == 10
     assert cs.mean_pairwise_inner() <= 0
     # pairwise distinct
@@ -179,8 +180,8 @@ def test_generate_centers_matches_per_center_loop(k, seed):
         # if its inner products with the accepted ones sum to <= 0
         assert v < 2 or got.mean_pairwise_inner() <= 0, (v, k)
         methods.add(got.method)
-    pow2 = {C.METHOD_HADAMARD, C.METHOD_HADAMARD_PLUS_BERNOULLI}
-    assert methods >= (pow2 if k & (k - 1) == 0 else {C.METHOD_BERNOULLI})
+    pow2 = {"hadamard", "hadamard_plus_bernoulli"}
+    assert methods >= (pow2 if k & (k - 1) == 0 else {"bernoulli"})
     if k in (5, 8):
         assert "failure" in methods  # 17 centers do not fit at K = 5, nor 200 at K = 8
 
@@ -211,59 +212,59 @@ def test_min_pairwise_distance():
     both = C.generate_centers(8, 4, seed=0)
     # complementary pairs have distance 4, others 2
     assert C.min_pairwise_distance(both) == 2
-    dup = C.HashCenterSet(
-        centers=np.array([[1, 1, -1, -1], [1, 1, -1, -1]], dtype=np.int8),
-        code_length=4, num_classes=2, method=C.METHOD_BERNOULLI, seed=0,
-    )
+    dup = C.HashCenterSet(centers=np.array([[1, 1, -1, -1], [1, 1, -1, -1]], np.int8), seed=0)
     assert C.min_pairwise_distance(dup) == 0  # invariant violation is visible
 
 
 def test_min_pairwise_distance_needs_two():
-    one = C.HashCenterSet(
-        centers=np.ones((1, 4), dtype=np.int8),
-        code_length=4, num_classes=1, method=C.METHOD_HADAMARD, seed=0,
-    )
+    one = C.HashCenterSet(centers=np.ones((1, 4), dtype=np.int8), seed=0)
     with pytest.raises(InvalidArgument, match="need at least two centers"):
         C.min_pairwise_distance(one)
     with pytest.raises(InvalidArgument, match="need at least two centers"):
         one.mean_pairwise_inner()
 
 
-def test_center_set_rejects_a_fractional_seed_and_an_unknown_method():
-    c = np.ones((1, 8), dtype=np.int8)
+def test_center_set_rejects_a_fractional_seed():
     with pytest.raises(InvalidArgument, match=r"^seed must be an integer, got 1\.5$"):
-        C.HashCenterSet(c, 8, 1, C.METHOD_HADAMARD, 1.5)
-    with pytest.raises(InvalidArgument, match="^unknown center method 'hadamrd'$"):
-        C.HashCenterSet(c, 8, 1, "hadamrd", 0)  # save_centers raised KeyError on it
+        C.HashCenterSet(np.ones((1, 8), dtype=np.int8), 1.5)
 
 
-@pytest.mark.parametrize("shape, k, v, message", [
-    ((4, 8), 8.0, 4.0, "num_classes must be an integer, got 4.0"),
-    ((4, 8), 8.0, 4, "code_length must be an integer, got 8.0"),
-    ((0, 8), 8, 0, "num_classes must be >= 1, got 0"),
-    ((4, 0), 0, 4, "code_length must be >= 1, got 0"),
-])
-def test_center_set_rejects_sizes_that_are_not_positive_integers(shape, k, v, message):
-    # the shape comparison took 8.0 for 8, and save_centers raised a bare struct.error
+@pytest.mark.parametrize("shape, message", [
+    ((0, 8), "num_classes must be >= 1, got 0"),
+    ((4, 0), "code_length must be >= 1, got 0"),
+], ids=["no-row", "no-column"])
+def test_center_set_rejects_an_array_without_a_row_or_a_column(shape, message):
     with pytest.raises(InvalidArgument, match=f"^{message}$"):
-        C.HashCenterSet(np.ones(shape, dtype=np.int8), k, v, C.METHOD_HADAMARD, 0)
+        C.HashCenterSet(np.ones(shape, dtype=np.int8), 0)
 
 
 @pytest.mark.parametrize("centers, message", [
-    (np.ones((3, 8), np.int8), r"centers shape \(3, 8\) != \(4, 8\)"),
+    (np.ones(8, np.int8), r"centers must be V x K, got shape \(8,\)"),
     (np.where(np.eye(4, 8) > 0, 0, 1).astype(np.int8), r"center entries must be -1 or \+1"),
 ], ids=["shape", "zero-entry"])
 def test_center_set_rejects_a_shape_mismatch_and_entries_other_than_plus_minus_one(
         centers, message):
     with pytest.raises(InvalidArgument, match=f"^{message}$"):
-        C.HashCenterSet(centers, 8, 4, C.METHOD_HADAMARD, 0)
+        C.HashCenterSet(centers, 0)
+
+
+@pytest.mark.parametrize("v, k, method", [
+    (1, 1, "hadamard"), (2, 1, "hadamard"), (3, 1, "hadamard_plus_bernoulli"),
+    (8, 4, "hadamard"), (9, 4, "hadamard_plus_bernoulli"), (1, 3, "bernoulli"),
+    (5, 6, "bernoulli"), (40, 37, "bernoulli"),
+])
+def test_center_set_method_is_read_from_v_and_k(v, k, method):
+    """Rows over 2K, or a K that is not a power of two, mean Bernoulli draws."""
+    cs = C.HashCenterSet(np.ones((v, k), dtype=np.int8), 0)
+    assert [f.name for f in dataclasses.fields(cs)] == ["centers", "seed"]
+    assert (cs.num_classes, cs.code_length, cs.method) == (v, k, method)
+    assert type(cs.num_classes) is int and type(cs.code_length) is int
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
 def test_center_seed_outside_u64_rejected(seed, monkeypatch):
     with pytest.raises(InvalidArgument, match=rf"^seed {seed} is outside \[0, 2\^64\)$"):
-        C.HashCenterSet(centers=np.ones((1, 4), dtype=np.int8), code_length=4,
-                        num_classes=1, method=C.METHOD_HADAMARD, seed=seed)
+        C.HashCenterSet(centers=np.ones((1, 4), dtype=np.int8), seed=seed)
 
     def no_draw(*args):
         raise AssertionError("a center was drawn before the seed was checked")

@@ -216,15 +216,16 @@ def test_curves_rejects_k_below_one(pipeline, tmp_path, capsys, grid):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("stage", ["eval", "curves"])
+@pytest.mark.parametrize("stage", ["query", "eval", "curves"])
 def test_empty_query_file_exits_one(pipeline, tmp_path, capsys, stage):
+    # the three stages load their queries through one path, which refuses an empty file
     queries, out = tmp_path / "empty.cscd", tmp_path / "out.csv"
     formats.save_codes(np.zeros((0, 1), dtype=np.uint8), np.zeros((0, 4)), 8, queries)
-    extra = ["--k-grid", "1", "5"] if stage == "curves" else []
+    extra = {"query": ["--k", "-3"], "eval": [], "curves": ["--k-grid", "1", "5"]}[stage]
     assert run(stage, "--codes", str(pipeline / "retrieval.cscd"),
                "--queries", str(queries), "--out", str(out), *extra) == 1
-    assert "empty query set" in capsys.readouterr().err
-    assert not out.exists()
+    assert capsys.readouterr().err == "error [errors.InvalidArgument]: empty query set\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.cscd"]
 
 
 @pytest.mark.parametrize("stage", ["query", "eval", "curves"])
@@ -322,7 +323,8 @@ def test_unreadable_codes_exit_one_naming_them(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("parent, code", [("nodir", errno.ENOENT), ("afile", errno.ENOTDIR)])
-def test_unwritable_output_exits_one_naming_it(tmp_path, capsys, monkeypatch, parent, code):
+def test_unwritable_output_exits_one_naming_it(pipeline, tmp_path, capsys, monkeypatch, parent,
+                                               code):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "afile").touch()
     out = f"{parent}/c.cshc"
@@ -330,6 +332,16 @@ def test_unwritable_output_exits_one_naming_it(tmp_path, capsys, monkeypatch, pa
     err = capsys.readouterr().err
     assert err == f"error [errors.FormatError]: {out}: cannot write: {os.strerror(code)}\n"
     assert ".tmp" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+    # the training log is written as epochs finish, outside the atomic writes
+    data, log = pipeline / "data", f"{parent}/log.csv"
+    assert run("train", "--image-features", str(data / "image_features.csft"),
+               "--text-features", str(data / "text_features.csft"),
+               "--labels", str(data / "labels.cslb"), "--splits", str(data / "splits.json"),
+               "--centers", str(pipeline / "centers.cshc"), "--out", "m.csmv",
+               "--log-csv", log, "--epochs", "1", "--hidden-dim", "8") == 1
+    assert capsys.readouterr().err == \
+        f"error [errors.FormatError]: {log}: cannot write: {os.strerror(code)}\n"
     assert [p.name for p in tmp_path.iterdir()] == ["afile"]
 
 

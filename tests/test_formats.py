@@ -12,6 +12,7 @@ import pytest
 from mvhash import formats, net
 from mvhash.centers import generate_centers
 from mvhash.errors import FormatError, InvalidArgument, ShapeMismatch
+from oracles import CHECKPOINT_BLOCKS
 
 
 def test_centers_roundtrip(tmp_path):
@@ -34,8 +35,21 @@ def test_center_method_tags(tmp_path):
         assert path.read_bytes()[24] == tag
         assert formats.load_centers(path).method == method
     path.write_bytes(path.read_bytes()[:24] + b"\x03" + path.read_bytes()[25:])
-    with pytest.raises(FormatError, match="unknown method tag 3$"):
+    with pytest.raises(FormatError, match="method tag 3, but V=3 K=37 make tag 2$"):
         formats.load_centers(path)
+
+
+@pytest.mark.parametrize("v, k", [(4, 8), (20, 8), (3, 37)])
+def test_a_center_method_tag_that_v_and_k_do_not_make_fails_closed(tmp_path, v, k):
+    # one method fits a V and a K, so any other tag is a corrupt header
+    path = tmp_path / "c.cshc"
+    formats.save_centers(generate_centers(v, k, seed=1), path)
+    good = path.read_bytes()
+    for tag in set(range(256)) - {good[24]}:
+        path.write_bytes(good[:24] + bytes([tag]) + good[25:])
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: method tag {tag}, "
+                                              rf"but V={v} K={k} make tag {good[24]}$"):
+            formats.load_centers(path)
 
 
 @pytest.mark.parametrize("v, k, field", [(0, 8, "num_classes"), (4, 0, "code_length")])
@@ -343,7 +357,7 @@ def test_checkpoint_bytes_equal_per_block_body(tmp_path):
     head = struct.pack("<4sIIIIIIQ", b"CSMV", 1, 5, 7, 4, 37, 2, 2**64 - 1)
     blocks = net.block_views(p.flat, p.dims)
     body = b"".join(np.ascontiguousarray(blocks[name], dtype="<f8").tobytes()
-                    for name in net.PARAM_NAMES)
+                    for name in CHECKPOINT_BLOCKS)
     assert path.read_bytes() == head + body
 
 

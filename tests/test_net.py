@@ -5,7 +5,7 @@ import pytest
 
 from mvhash import net
 from mvhash.errors import InvalidArgument, ShapeMismatch
-from oracles import central_difference, seed_backward, seed_init_blocks
+from oracles import CHECKPOINT_BLOCKS, central_difference, seed_backward, seed_init_blocks
 
 SMALL = net.Dims(d_img=8, d_txt=8, d=6, code_length=4)
 
@@ -21,7 +21,7 @@ def test_init_deterministic():
 def test_init_matches_per_block_draws(dims):
     p = net.init_params(dims, seed=2**63 + 5)
     want = seed_init_blocks(dims, 2**63 + 5)
-    assert list(net.block_views(p.flat, p.dims)) == list(want) == list(net.PARAM_NAMES)
+    assert list(net.block_views(p.flat, p.dims)) == list(want) == list(CHECKPOINT_BLOCKS)
     for name, block in net.block_views(p.flat, p.dims).items():
         assert block.shape == want[name].shape and (block == want[name]).all(), name
     assert (p.flat == np.concatenate([a.ravel() for a in want.values()])).all()

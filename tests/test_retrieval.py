@@ -149,7 +149,7 @@ def test_query_topk_k_above_size_returns_all():
     rng = np.random.default_rng(8)
     codes, labels, index = _make_index(rng, n=12)
     q = random_codes(rng, 1, 16)[0]
-    assert len(index.query_topk(q, 500)) == 12
+    assert len(index.query_topk(q, 500).ids) == 12
 
 
 def test_empty_index_rejected():
@@ -815,7 +815,7 @@ def test_lazy_distances_match_the_oracle_and_read_the_same_twice(k, monkeypatch)
 def test_query_result_returns_the_distances_it_was_given():
     ids, dist = np.array([2, 0, 1]), np.array([1, 1, 4], dtype=np.uint8)
     res = R.QueryResult(ids=ids, distances=dist)
-    assert res.ids is ids and res.distances is dist and len(res) == 3
+    assert res.ids is ids and res.distances is dist
     assert R.QueryResult(ids, dist).distances is dist
 
 

@@ -16,7 +16,7 @@ from mvhash import loss, net, retrieval, trainer, workers
 from mvhash.centers import generate_centers
 from mvhash.data import SynthSpec, make_synthetic
 from mvhash.errors import DivergenceError, InvalidArgument, ShapeMismatch
-from oracles import seed_adam_step
+from oracles import CHECKPOINT_BLOCKS, seed_adam_step
 
 SMALL = net.Dims(d_img=8, d_txt=8, d=6, code_length=4)
 
@@ -110,7 +110,7 @@ def test_flat_adam_step_matches_per_block_loop(dims):
         trainer.adam_step(p, grad, state, step, cfg)
         seed_adam_step(blocks, net.block_views(grad, dims), m, v, step, cfg)
         state_m, state_v = net.block_views(state.m, dims), net.block_views(state.v, dims)
-        for name in net.PARAM_NAMES:
+        for name in CHECKPOINT_BLOCKS:
             assert (net.block_views(p.flat, p.dims)[name] == blocks[name]).all(), (step, name)
             assert (state_m[name] == m[name]).all() and (state_v[name] == v[name]).all()
 
@@ -119,7 +119,7 @@ def test_blocks_are_views_of_flat_after_init_and_train():
     def assert_views(params):
         assert params.flat.flags.c_contiguous and params.flat.dtype == np.float64
         # the named attributes, not block_views(flat), whose views hold by construction
-        blocks = {name: getattr(params, name) for name in net.PARAM_NAMES}
+        blocks = {name: getattr(params, name) for name in CHECKPOINT_BLOCKS}
         for name, block in blocks.items():
             assert np.shares_memory(block, params.flat), name
         params.flat[:] = np.arange(params.flat.size)
