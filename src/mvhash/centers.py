@@ -48,6 +48,8 @@ class HashCenterSet:
     def __post_init__(self):
         if self.centers.ndim != 2:
             raise InvalidArgument(f"centers must be V x K, got shape {self.centers.shape}")
+        if self.centers.dtype != np.int8:  # True and 1.0 would pass the entry check below
+            raise InvalidArgument(f"centers must be int8, got {self.centers.dtype}")
         integer(self.num_classes, "num_classes", 1)
         integer(self.code_length, "code_length", 1)
         if not np.isin(self.centers, (-1, 1)).all():
@@ -120,6 +122,8 @@ def generate_centers(num_classes: int, code_length: int, seed: int) -> HashCente
     power of two) is Bernoulli-sampled under the acceptance rule.
     """
     v, k = integer(num_classes, "num_classes", 1), integer(code_length, "code_length", 2)
+    # the .cshc header holds V and K as u32, so a larger one is refused before any allocation
+    v, k = integer(v, "num_classes", 1, 2**32), integer(k, "code_length", 2, 2**32)
     seed = integer(seed, "seed", 0, 2**64)  # checked before any center is drawn
     if k < 63 and v > 2**k:
         raise CapacityError(f"{v} classes need more than the 2^{k} distinct codes available")

@@ -1,9 +1,10 @@
 """Command-line pipeline: centers, synth, train, encode, index, query, eval, curves.
 
-Every subcommand but index writes a JSON manifest next to its first output:
-the resolved command line (`argv`, every default spelled out), the input and
-output paths, and sha256 checksums of the outputs. `mvhash <argv...>` re-runs
-the stage bit-exactly. Exit codes: 0 success, 1 pipeline failure, 2 usage error.
+Each subparser declares its file flags once: inputs, and outputs with the files they write.
+Every subcommand but index writes a JSON manifest next to its first file: the resolved
+command line (`argv`, every default spelled out), the file flags' values keyed by dest, and
+the sha256 of every file it wrote, the checkpoint sidecar included. `mvhash <argv...>`
+re-runs the stage bit-exactly. Exit codes: 0 success, 1 pipeline failure, 2 usage error.
 """
 
 import argparse
@@ -18,16 +19,6 @@ import numpy as np
 from . import __version__, centers as centers_mod, formats, retrieval, trainer
 from .data import MultiViewDataset, SynthSpec, make_synthetic
 from .errors import FormatError, InvalidArgument, ShapeMismatch
-
-# dests of the file arguments a manifest records as inputs, when the stage was given them
-_INPUTS = ("checkpoint", "image_features", "text_features", "labels", "splits", "centers",
-           "codes", "queries")
-
-
-def _sha256(path) -> str:
-    h = hashlib.sha256()
-    h.update(Path(path).read_bytes())
-    return h.hexdigest()
 
 
 def _argv(args):
@@ -46,15 +37,35 @@ def _argv(args):
     return argv
 
 
-def _write_manifest(args, outputs):
+def _file(parser, flag, role, writes=lambda value: [value], **kwargs):
+    """A file flag of `role` "input" or "output"; an output writes the files writes(value)."""
+    action = parser.add_argument(flag, **kwargs)
+    action.role, action.writes = role, writes
+
+
+def _given(args, role):
+    """(action, value) of each file flag of `role` that the stage was given."""
+    return [(a, getattr(args, a.dest)) for a in args.parser._actions
+            if getattr(a, "role", None) == role and getattr(args, a.dest)]
+
+
+def _written(args):
+    """dest -> the files that each output flag the stage was given writes."""
+    return {a.dest: [str(f) for f in a.writes(value)] for a, value in _given(args, "output")}
+
+
+def _write_manifest(args):
+    files = [f for fs in _written(args).values() for f in fs]
+    if not files:  # index declares no output
+        return
     manifest = {
         "tool_version": __version__,
         "argv": _argv(args),
-        "inputs": {k: getattr(args, k) for k in _INPUTS if getattr(args, k, None)},
-        "outputs": {k: str(v) for k, v in outputs.items()},
-        "checksums": {str(p): _sha256(p) for p in outputs.values()},
+        "inputs": {a.dest: value for a, value in _given(args, "input")},
+        "outputs": {a.dest: value for a, value in _given(args, "output")},
+        "checksums": {f: hashlib.sha256(Path(f).read_bytes()).hexdigest() for f in files},
     }
-    path = Path(str(next(iter(outputs.values()))) + ".manifest.json")
+    path = Path(files[0] + ".manifest.json")
     formats._atomic_write(path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
 
 
@@ -71,7 +82,7 @@ def _write_csv(path, header, rows):
     formats._atomic_write(path, "".join(line + "\n" for line in lines).encode())
 
 
-# ---- subcommand implementations: each returns its outputs, or None for no manifest ----
+# ---- subcommand implementations; run writes the manifest of the files they wrote ----
 
 def cmd_centers(args):
     cset = centers_mod.generate_centers(args.classes, args.bits, args.seed)
@@ -80,30 +91,25 @@ def cmd_centers(args):
     print(f"wrote {args.out}: V={cset.num_classes} K={cset.code_length} "
           f"method={cset.method} min_pairwise_distance={mind} "
           f"mean_pairwise_inner={cset.mean_pairwise_inner() if args.classes >= 2 else 0.0:.4f}")
-    return {"centers": args.out}
 
 
 def cmd_synth(args):
     ds = make_synthetic(_from_flags(SynthSpec, args))
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "image_features": out / "image_features.csft",
-        "text_features": out / "text_features.csft",
-        "labels": out / "labels.cslb",
-        "splits": out / "splits.json",
-    }
-    formats.save_features(ds.image_features, paths["image_features"])
-    formats.save_features(ds.text_features, paths["text_features"])
-    formats.save_labels(ds.labels, paths["labels"])
+    try:
+        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file, or under one
+        raise FormatError(f"{args.out_dir}: cannot write: {exc.strerror}") from exc
+    img, txt, labels, splits_path = _written(args)["out_dir"]
+    formats.save_features(ds.image_features, img)
+    formats.save_features(ds.text_features, txt)
+    formats.save_labels(ds.labels, labels)
     splits = {
         "train": np.flatnonzero(ds.train_mask).tolist(),
         "retrieval": np.flatnonzero(ds.retrieval_mask).tolist(),
         "query": np.flatnonzero(ds.query_mask).tolist(),
     }
-    formats._atomic_write(paths["splits"], (json.dumps(splits) + "\n").encode())
-    print(f"wrote synthetic dataset ({len(ds)} samples) to {out}")
-    return paths
+    formats._atomic_write(splits_path, (json.dumps(splits) + "\n").encode())
+    print(f"wrote synthetic dataset ({len(ds)} samples) to {Path(args.out_dir)}")
 
 
 def _load_splits(path, n, names):
@@ -151,15 +157,11 @@ def cmd_train(args):
         dataset, cset, config, dims_hidden=args.hidden_dim, log_csv_path=args.log_csv
     )
     formats.save_checkpoint(report.params, args.out)
-    outputs = {"checkpoint": args.out}
-    if args.log_csv:
-        outputs["log_csv"] = args.log_csv
     first, last = report.epoch_losses[0].l_total, report.epoch_losses[-1].l_total
     line = f"trained {config.epochs} epochs: loss {first:.4f} -> {last:.4f}"
     if report.final_map is not None:
         line += f", test mAP {report.final_map:.4f}"
     print(line)
-    return outputs
 
 
 def cmd_encode(args):
@@ -173,7 +175,6 @@ def cmd_encode(args):
     codes = trainer.encode(params, img, txt)
     formats.save_codes(retrieval.pack_codes(codes), labels, params.dims.code_length, args.out)
     print(f"encoded {codes.shape[0]} samples at K={params.dims.code_length} -> {args.out}")
-    return {"codes": args.out}
 
 
 def _load_index(path):
@@ -187,6 +188,8 @@ def _load_index_and_queries(args):
     q_packed, q_labels, qk = formats.load_codes(args.queries)
     if qk != index.code_length:
         raise InvalidArgument(f"query K={qk} != index K={index.code_length}")
+    if q_labels.shape[1] != (v := index.labels.shape[1]):
+        raise InvalidArgument(f"{args.queries} has {q_labels.shape[1]} classes, {args.codes} {v}")
     if not len(q_packed):
         raise InvalidArgument("empty query set")
     return index, retrieval.unpack_codes(q_packed, qk), q_labels
@@ -209,7 +212,6 @@ def cmd_query(args):
             rows.append((qid, rank, int(item), int(dist)))
     _write_csv(args.out, ["query_id", "rank", "item_id", "hamming_distance"], rows)
     print(f"wrote top-{args.k} results for {q_codes.shape[0]} queries -> {args.out}")
-    return {"results": args.out}
 
 
 def cmd_eval(args):
@@ -219,7 +221,6 @@ def cmd_eval(args):
     _write_csv(args.out, ["num_queries", "retrieval_size", "code_length", "r_cap", "map"],
                [(q_codes.shape[0], index.size, index.code_length, r_cap, value)])
     print(f"mAP = {value:.6f} (Q={q_codes.shape[0]}, R={index.size}, K={index.code_length})")
-    return {"metrics": args.out}
 
 
 def cmd_curves(args):
@@ -227,7 +228,6 @@ def cmd_curves(args):
     rows = retrieval.curves(q_codes, q_labels, index, sorted(set(args.k_grid)))
     _write_csv(args.out, ["k", "map_at_k", "recall_at_k"], rows)
     print(f"wrote {len(rows)} curve points -> {args.out}")
-    return {"curves": args.out}
 
 
 # ---- argument parsing ----
@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--classes", type=int, required=True)
     c.add_argument("--bits", type=int, required=True)
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--out", required=True)
+    _file(c, "--out", "output", required=True)
     c.set_defaults(func=cmd_centers)
 
     s = sub.add_parser("synth", help="generate a synthetic two-view dataset")
@@ -261,17 +261,15 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--proto-scale", dest="prototype_scale", type=float,
                    default=spec.prototype_scale)
     s.add_argument("--seed", type=int, default=spec.seed)
-    s.add_argument("--out-dir", required=True)
+    _file(s, "--out-dir", "output", required=True, writes=lambda out_dir: [Path(out_dir) / name
+          for name in ("image_features.csft", "text_features.csft", "labels.cslb", "splits.json")])
     s.set_defaults(func=cmd_synth)
 
     t = sub.add_parser("train", help="train the fusion head (CSMV checkpoint)")
-    t.add_argument("--image-features", required=True)
-    t.add_argument("--text-features", required=True)
-    t.add_argument("--labels", required=True)
-    t.add_argument("--splits", required=True)
-    t.add_argument("--centers", required=True)
-    t.add_argument("--out", required=True)
-    t.add_argument("--log-csv")
+    for flag in ("--image-features", "--text-features", "--labels", "--splits", "--centers"):
+        _file(t, flag, "input", required=True)
+    _file(t, "--out", "output", required=True, writes=lambda out: [out, formats.sidecar(out)])
+    _file(t, "--log-csv", "output")
     t.add_argument("--epochs", type=int, default=cfg.epochs)
     t.add_argument("--batch-size", type=int, default=cfg.batch_size)
     t.add_argument("--learning-rate", type=float, default=cfg.learning_rate)
@@ -295,38 +293,36 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(func=cmd_train, fusion=cfg.fusion, loss_mode=cfg.loss_mode)
 
     e = sub.add_parser("encode", help="binarize a dataset with a checkpoint (CSCD file)")
-    e.add_argument("--checkpoint", required=True)
-    e.add_argument("--image-features", required=True)
-    e.add_argument("--text-features", required=True)
-    e.add_argument("--labels", required=True)
-    e.add_argument("--splits", help="splits.json to subset by --split")
+    for flag in ("--checkpoint", "--image-features", "--text-features", "--labels"):
+        _file(e, flag, "input", required=True)
+    _file(e, "--splits", "input", help="splits.json to subset by --split")
     e.add_argument("--split", choices=["train", "retrieval", "query"])
-    e.add_argument("--out", required=True)
+    _file(e, "--out", "output", required=True)
     e.set_defaults(func=cmd_encode)
 
     i = sub.add_parser("index", help="inspect a CSCD code file")
-    i.add_argument("--codes", required=True)
+    _file(i, "--codes", "input", required=True)
     i.set_defaults(func=cmd_index)
 
     q = sub.add_parser("query", help="top-k Hamming search, CSV output")
-    q.add_argument("--codes", required=True)
-    q.add_argument("--queries", required=True)
+    _file(q, "--codes", "input", required=True)
+    _file(q, "--queries", "input", required=True)
     q.add_argument("--k", type=int, default=10)
-    q.add_argument("--out", required=True)
+    _file(q, "--out", "output", required=True)
     q.set_defaults(func=cmd_query)
 
     ev = sub.add_parser("eval", help="mAP of a query set against an index, CSV output")
-    ev.add_argument("--codes", required=True)
-    ev.add_argument("--queries", required=True)
+    _file(ev, "--codes", "input", required=True)
+    _file(ev, "--queries", "input", required=True)
     ev.add_argument("--r-cap", type=int, default=0, help="AP rank cap (0 = full R)")
-    ev.add_argument("--out", required=True)
+    _file(ev, "--out", "output", required=True)
     ev.set_defaults(func=cmd_eval)
 
     cv = sub.add_parser("curves", help="mAP@k / Recall@k over a k grid, CSV output")
-    cv.add_argument("--codes", required=True)
-    cv.add_argument("--queries", required=True)
+    _file(cv, "--codes", "input", required=True)
+    _file(cv, "--queries", "input", required=True)
     cv.add_argument("--k-grid", type=int, nargs="+", required=True)
-    cv.add_argument("--out", required=True)
+    _file(cv, "--out", "output", required=True)
     cv.set_defaults(func=cmd_curves)
     for sp in sub.choices.values():  # _argv reads the subcommand's own actions
         sp.set_defaults(parser=sp)
@@ -345,9 +341,8 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        outputs = args.func(args)
-        if outputs:
-            _write_manifest(args, outputs)
+        args.func(args)
+        _write_manifest(args)
         return 0
     except Exception as exc:  # pipeline failure -> exit 1, module-tagged
         module = type(exc).__module__.rsplit(".", 1)[-1]

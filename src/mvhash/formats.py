@@ -218,16 +218,19 @@ def load_codes(path) -> tuple[np.ndarray, np.ndarray, int]:
 
 # ---- CSMV: model checkpoint ----
 
+def sidecar(path) -> Path:
+    """The JSON sidecar written and read beside the checkpoint at `path`: <path>.json."""
+    return Path(str(path) + ".json")
+
+
 def save_checkpoint(params: ModelParams, path) -> None:
-    """Writes the model to `path` and the sidecar <path>.json: its fusion and
-    csmv_sha256, the sha256 of the .csmv bytes."""
+    """Writes the model to `path` and, to sidecar(path), its fusion and the .csmv's sha256."""
     d = params.dims
     head = _header(b"CSMV", d.d_img, d.d_txt, d.d, d.code_length, 2, params.init_seed)
     data = head + params.flat.astype("<f8", copy=False).tobytes()
     _atomic_write(path, data)
     meta = {"fusion": params.fusion, "csmv_sha256": hashlib.sha256(data).hexdigest()}
-    side = Path(str(path) + ".json")
-    _atomic_write(side, (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode())
+    _atomic_write(sidecar(path), (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode())
 
 
 def load_checkpoint(path) -> ModelParams:
@@ -248,7 +251,7 @@ def load_checkpoint(path) -> ModelParams:
         raise FormatError(
             f"{r.path}: non-finite parameter in block {name} at byte offset {body + 8 * index}"
         )
-    side = Path(str(path) + ".json")
+    side = sidecar(path)
     meta = load_json_object(side)
     got, digest = meta.get("csmv_sha256"), hashlib.sha256(r.buf).hexdigest()
     if got != digest:  # the digest covers the header's dims and init_seed

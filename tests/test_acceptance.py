@@ -401,9 +401,7 @@ def test_criterion_10_determinism(tmp_path):
         m = json.loads(mpath.read_text())
         replayed = Path(str(mpath).replace(str(run_a), str(run_b)))
         assert json.loads(replayed.read_text())["argv"] == argv  # a fixed point
-        outputs.extend(m["outputs"].values())
-        if m["argv"][0] == "train":  # no checksum covers the JSON sidecar
-            outputs.append(m["outputs"]["checkpoint"] + ".json")
+        outputs.extend(m["checksums"])  # every file the stage wrote
 
     diffs = []
     for out in outputs:

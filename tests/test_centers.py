@@ -248,6 +248,28 @@ def test_center_set_rejects_a_shape_mismatch_and_entries_other_than_plus_minus_o
         C.HashCenterSet(centers, 0)
 
 
+@pytest.mark.parametrize("centers", [np.array([[True, True]]), np.ones((2, 2)),
+                                     np.ones((2, 2), np.int64)],
+                         ids=["bool", "float64", "int64"])
+def test_center_set_rejects_an_array_that_is_not_int8(centers):
+    # True == 1 and 1.0 == 1, so the -1/+1 entry check alone let each build
+    with pytest.raises(InvalidArgument, match=f"^centers must be int8, got {centers.dtype}$"):
+        C.HashCenterSet(centers, 0)
+
+
+@pytest.mark.parametrize("v, k, message", [
+    (2**32, 8, r"num_classes 4294967296 is outside \[1, 2\^32\)"),
+    (4, 2**32, r"code_length 4294967296 is outside \[2, 2\^32\)"),
+], ids=["classes", "bits"])
+def test_generate_centers_refuses_what_a_u32_cshc_field_cannot_hold(v, k, message, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("centers were drawn before V and K were checked")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(InvalidArgument, match=f"^{message}$"):
+        C.generate_centers(v, k, 0)
+
+
 @pytest.mark.parametrize("v, k, method", [
     (1, 1, "hadamard"), (2, 1, "hadamard"), (3, 1, "hadamard_plus_bernoulli"),
     (8, 4, "hadamard"), (9, 4, "hadamard_plus_bernoulli"), (1, 3, "bernoulli"),

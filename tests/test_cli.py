@@ -230,13 +230,18 @@ def test_empty_query_file_exits_one(pipeline, tmp_path, capsys, stage):
 
 @pytest.mark.parametrize("stage", ["query", "eval", "curves"])
 def test_queries_of_another_code_length_exit_one(pipeline, tmp_path, capsys, stage):
-    queries, out = tmp_path / "q16.cscd", tmp_path / "out.csv"
-    formats.save_codes(np.zeros((2, 2), dtype=np.uint8), np.ones((2, 4)), 16, queries)
+    # and so do queries of another class count: the three stages share one check of each
+    codes, out = pipeline / "retrieval.cscd", tmp_path / "out.csv"
     extra = ["--k-grid", "1", "5"] if stage == "curves" else []
-    assert run(stage, "--codes", str(pipeline / "retrieval.cscd"),
-               "--queries", str(queries), "--out", str(out), *extra) == 1
-    assert "[errors.InvalidArgument]: query K=16 != index K=8" in capsys.readouterr().err
-    assert not out.exists()
+    for name, k, v, message in [("q16.cscd", 16, 4, "query K=16 != index K=8"),
+                                ("v5.cscd", 8, 5, "{queries} has 5 classes, {codes} 4")]:
+        queries = tmp_path / name
+        formats.save_codes(np.zeros((2, k // 8), dtype=np.uint8), np.ones((2, v)), k, queries)
+        assert run(stage, "--codes", str(codes), "--queries", str(queries), "--out", str(out),
+                   *extra) == 1
+        assert capsys.readouterr().err == \
+            f"error [errors.InvalidArgument]: {message.format(queries=queries, codes=codes)}\n"
+        assert not out.exists()
 
 
 def test_encode_manifest_records_splits(pipeline, tmp_path):
@@ -635,7 +640,7 @@ def _manifest_io(first_output):
 
 
 def test_manifest_inputs_and_outputs_are_pinned(pipeline, tmp_path):
-    """Each manifest names exactly the file arguments its stage was given, and its outputs."""
+    """Each manifest names exactly the file flags its stage was given, keyed by dest."""
     data = pipeline / "data"
     views = {"image_features": str(data / "image_features.csft"),
              "text_features": str(data / "text_features.csft"),
@@ -643,31 +648,29 @@ def test_manifest_inputs_and_outputs_are_pinned(pipeline, tmp_path):
     splits, centers = str(data / "splits.json"), str(pipeline / "centers.cshc")
     ckpt = str(pipeline / "model.csmv")
 
-    assert _manifest_io(data / "image_features.csft") == ({}, {**views, "splits": splits})
-    assert _manifest_io(centers) == ({}, {"centers": centers})
+    assert _manifest_io(data / "image_features.csft") == ({}, {"out_dir": str(data)})
+    assert _manifest_io(centers) == ({}, {"out": centers})
     train_inputs = {**views, "splits": splits, "centers": centers}
-    assert _manifest_io(ckpt) == (
-        train_inputs, {"checkpoint": ckpt, "log_csv": str(pipeline / "log.csv")})
+    assert _manifest_io(ckpt) == (train_inputs, {"out": ckpt, "log_csv": str(pipeline / "log.csv")})
     bare = str(tmp_path / "bare.csmv")
     assert run("train", *(f"--{k.replace('_', '-')}={v}" for k, v in train_inputs.items()),
                f"--out={bare}", "--epochs=1", "--hidden-dim=8") == 0
-    assert _manifest_io(bare) == (train_inputs, {"checkpoint": bare})
+    assert _manifest_io(bare) == (train_inputs, {"out": bare})
 
     for split in ("retrieval", "query"):
         codes = str(pipeline / f"{split}.cscd")
         assert _manifest_io(codes) == (
-            {"checkpoint": ckpt, **views, "splits": splits}, {"codes": codes})
+            {"checkpoint": ckpt, **views, "splits": splits}, {"out": codes})
     everything = str(tmp_path / "all.cscd")
     assert run(*_encode_args(pipeline, everything)) == 0
-    assert _manifest_io(everything) == ({"checkpoint": ckpt, **views}, {"codes": everything})
+    assert _manifest_io(everything) == ({"checkpoint": ckpt, **views}, {"out": everything})
 
     pair = {"codes": str(pipeline / "retrieval.cscd"), "queries": str(pipeline / "query.cscd")}
     codes_args = ["--codes", pair["codes"], "--queries", pair["queries"]]
-    for stage, key, extra in [("query", "results", ["--k", "3"]), ("eval", "metrics", []),
-                              ("curves", "curves", ["--k-grid", "1", "5"])]:
+    for stage, extra in [("query", ["--k", "3"]), ("eval", []), ("curves", ["--k-grid", "1", "5"])]:
         out = str(tmp_path / f"{stage}.csv")
         assert run(stage, *codes_args, *extra, "--out", out) == 0
-        assert _manifest_io(out) == (pair, {key: out})
+        assert _manifest_io(out) == (pair, {"out": out})
 
     before = {p: p.read_bytes() for p in tmp_path.iterdir()}
     assert run("index", "--codes", everything) == 0  # index writes no manifest

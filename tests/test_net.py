@@ -53,6 +53,14 @@ def test_init_rejects_bad_dims():
         net.Dims(d_img=8, d_txt=8, d=3.5, code_length=4)
 
 
+@pytest.mark.parametrize("field", ["d_img", "d_txt", "d", "code_length"])
+def test_dims_hold_what_a_u32_csmv_field_holds(field):
+    fields = {"d_img": 8, "d_txt": 8, "d": 6, "code_length": 4}
+    assert getattr(net.Dims(**{**fields, field: 2**32 - 1}), field) == 2**32 - 1
+    with pytest.raises(InvalidArgument, match=rf"^{field} 4294967296 is outside \[1, 2\^32\)$"):
+        net.Dims(**{**fields, field: 2**32})
+
+
 def test_init_seed_must_be_an_integer():
     # 1.5 used to build, then fail in struct.pack when saved
     with pytest.raises(InvalidArgument, match=r"^init_seed must be an integer, got 1\.5$"):
