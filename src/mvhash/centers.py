@@ -121,9 +121,8 @@ def generate_centers(num_classes: int, code_length: int, seed: int) -> HashCente
     matrix over its negation; any surplus (or all centers when K is not a
     power of two) is Bernoulli-sampled under the acceptance rule.
     """
-    v, k = integer(num_classes, "num_classes", 1), integer(code_length, "code_length", 2)
-    # the .cshc header holds V and K as u32, so a larger one is refused before any allocation
-    v, k = integer(v, "num_classes", 1, 2**32), integer(k, "code_length", 2, 2**32)
+    v = integer(num_classes, "num_classes", 1, 2**32)  # u32 fields of the .cshc header,
+    k = integer(code_length, "code_length", 2, 2**32)  # refused before any allocation
     seed = integer(seed, "seed", 0, 2**64)  # checked before any center is drawn
     if k < 63 and v > 2**k:
         raise CapacityError(f"{v} classes need more than the 2^{k} distinct codes available")

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, centers as centers_mod, formats, retrieval, trainer
-from .data import MultiViewDataset, SynthSpec, make_synthetic
+from .data import SPLITS, MultiViewDataset, SynthSpec, make_synthetic
 from .errors import FormatError, InvalidArgument, ShapeMismatch
 
 
@@ -54,18 +54,18 @@ def _written(args):
     return {a.dest: [str(f) for f in a.writes(value)] for a, value in _given(args, "output")}
 
 
-def _write_manifest(args):
-    files = [f for fs in _written(args).values() for f in fs]
+def _write_manifest(args, files):
+    """The manifest, the last of `files`, with the sha256 of each file before it."""
     if not files:  # index declares no output
         return
+    *written, path = files
     manifest = {
         "tool_version": __version__,
         "argv": _argv(args),
         "inputs": {a.dest: value for a, value in _given(args, "input")},
         "outputs": {a.dest: value for a, value in _given(args, "output")},
-        "checksums": {f: hashlib.sha256(Path(f).read_bytes()).hexdigest() for f in files},
+        "checksums": {f: hashlib.sha256(Path(f).read_bytes()).hexdigest() for f in written},
     }
-    path = Path(files[0] + ".manifest.json")
     formats._atomic_write(path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
 
 
@@ -103,11 +103,7 @@ def cmd_synth(args):
     formats.save_features(ds.image_features, img)
     formats.save_features(ds.text_features, txt)
     formats.save_labels(ds.labels, labels)
-    splits = {
-        "train": np.flatnonzero(ds.train_mask).tolist(),
-        "retrieval": np.flatnonzero(ds.retrieval_mask).tolist(),
-        "query": np.flatnonzero(ds.query_mask).tolist(),
-    }
+    splits = {name: np.flatnonzero(getattr(ds, f"{name}_mask")).tolist() for name in SPLITS}
     formats._atomic_write(splits_path, (json.dumps(splits) + "\n").encode())
     print(f"wrote synthetic dataset ({len(ds)} samples) to {Path(args.out_dir)}")
 
@@ -147,7 +143,7 @@ def _load_rows(args, dims=None):
 def cmd_train(args):
     img, txt, labels = _load_rows(args)
     masks = {}
-    for name, idx in _load_splits(args.splits, len(img), ("train", "retrieval", "query")).items():
+    for name, idx in _load_splits(args.splits, len(img), SPLITS).items():
         masks[f"{name}_mask"] = np.zeros(len(img), dtype=bool)
         masks[f"{name}_mask"][idx] = True
     dataset = MultiViewDataset(img, txt, labels, **masks)
@@ -187,11 +183,11 @@ def _load_index_and_queries(args):
     index = _load_index(args.codes)
     q_packed, q_labels, qk = formats.load_codes(args.queries)
     if qk != index.code_length:
-        raise InvalidArgument(f"query K={qk} != index K={index.code_length}")
+        raise InvalidArgument(f"{args.queries} has K={qk}, {args.codes} K={index.code_length}")
     if q_labels.shape[1] != (v := index.labels.shape[1]):
         raise InvalidArgument(f"{args.queries} has {q_labels.shape[1]} classes, {args.codes} {v}")
     if not len(q_packed):
-        raise InvalidArgument("empty query set")
+        raise InvalidArgument(f"{args.queries}: empty query set")
     return index, retrieval.unpack_codes(q_packed, qk), q_labels
 
 
@@ -296,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     for flag in ("--checkpoint", "--image-features", "--text-features", "--labels"):
         _file(e, flag, "input", required=True)
     _file(e, "--splits", "input", help="splits.json to subset by --split")
-    e.add_argument("--split", choices=["train", "retrieval", "query"])
+    e.add_argument("--split", choices=SPLITS)
     _file(e, "--out", "output", required=True)
     e.set_defaults(func=cmd_encode)
 
@@ -340,9 +336,13 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
+    try:  # every file the stage writes, then its manifest; a directory among them fails first
+        files = [f for fs in _written(args).values() for f in fs]
+        files += [files[0] + ".manifest.json"] if files else []
+        if busy := [f for f in files if Path(f).is_dir()]:
+            raise FormatError(f"{busy[0]}: cannot write: Is a directory")
         args.func(args)
-        _write_manifest(args)
+        _write_manifest(args, files)
         return 0
     except Exception as exc:  # pipeline failure -> exit 1, module-tagged
         module = type(exc).__module__.rsplit(".", 1)[-1]

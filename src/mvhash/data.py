@@ -4,7 +4,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument, integer
+from .errors import InvalidArgument, integer, real
+
+SPLITS = ("train", "retrieval", "query")  # the order splits.json is written in
 
 
 @dataclass
@@ -62,12 +64,9 @@ class SynthSpec:
         for name, least in (("num_classes", 2), ("samples_per_class", 1), ("d_img", 1),
                             ("d_txt", 1), ("seed", 0)):
             integer(getattr(self, name), name, least)
-        if not 0 < self.cluster_spread < np.inf:  # NaN fails both comparisons
-            raise InvalidArgument(f"cluster_spread must be finite and > 0: {self.cluster_spread}")
-        if not 0.0 <= self.cross_view_consistency <= 1.0:
-            raise InvalidArgument("cross_view_consistency must be in [0, 1]")
-        if not 0 < self.prototype_scale < np.inf:
-            raise InvalidArgument(f"prototype_scale must be finite and > 0: {self.prototype_scale}")
+        for name, interval in (("cluster_spread", "(0, inf)"), ("prototype_scale", "(0, inf)"),
+                               ("cross_view_consistency", "[0, 1]")):
+            real(getattr(self, name), name, interval)
 
 
 def make_synthetic(spec: SynthSpec) -> MultiViewDataset:

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the one integer argument check."""
+"""Exception types shared across the package, and its numeric argument checks: `integer`, `real`."""
 
+import numbers
 import operator
 
 
@@ -35,9 +36,19 @@ def integer(value, name: str, least: int, below: int | None = None) -> int:
         n = operator.index(value)
     except TypeError:
         raise InvalidArgument(f"{name} must be an integer, got {value!r}") from None
-    if below is not None and not least <= n < below:
-        top = below if below < 2**32 or below & (below - 1) else f"2^{below.bit_length() - 1}"
-        raise InvalidArgument(f"{name} {n} is outside [{least}, {top})")
     if n < least:
         raise InvalidArgument(f"{name} must be >= {least}, got {n}")
+    if below is not None and n >= below:
+        top = below if below < 2**32 or below & (below - 1) else f"2^{below.bit_length() - 1}"
+        raise InvalidArgument(f"{name} {n} is outside [{least}, {top})")
     return n
+
+
+def real(value, name: str, interval: str) -> float:
+    """`value` as a float in `interval`, written as printed ("[0, 1)"), or InvalidArgument."""
+    if not isinstance(value, numbers.Real):
+        raise InvalidArgument(f"{name} must be a real number, got {value!r}")
+    x, (lo, hi) = float(value), map(float, interval[1:-1].split(","))
+    if not (lo < x < hi or x == lo and interval[0] == "[" or x == hi and interval[-1] == "]"):
+        raise InvalidArgument(f"{name} must be in {interval}, got {x}")
+    return x

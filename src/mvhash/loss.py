@@ -1,11 +1,10 @@
 """Central-similarity BCE loss, log-cosh quantization loss, and their blend."""
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument
+from .errors import InvalidArgument, real
 
 PROB_EPS = 1e-7  # tanh outputs can round to +-1; clamp before logs
 DEFAULT_LAMBDA = 0.25
@@ -66,8 +65,7 @@ def total_loss(
     """
     if mode not in LOSS_MODES:
         raise InvalidArgument(f"unknown loss mode {mode!r}")
-    if not (math.isfinite(lam) and lam >= 0):
-        raise InvalidArgument(f"lambda (lam) must be finite and >= 0: {lam}")
+    real(lam, "lam", "[0, inf)")
     l_q, g_q = quantization_loss(he_batch)
     if mode == "quant":
         return LossReport(l_central=0.0, l_quant=l_q, l_total=l_q), g_q

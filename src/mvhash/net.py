@@ -32,9 +32,8 @@ class Dims:
     code_length: int
 
     def __post_init__(self):
-        for name in ("d_img", "d_txt", "d", "code_length"):  # as ints: a numpy product wraps
-            n = integer(getattr(self, name), name, 1)
-            object.__setattr__(self, name, integer(n, name, 1, 2**32))  # a u32 in the .csmv
+        for name in ("d_img", "d_txt", "d", "code_length"):  # u32s in the .csmv, as Python ints
+            object.__setattr__(self, name, integer(getattr(self, name), name, 1, 2**32))
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
         """Shape of every parameter block: the one declaration of the checkpoint order."""

@@ -1,7 +1,6 @@
 """Mini-batch Adam training of the fusion head under the central-similarity loss."""
 
 import csv
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -10,8 +9,8 @@ import numpy as np
 from . import loss as loss_mod
 from . import net, retrieval, workers
 from .centers import HashCenterSet, semantic_centers_for
-from .data import MultiViewDataset
-from .errors import DivergenceError, FormatError, InvalidArgument, ShapeMismatch, integer
+from .data import SPLITS, MultiViewDataset
+from .errors import DivergenceError, FormatError, InvalidArgument, ShapeMismatch, integer, real
 
 DEFAULT_HIDDEN_DIM = 84  # width d of each view's tanh tower
 
@@ -33,20 +32,17 @@ class TrainConfig:
     def __post_init__(self):
         for name, least in (("epochs", 1), ("batch_size", 1), ("eval_every", 0), ("seed", 0)):
             integer(getattr(self, name), name, least)
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise InvalidArgument(f"learning_rate must be finite and > 0: {self.learning_rate}")
-        if len(self.adam_betas) != 2 or not all(0.0 <= b < 1.0 for b in self.adam_betas):
-            raise InvalidArgument(f"adam_betas must be two values in [0, 1): {self.adam_betas}")
-        if not (math.isfinite(self.adam_epsilon) and self.adam_epsilon > 0):
-            raise InvalidArgument(f"adam_epsilon must be finite and > 0: {self.adam_epsilon}")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise InvalidArgument("dropout_p must be in [0, 1)")
+        for name, interval in (("learning_rate", "(0, inf)"), ("adam_epsilon", "(0, inf)"),
+                               ("dropout_p", "[0, 1)"), ("lam", "[0, inf)")):
+            real(getattr(self, name), name, interval)
+        if np.asarray(self.adam_betas, dtype=object).shape != (2,):  # shaped even if ragged
+            raise InvalidArgument(f"adam_betas must be a pair, got {self.adam_betas!r}")
+        for i, beta in enumerate(self.adam_betas):
+            real(beta, f"adam_betas[{i}]", "[0, 1)")
         if self.fusion not in net.FUSION_MODES:
             raise InvalidArgument(f"unknown fusion mode {self.fusion!r}")
         if self.loss_mode not in loss_mod.LOSS_MODES:
             raise InvalidArgument(f"unknown loss mode {self.loss_mode!r}")
-        if not (math.isfinite(self.lam) and self.lam >= 0):
-            raise InvalidArgument(f"lambda (lam) must be finite and >= 0: {self.lam}")
 
 
 @dataclass
@@ -170,7 +166,7 @@ def train(
     """Shuffled mini-batch Adam over the train split for config.epochs epochs."""
     if len(dataset) == 0 or not dataset.train_mask.any():
         raise InvalidArgument("empty training set")
-    for split in ("retrieval", "query") if config.eval_every else ():
+    for split in SPLITS[1:] if config.eval_every else ():
         if not getattr(dataset, f"{split}_mask").any():
             raise InvalidArgument(f"empty {split} split, which eval_every > 0 evaluates on")
     if dataset.num_classes != centers.num_classes:

@@ -18,18 +18,6 @@ def run(*argv):
     return cli.run(list(argv))
 
 
-def test_no_arguments_is_usage_error(capsys):
-    assert run() == 2
-
-
-def test_unknown_flag_is_usage_error():
-    assert run("centers", "--classes", "4", "--bits", "8", "--bogus", "1") == 2
-
-
-def test_unknown_subcommand_is_usage_error():
-    assert run("frobnicate") == 2
-
-
 def test_centers_subcommand(tmp_path, capsys):
     out = tmp_path / "c.cshc"
     assert run("centers", "--classes", "21", "--bits", "64", "--seed", "7",
@@ -224,7 +212,7 @@ def test_empty_query_file_exits_one(pipeline, tmp_path, capsys, stage):
     extra = {"query": ["--k", "-3"], "eval": [], "curves": ["--k-grid", "1", "5"]}[stage]
     assert run(stage, "--codes", str(pipeline / "retrieval.cscd"),
                "--queries", str(queries), "--out", str(out), *extra) == 1
-    assert capsys.readouterr().err == "error [errors.InvalidArgument]: empty query set\n"
+    assert capsys.readouterr().err == f"error [errors.InvalidArgument]: {queries}: empty query set\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.cscd"]
 
 
@@ -233,7 +221,7 @@ def test_queries_of_another_code_length_exit_one(pipeline, tmp_path, capsys, sta
     # and so do queries of another class count: the three stages share one check of each
     codes, out = pipeline / "retrieval.cscd", tmp_path / "out.csv"
     extra = ["--k-grid", "1", "5"] if stage == "curves" else []
-    for name, k, v, message in [("q16.cscd", 16, 4, "query K=16 != index K=8"),
+    for name, k, v, message in [("q16.cscd", 16, 4, "{queries} has K=16, {codes} K=8"),
                                 ("v5.cscd", 8, 5, "{queries} has 5 classes, {codes} 4")]:
         queries = tmp_path / name
         formats.save_codes(np.zeros((2, k // 8), dtype=np.uint8), np.ones((2, v)), k, queries)
@@ -515,7 +503,7 @@ def test_train_rejects_bad_numbers_before_training(pipeline, tmp_path, capsys, f
 
 
 @pytest.mark.parametrize("stage, message", [
-    ("centers", "seed -1 is outside [0, 2^64)"),
+    ("centers", "seed must be >= 0, got -1"),
     ("synth", "seed must be >= 0, got -1"),
     ("train", "seed must be >= 0, got -1"),
 ])
@@ -535,8 +523,8 @@ def test_negative_seed_exits_one_naming_the_seed(pipeline, tmp_path, capsys, sta
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("--sigma", "nan", "cluster_spread must be finite and > 0: nan"),
-    ("--proto-scale", "inf", "prototype_scale must be finite and > 0: inf"),
+    ("--sigma", "nan", "cluster_spread must be in (0, inf), got nan"),
+    ("--proto-scale", "inf", "prototype_scale must be in (0, inf), got inf"),
     # finite as float64, but image features past the largest float32
     ("--sigma", "1e39", "image_features.csft: non-finite float32 at row 0, column 0"),
 ])
@@ -545,12 +533,6 @@ def test_synth_refuses_features_its_loader_would_refuse(tmp_path, capsys, flag, 
     err = capsys.readouterr().err
     assert err.startswith("error [errors.InvalidArgument]: ") and err.endswith(message + "\n")
     assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
-
-
-def test_conflicting_ablation_flags(tmp_path):
-    assert run("train", "--image-features", "x", "--text-features", "x",
-               "--labels", "x", "--splits", "x", "--centers", "x",
-               "--out", "x", "--quant-only", "--image-only") == 2
 
 
 def test_missing_input_file_exits_one(tmp_path):

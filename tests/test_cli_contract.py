@@ -2,7 +2,8 @@
 fresh directory: a stage that succeeds leaves exactly the files its manifest's
 checksums list, plus the manifest; a stage that fails exits 1, prints one
 `error [errors.<Name>]: ` line naming the file or the value at fault, and leaves
-no file (the training log's rows, written as epochs finish, are the exception)."""
+no file (the training log's rows, written as epochs finish, are the exception); a
+usage error exits 2, prints argparse's usage and leaves no file."""
 
 import errno
 import json
@@ -103,21 +104,56 @@ def test_a_stage_writes_exactly_the_files_its_manifest_lists(inputs, tmp_path, m
     (["centers", "--classes", BIG, "--bits", "8", "--out", "c.cshc"],
      f"num_classes {BIG} is outside [1, 2^32)", ()),
     ([*TRAIN, "--hidden-dim", BIG, "--out", "m.csmv"], f"d {BIG} is outside [1, 2^32)", ()),
+    # an output that is a directory, refused before the stage does any work
+    ([*TRAIN, "--out", "m3.csmv", "--log-csv", "log.csv"], "m3.csmv.json: cannot write", ()),
+    ([*TRAIN, "--out", "m4.csmv"], "m4.csmv.manifest.json: cannot write", ()),
+    (["centers", "--classes", "4", "--bits", "8", "--out", "c6.cshc"],
+     "c6.cshc.manifest.json: cannot write", ()),
     # the one exception: the log keeps the rows of the epochs that finished
     ([*TRAIN, "--out", "nodir/m.csmv", "--log-csv", "log.csv"], "nodir/m.csmv: cannot write",
      ("log.csv",)),
 ], ids=["missing-centers", "missing-codes", "missing-queries", "dir-labels", "dir-codes",
         "out-no-parent", "out-under-file", "checkpoint-under-file", "csv-no-parent",
         "csv-under-file", "out-is-dir", "out-dir-is-file", "out-dir-under-file", "bits-u32",
-        "classes-u32", "hidden-dim-u32", "log-csv-rows"])
+        "classes-u32", "hidden-dim-u32", "sidecar-is-dir", "train-manifest-is-dir",
+        "centers-manifest-is-dir", "log-csv-rows"])
 def test_a_failed_stage_exits_one_naming_the_fault_and_leaves_no_file(
         inputs, tmp_path, monkeypatch, capsys, argv, named, left):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "afile").touch()
-    (tmp_path / "adir").mkdir()
+    dirs = ["adir", "m3.csmv.json", "m4.csmv.manifest.json", "c6.cshc.manifest.json"]
+    for name in dirs:
+        (tmp_path / name).mkdir()
     assert cli.run([a.format(**inputs) for a in argv]) == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert re.fullmatch(r"error \[errors\.\w+\]: [^\n]*\n", err), err
     assert named.format(**inputs) in err
     assert _files(tmp_path) == {"afile", *left}
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted({"afile", "adir", *left})
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted({"afile", *dirs, *left})
+
+
+@pytest.mark.parametrize("argv, error", [
+    ([], None),
+    (["centers", "--classes", "4", "--bits", "8", "--out", "c.cshc", "--bogus", "1"],
+     "mvhash: error: unrecognized arguments: --bogus 1"),
+    (["frobnicate"], "mvhash: error: argument subcommand: invalid choice: 'frobnicate'"),
+    ([*TRAIN, "--out", "m.csmv", "--quant-only", "--image-only"],
+     "mvhash train: error: argument --image-only: not allowed with argument --quant-only"),
+    (["centers", "--classes", "4", "--bits", "x", "--out", "c.cshc"],
+     "mvhash centers: error: argument --bits: invalid int value: 'x'"),
+    ([*ENCODE, "--splits", "{spl}", "--split", "bogus", "--out", "r.cscd"],
+     "mvhash encode: error: argument --split: invalid choice: 'bogus'"),
+], ids=["no-arguments", "unknown-flag", "unknown-subcommand", "two-ablation-flags",
+        "bad-int", "bad-choice"])
+def test_a_usage_error_exits_two_and_leaves_no_file(
+        inputs, tmp_path, monkeypatch, capsys, argv, error):
+    monkeypatch.chdir(tmp_path)
+    assert cli.run([a.format(**inputs) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: mvhash ")
+    if error is None:  # no arguments: the usage alone
+        assert err == cli.build_parser().format_usage()
+    else:  # the usage, then argparse's one error line
+        assert err.count("error:") == 1 and err.splitlines()[-1].startswith(error), err
+    assert list(tmp_path.iterdir()) == []

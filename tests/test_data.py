@@ -13,9 +13,11 @@ def test_spec_validation():
     with pytest.raises(InvalidArgument):
         SynthSpec(num_classes=3, samples_per_class=10, d_img=4, d_txt=4,
                   cluster_spread=0.0)
-    with pytest.raises(InvalidArgument):
+    with pytest.raises(InvalidArgument, match=r"^cross_view_consistency must be in \[0, 1\], "):
         SynthSpec(num_classes=3, samples_per_class=10, d_img=4, d_txt=4,
                   cross_view_consistency=1.5)
+    with pytest.raises(InvalidArgument, match="^cluster_spread must be a real number, got 'a'$"):
+        SynthSpec(2, 1, 1, 1, cluster_spread="a")
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -35,7 +37,7 @@ def test_spec_rejects_counts_and_seeds_that_are_not_integers_in_range(field, val
 @pytest.mark.parametrize("field", ["cluster_spread", "prototype_scale"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -1.0])
 def test_spec_rejects_a_spread_or_scale_that_is_not_finite_and_positive(field, value):
-    with pytest.raises(InvalidArgument, match=rf"^{field} must be finite and > 0: "):
+    with pytest.raises(InvalidArgument, match=rf"^{field} must be in \(0, inf\), got "):
         SynthSpec(3, 10, 4, 4, **{field: value})
 
 

@@ -494,7 +494,8 @@ def test_every_saved_checkpoint_loads(tmp_path, seed, fusion):
 def test_checkpoint_seed_outside_u64_rejected(seed, fusion):
     """The header holds init_seed as a u64: such a seed would load back changed."""
     dims = net.Dims(d_img=5, d_txt=7, d=4, code_length=37)
-    with pytest.raises(InvalidArgument, match=rf"^init_seed {seed} is outside \[0, 2\^64\)$"):
+    message = "must be >= 0, got -1" if seed < 0 else f"{seed} is outside [0, 2^64)"
+    with pytest.raises(InvalidArgument, match=f"^init_seed {re.escape(message)}$"):
         net.ModelParams(dims, seed, np.zeros(dims.param_count()), fusion)
 
 
@@ -513,6 +514,21 @@ def test_failed_write_keeps_the_old_target_and_leaves_no_temporary_file(tmp_path
         formats.save_codes(np.ones((3, 1), dtype=np.uint8), np.ones((3, 1)), 8, target)
     assert target.read_bytes() == old
     assert sorted(p.name for p in tmp_path.iterdir()) == ["x.cscd"]
+
+
+def test_an_interrupted_write_is_reraised_as_it_is_and_leaves_no_temporary_file(tmp_path,
+                                                                               monkeypatch):
+    target = tmp_path / "x.csv"
+    target.write_bytes(b"old")
+
+    def interrupted(self, target):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(Path, "replace", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        formats._atomic_write(target, b"new bytes")
+    assert target.read_bytes() == b"old"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv"]
 
 
 def test_new_weights_do_not_load_beside_a_stale_sidecar(tmp_path, monkeypatch):

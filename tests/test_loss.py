@@ -132,9 +132,9 @@ def test_total_loss_rejects_negative_lambda():
         L.total_loss(np.zeros((1, 2)), np.ones((1, 2)), lam=-0.1)
 
 
-@pytest.mark.parametrize("lam", [float("nan"), float("inf"), float("-inf"), -1.0])
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), float("-inf"), -1.0, "x"])
 def test_total_loss_rejects_non_finite_or_negative_lambda(lam):
-    with pytest.raises(InvalidArgument, match="lam"):
+    with pytest.raises(InvalidArgument, match="^lam must be "):
         L.total_loss(np.zeros((1, 2)), np.ones((1, 2)), lam=lam)
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -42,7 +43,8 @@ def test_init_rejects_a_seed_outside_u64_before_drawing(seed, monkeypatch):
         raise AssertionError("weights were drawn before the seed was checked")
 
     monkeypatch.setattr(np.random, "default_rng", no_draw)
-    with pytest.raises(InvalidArgument, match=rf"^init_seed {seed} is outside \[0, 2\^64\)$"):
+    message = "must be >= 0, got -1" if seed < 0 else f"{seed} is outside [0, 2^64)"
+    with pytest.raises(InvalidArgument, match=f"^init_seed {re.escape(message)}$"):
         net.init_params(SMALL, seed)
 
 
@@ -321,6 +323,9 @@ def test_binarize():
     assert net.binarize(np.ones((2, 3))).dtype == np.int8
     he = np.array([0.3, -0.7, 0.01, -0.001])
     assert (net.binarize(he) == net.binarize(0.5 * he)).all()
+    for bad in (np.nan, np.inf, -np.inf):  # a sign would make up a bit
+        with pytest.raises(InvalidArgument, match="^hash logits contain NaN/Inf$"):
+            net.binarize(np.array([0.5, bad]))
 
 
 def test_gate_values():

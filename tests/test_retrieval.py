@@ -157,6 +157,11 @@ def test_empty_index_rejected():
         R.RetrievalIndex(np.zeros((0, 2), dtype=np.uint8), np.zeros((0, 3)), 16)
 
 
+def test_index_rejects_codes_and_labels_of_different_lengths():
+    with pytest.raises(InvalidArgument, match=r"^codes \(3\) and labels \(2\) differ in length$"):
+        R.RetrievalIndex(np.zeros((3, 2), dtype=np.uint8), np.ones((2, 1)), 16)
+
+
 @pytest.mark.parametrize("k, width, message", [
     (9.0, 2, "must be an integer, got 9.0"),  # numpy's bare TypeError at the padding check
     (16.0, 2, "must be an integer, got 16.0"),  # was truncated to 16

@@ -452,6 +452,14 @@ def test_config_validation():
     ("batch_size", 2.5, "batch_size"),
     ("eval_every", 1.5, "eval_every"),
     ("seed", 1.5, "seed"),
+    ("adam_betas", (0.9, 0.999, 0.9), r"^adam_betas must be a pair, got \(0.9, 0.999, 0.9\)$"),
+    # each of these got past the old checks as a bare TypeError
+    ("learning_rate", "0.1", "^learning_rate must be a real number, got '0.1'$"),
+    ("dropout_p", "0.1", "^dropout_p must be a real number, got '0.1'$"),
+    ("lam", None, "^lam must be a real number, got None$"),
+    ("adam_betas", 0.9, "^adam_betas must be a pair, got 0.9$"),
+    ("adam_betas", ("a", 0.9), r"^adam_betas\[0\] must be a real number, got 'a'$"),
+    ("adam_betas", ((0.1, 0.2), 0.3), r"^adam_betas\[0\] must be a real number, got \(0.1, 0.2\)$"),
 ])
 def test_config_rejects_bad_numbers(field, value, name):
     with pytest.raises(InvalidArgument, match=name):
@@ -467,6 +475,11 @@ def test_config_rejects_a_negative_seed_and_keeps_a_large_one():
 
 def test_config_keeps_large_finite_learning_rate():
     assert trainer.TrainConfig(learning_rate=1e307).learning_rate == 1e307
+
+
+@pytest.mark.parametrize("betas", [[0.0, 0.5], np.array([0.9, 0.999]), (np.float32(0.5), 0)])
+def test_config_takes_any_pair_of_betas_as_given(betas):
+    assert trainer.TrainConfig(adam_betas=betas).adam_betas is betas
 
 
 def _tiny_dataset(seed=0, consistency=1.0):
