@@ -244,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--bits", type=int, required=True)
     c.add_argument("--seed", type=int, default=0)
     _file(c, "--out", "output", required=True)
-    c.set_defaults(func=cmd_centers)
 
     s = sub.add_parser("synth", help="generate a synthetic two-view dataset")
     s.add_argument("--classes", dest="num_classes", type=int, default=10)
@@ -259,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, default=spec.seed)
     _file(s, "--out-dir", "output", required=True, writes=lambda out_dir: [Path(out_dir) / name
           for name in ("image_features.csft", "text_features.csft", "labels.cslb", "splits.json")])
-    s.set_defaults(func=cmd_synth)
 
     t = sub.add_parser("train", help="train the fusion head (CSMV checkpoint)")
     for flag in ("--image-features", "--text-features", "--labels", "--splits", "--centers"):
@@ -286,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="force the fusion gate to 0 (text view only)")
     ab.add_argument("--concat-fusion", dest="fusion", action="store_const", const="concat",
                     help="replace gated fusion with concatenation + linear map")
-    t.set_defaults(func=cmd_train, fusion=cfg.fusion, loss_mode=cfg.loss_mode)
+    t.set_defaults(fusion=cfg.fusion, loss_mode=cfg.loss_mode)
 
     e = sub.add_parser("encode", help="binarize a dataset with a checkpoint (CSCD file)")
     for flag in ("--checkpoint", "--image-features", "--text-features", "--labels"):
@@ -294,34 +292,23 @@ def build_parser() -> argparse.ArgumentParser:
     _file(e, "--splits", "input", help="splits.json to subset by --split")
     e.add_argument("--split", choices=SPLITS)
     _file(e, "--out", "output", required=True)
-    e.set_defaults(func=cmd_encode)
 
     i = sub.add_parser("index", help="inspect a CSCD code file")
     _file(i, "--codes", "input", required=True)
-    i.set_defaults(func=cmd_index)
 
-    q = sub.add_parser("query", help="top-k Hamming search, CSV output")
-    _file(q, "--codes", "input", required=True)
-    _file(q, "--queries", "input", required=True)
-    q.add_argument("--k", type=int, default=10)
-    _file(q, "--out", "output", required=True)
-    q.set_defaults(func=cmd_query)
-
-    ev = sub.add_parser("eval", help="mAP of a query set against an index, CSV output")
-    _file(ev, "--codes", "input", required=True)
-    _file(ev, "--queries", "input", required=True)
-    ev.add_argument("--r-cap", type=int, default=0, help="AP rank cap (0 = full R)")
-    _file(ev, "--out", "output", required=True)
-    ev.set_defaults(func=cmd_eval)
-
-    cv = sub.add_parser("curves", help="mAP@k / Recall@k over a k grid, CSV output")
-    _file(cv, "--codes", "input", required=True)
-    _file(cv, "--queries", "input", required=True)
-    cv.add_argument("--k-grid", type=int, nargs="+", required=True)
-    _file(cv, "--out", "output", required=True)
-    cv.set_defaults(func=cmd_curves)
-    for sp in sub.choices.values():  # _argv reads the subcommand's own actions
-        sp.set_defaults(parser=sp)
+    for name, summary, flag, kwargs in (  # the retrieval stages: an index and a query set
+            ("query", "top-k Hamming search, CSV output", "--k", {"default": 10}),
+            ("eval", "mAP of a query set against an index, CSV output", "--r-cap",
+             {"default": 0, "help": "AP rank cap (0 = full R)"}),
+            ("curves", "mAP@k / Recall@k over a k grid, CSV output", "--k-grid",
+             {"nargs": "+", "required": True})):
+        r = sub.add_parser(name, help=summary)
+        _file(r, "--codes", "input", required=True)
+        _file(r, "--queries", "input", required=True)
+        r.add_argument(flag, type=int, **kwargs)
+        _file(r, "--out", "output", required=True)
+    for name, sp in sub.choices.items():  # stage <name> runs cmd_<name>; _argv reads sp's actions
+        sp.set_defaults(func=globals()[f"cmd_{name}"], parser=sp)
     return p
 
 

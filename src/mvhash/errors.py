@@ -48,7 +48,10 @@ def real(value, name: str, interval: str) -> float:
     """`value` as a float in `interval`, written as printed ("[0, 1)"), or InvalidArgument."""
     if not isinstance(value, numbers.Real):
         raise InvalidArgument(f"{name} must be a real number, got {value!r}")
-    x, (lo, hi) = float(value), map(float, interval[1:-1].split(","))
+    try:
+        x, (lo, hi) = float(value), map(float, interval[1:-1].split(","))
+    except OverflowError:  # an int or a fraction beyond the float range
+        raise InvalidArgument(f"{name} is outside the float range") from None
     if not (lo < x < hi or x == lo and interval[0] == "[" or x == hi and interval[-1] == "]"):
         raise InvalidArgument(f"{name} must be in {interval}, got {x}")
     return x

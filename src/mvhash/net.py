@@ -15,7 +15,7 @@ forces z = 0, "concat" replaces the gate with a plain linear map h_f = [x_i, x_t
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,9 +124,9 @@ def init_params(dims: Dims, seed: int, fusion: str = "gmu") -> ModelParams:
 
 @dataclass
 class ForwardCache:
-    """Intermediates of one forward call, consumed by backward()."""
+    """Intermediates of one forward call, and the params it ran, consumed by backward()."""
 
-    fusion: str
+    params: ModelParams
     img: np.ndarray
     txt: np.ndarray
     mask_i: np.ndarray | None  # inverted-dropout multipliers (0 or 1/(1-p))
@@ -138,7 +138,6 @@ class ForwardCache:
     z: np.ndarray
     h_f: np.ndarray
     he: np.ndarray
-    dims: Dims = field(repr=False, default=None)
 
 
 def _as_batch(x, dim, what):
@@ -189,8 +188,8 @@ def forward(
 
     he = np.tanh(h_f @ params.W_hash.T + params.b_hash)
     cache = ForwardCache(
-        fusion=fusion, img=img, txt=txt, mask_i=mask_i, mask_t=mask_t,
-        x_i=x_i, x_t=x_t, h_i=h_i, h_t=h_t, z=z, h_f=h_f, he=he, dims=dims,
+        params=params, img=img, txt=txt, mask_i=mask_i, mask_t=mask_t,
+        x_i=x_i, x_t=x_t, h_i=h_i, h_t=h_t, z=z, h_f=h_f, he=he,
     )
     return he, cache
 
@@ -202,16 +201,10 @@ def _through_tanh(g_h, h, x, W, gW):
     return g_p @ W
 
 
-def backward(
-    params: ModelParams, cache: ForwardCache, grad_he: np.ndarray
-) -> np.ndarray:
-    """Exact gradient of sum(grad_he * he) w.r.t. every parameter, as one
-    float64 vector laid out like params.flat; block_views names its blocks."""
-    if cache.dims != params.dims:
-        raise InvalidArgument("cache was produced under different dims")
-    if cache.fusion != params.fusion:
-        raise InvalidArgument(f"cache was produced under fusion {cache.fusion!r}, "
-                              f"params run {params.fusion!r}")
+def backward(cache: ForwardCache, grad_he: np.ndarray) -> np.ndarray:
+    """Exact gradient of sum(grad_he * he) w.r.t. every parameter of cache.params, as
+    one float64 vector laid out like its flat; block_views names its blocks."""
+    params = cache.params
     g_he = np.asarray(grad_he, dtype=np.float64)
     if g_he.shape != cache.he.shape:
         raise ShapeMismatch(f"grad_he shape {g_he.shape} != he shape {cache.he.shape}")
@@ -226,7 +219,7 @@ def backward(
 
     tower_i = (cache.h_i, cache.x_i, params.W_i, g["W_i"])
     tower_t = (cache.h_t, cache.x_t, params.W_t, g["W_t"])
-    if cache.fusion == "concat":
+    if params.fusion == "concat":
         hc = np.concatenate([cache.h_i, cache.h_t], axis=1)
         np.matmul(g_hf.T, hc, out=g["W_z"])
         g_xi = _through_tanh(g_hf @ params.W_z[:, :d], *tower_i)

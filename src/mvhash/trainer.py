@@ -2,7 +2,7 @@
 
 import csv
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -186,12 +186,13 @@ def train(
     targets = semantic_centers_for(labels, centers, seed=config.seed)
 
     report = TrainReport()
-    _log_row(log_csv_path, ["epoch", "l_central", "l_quant", "l_total", "test_map"], "w")
+    columns = [f.name for f in fields(loss_mod.LossReport)]  # summed per epoch, then logged
+    _log_row(log_csv_path, ["epoch", *columns, "test_map"], "w")
     step = 0
     for epoch in range(1, config.epochs + 1):
         t0 = time.perf_counter()
         order = rng.permutation(n)
-        sums = {"l_central": 0.0, "l_quant": 0.0, "l_total": 0.0}
+        sums = dict.fromkeys(columns, 0.0)
         seen = 0
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
@@ -207,7 +208,7 @@ def train(
             )
             if not np.isfinite(batch_report.l_total):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}")
-            grad = net.backward(params, cache, grad_he)
+            grad = net.backward(cache, grad_he)
             step += 1
             adam_step(params, grad, state, step, config)
             try:
@@ -227,9 +228,7 @@ def train(
             report.eval_epochs.append(epoch)
             report.eval_maps.append(m)
             test_map = f"{m:.6f}"
-        _log_row(log_csv_path, [epoch, f"{epoch_report.l_central:.6f}",
-                                f"{epoch_report.l_quant:.6f}",
-                                f"{epoch_report.l_total:.6f}", test_map])
+        _log_row(log_csv_path, [epoch, *(f"{sums[c] / seen:.6f}" for c in columns), test_map])
 
     report.params = params
     return report

@@ -152,7 +152,7 @@ def seed_backward(params, cache, grad_he):
         gW_t = g_p.T @ cache.x_t
         g_xt += g_p @ params.W_t
 
-    if cache.fusion == "gmu":
+    if params.fusion == "gmu":
         g_z = g_hf * (cache.h_i - cache.h_t)
         g_u = g_z * cache.z * (1.0 - cache.z)
         xc = np.concatenate([cache.x_i, cache.x_t], axis=1)
@@ -161,9 +161,9 @@ def seed_backward(params, cache, grad_he):
         g_xt += g_u @ params.W_z[:, d:]
         through_hi(g_hf * cache.z)
         through_ht(g_hf * (1.0 - cache.z))
-    elif cache.fusion == "image":
+    elif params.fusion == "image":
         through_hi(g_hf)
-    elif cache.fusion == "text":
+    elif params.fusion == "text":
         through_ht(g_hf)
     else:
         hc = np.concatenate([cache.h_i, cache.h_t], axis=1)

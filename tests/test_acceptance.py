@@ -184,7 +184,7 @@ def test_criterion_03_gradients():
 
         he, cache = forward(params, xi, xt)
         _, grad_he = total_loss(he, targets, lam)
-        analytic = block_views(backward(params, cache, grad_he), dims)
+        analytic = block_views(backward(cache, grad_he), dims)
         for name in CHECKPOINT_BLOCKS:  # each block is a view of params.flat
             fd = central_difference(
                 lambda _: _end_to_end_loss(params, xi, xt, targets, lam),

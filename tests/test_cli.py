@@ -649,10 +649,15 @@ def test_manifest_inputs_and_outputs_are_pinned(pipeline, tmp_path):
 
     pair = {"codes": str(pipeline / "retrieval.cscd"), "queries": str(pipeline / "query.cscd")}
     codes_args = ["--codes", pair["codes"], "--queries", pair["queries"]]
-    for stage, extra in [("query", ["--k", "3"]), ("eval", []), ("curves", ["--k-grid", "1", "5"])]:
+    # the three retrieval stages share one declaration, so each argv is pinned whole
+    for stage, extra, flag in [("query", ["--k", "3"], ["--k=3"]), ("eval", [], ["--r-cap=0"]),
+                               ("curves", ["--k-grid", "1", "5"], ["--k-grid", "1", "5"])]:
         out = str(tmp_path / f"{stage}.csv")
         assert run(stage, *codes_args, *extra, "--out", out) == 0
         assert _manifest_io(out) == (pair, {"out": out})
+        argv = json.loads(Path(out + ".manifest.json").read_text())["argv"]
+        assert argv == [stage, f"--codes={pair['codes']}", f"--queries={pair['queries']}",
+                        *flag, f"--out={out}"]
 
     before = {p: p.read_bytes() for p in tmp_path.iterdir()}
     assert run("index", "--codes", everything) == 0  # index writes no manifest

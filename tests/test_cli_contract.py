@@ -9,6 +9,7 @@ import errno
 import json
 import os
 import re
+from pathlib import Path
 
 import pytest
 
@@ -29,7 +30,8 @@ def _swap(argv, old, new):
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """Absolute paths of one small dataset, its centers, a checkpoint and code files."""
+    """Absolute paths of one small dataset, its centers, a checkpoint and code files, and of
+    faulty copies of four of them: two of wrong magic, two cut to half their bytes."""
     root = tmp_path_factory.mktemp("inputs")
     paths = {"img": root / "d" / "image_features.csft", "txt": root / "d" / "text_features.csft",
              "lab": root / "d" / "labels.cslb", "spl": root / "d" / "splits.json",
@@ -43,6 +45,13 @@ def inputs(tmp_path_factory):
                  [*ENCODE, "--splits", "{spl}", "--split", "retrieval", "--out", "{ret}"],
                  [*ENCODE, "--splits", "{spl}", "--split", "query", "--out", "{qry}"]):
         assert cli.run([a.format(**paths) for a in argv]) == 0
+    # beside the inputs, so that a failed run's directory stays empty
+    for key, source, fault in (("magic_cshc", "cshc", "magic"), ("half_csmv", "csmv", "half"),
+                               ("magic_ret", "ret", "magic"), ("half_qry", "qry", "half")):
+        data = Path(paths[source]).read_bytes()
+        paths[key] = str(root / f"{key}.bad")
+        Path(paths[key]).write_bytes(
+            b"XXXX" + data[4:] if fault == "magic" else data[:len(data) // 2])
     return paths
 
 
@@ -109,6 +118,15 @@ def test_a_stage_writes_exactly_the_files_its_manifest_lists(inputs, tmp_path, m
     ([*TRAIN, "--out", "m4.csmv"], "m4.csmv.manifest.json: cannot write", ()),
     (["centers", "--classes", "4", "--bits", "8", "--out", "c6.cshc"],
      "c6.cshc.manifest.json: cannot write", ()),
+    # an input of the wrong magic, or cut short
+    (_swap(TRAIN, "{cshc}", "{magic_cshc}") + ["--out", "m.csmv"],
+     "{magic_cshc}: bad magic b'XXXX', expected b'CSHC'", ()),
+    ([*_swap(ENCODE, "{csmv}", "{half_csmv}"), "--out", "r.cscd"],
+     "{half_csmv}: truncated reading parameters at byte offset 36", ()),
+    (["query", "--codes", "{magic_ret}", "--queries", "{qry}", "--out", "top.csv"],
+     "{magic_ret}: bad magic b'XXXX', expected b'CSCD'", ()),
+    (["eval", "--codes", "{ret}", "--queries", "{half_qry}", "--out", "map.csv"],
+     "{half_qry}: truncated reading code_length at byte offset 12", ()),
     # the one exception: the log keeps the rows of the epochs that finished
     ([*TRAIN, "--out", "nodir/m.csmv", "--log-csv", "log.csv"], "nodir/m.csmv: cannot write",
      ("log.csv",)),
@@ -116,7 +134,8 @@ def test_a_stage_writes_exactly_the_files_its_manifest_lists(inputs, tmp_path, m
         "out-no-parent", "out-under-file", "checkpoint-under-file", "csv-no-parent",
         "csv-under-file", "out-is-dir", "out-dir-is-file", "out-dir-under-file", "bits-u32",
         "classes-u32", "hidden-dim-u32", "sidecar-is-dir", "train-manifest-is-dir",
-        "centers-manifest-is-dir", "log-csv-rows"])
+        "centers-manifest-is-dir", "magic-centers", "half-checkpoint", "magic-codes",
+        "half-queries", "log-csv-rows"])
 def test_a_failed_stage_exits_one_naming_the_fault_and_leaves_no_file(
         inputs, tmp_path, monkeypatch, capsys, argv, named, left):
     monkeypatch.chdir(tmp_path)

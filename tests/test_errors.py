@@ -29,6 +29,9 @@ def test_real_returns_a_float_inside_the_interval(value, interval, want):
     (None, "(0, inf)", "x must be a real number, got None"),
     (1j, "(0, inf)", "x must be a real number, got 1j"),
     ([0.5], "(0, inf)", "x must be a real number, got [0.5]"),
+    # float() would raise a bare OverflowError
+    pytest.param(10**400, "[0, inf)", "x is outside the float range", id="10**400"),
+    pytest.param(-10**400, "[0, inf)", "x is outside the float range", id="-10**400"),
 ])
 def test_real_names_the_argument_and_its_interval(value, interval, message):
     with pytest.raises(InvalidArgument) as exc:

@@ -460,6 +460,8 @@ def test_config_validation():
     ("adam_betas", 0.9, "^adam_betas must be a pair, got 0.9$"),
     ("adam_betas", ("a", 0.9), r"^adam_betas\[0\] must be a real number, got 'a'$"),
     ("adam_betas", ((0.1, 0.2), 0.3), r"^adam_betas\[0\] must be a real number, got \(0.1, 0.2\)$"),
+    # float() would raise a bare OverflowError
+    pytest.param("lam", 10**400, "^lam is outside the float range$", id="lam-10**400"),
 ])
 def test_config_rejects_bad_numbers(field, value, name):
     with pytest.raises(InvalidArgument, match=name):
