@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__, centers as centers_mod, formats, retrieval, trainer
 from .data import SPLITS, MultiViewDataset, SynthSpec, make_synthetic
-from .errors import FormatError, InvalidArgument, ShapeMismatch
+from .errors import FormatError, InvalidArgument, ShapeMismatch, in_file, integer
 
 
 def _argv(args):
@@ -95,10 +95,8 @@ def cmd_centers(args):
 
 def cmd_synth(args):
     ds = make_synthetic(_from_flags(SynthSpec, args))
-    try:
+    with in_file(args.out_dir, "write"):  # a file, or under one
         Path(args.out_dir).mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # a file, or under one
-        raise FormatError(f"{args.out_dir}: cannot write: {exc.strerror}") from exc
     img, txt, labels, splits_path = _written(args)["out_dir"]
     formats.save_features(ds.image_features, img)
     formats.save_features(ds.text_features, txt)
@@ -174,8 +172,8 @@ def cmd_encode(args):
 
 
 def _load_index(path):
-    packed, labels, k = formats.load_codes(path)
-    return retrieval.RetrievalIndex(packed, labels, k)
+    with in_file(path):  # an empty index names its file
+        return retrieval.RetrievalIndex(*formats.load_codes(path))
 
 
 def _load_index_and_queries(args):
@@ -212,7 +210,7 @@ def cmd_query(args):
 
 def cmd_eval(args):
     index, q_codes, q_labels = _load_index_and_queries(args)
-    r_cap = args.r_cap or index.size
+    r_cap = integer(args.r_cap, "r_cap", 0) or index.size  # 0 means full R
     value = retrieval.mean_average_precision(q_codes, q_labels, index, r_cap)
     _write_csv(args.out, ["num_queries", "retrieval_size", "code_length", "r_cap", "map"],
                [(q_codes.shape[0], index.size, index.code_length, r_cap, value)])

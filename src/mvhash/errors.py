@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and its numeric argument checks: `integer`, `real`."""
+"""Exception types shared across the package, the numeric checks `integer` and `real`, `in_file`."""
 
+import contextlib
 import numbers
 import operator
 
@@ -26,6 +27,18 @@ class FormatError(RuntimeError):
 
 class DivergenceError(RuntimeError):
     """Training produced a non-finite loss or gradient."""
+
+
+@contextlib.contextmanager
+def in_file(path, doing: str = "read"):
+    """Inside it, an OSError becomes FormatError("<path>: cannot <doing>: <strerror>") and an
+    InvalidArgument, a bad value the file holds, FormatError("<path>: <message>")."""
+    try:
+        yield
+    except OSError as exc:  # missing, a directory, not permitted
+        raise FormatError(f"{path}: cannot {doing}: {exc.strerror}") from exc
+    except InvalidArgument as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def integer(value, name: str, least: int, below: int | None = None) -> int:

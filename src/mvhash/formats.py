@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import centers as centers_mod
-from .errors import FormatError, InvalidArgument, ShapeMismatch, integer
+from .errors import FormatError, InvalidArgument, ShapeMismatch, in_file, integer
 from .net import Dims, ModelParams, first_non_finite
 from .retrieval import (check_code_rows, pack_bits, pack_codes, padding_bits_set, unpack_bits,
                         unpack_codes)
@@ -47,10 +47,8 @@ class _Reader:
 
     def __init__(self, path, magic):
         self.path = Path(path)
-        try:
+        with in_file(self.path):
             self.buf = self.path.read_bytes()
-        except OSError as exc:  # missing, a directory, not permitted
-            raise FormatError(f"{self.path}: cannot read: {exc.strerror}") from exc
         self.pos = 0
         got = self.take(4, "magic")
         if got != magic:
@@ -99,9 +97,8 @@ class _Reader:
 
 def load_json_object(path) -> dict:
     try:
-        obj = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise FormatError(f"{path}: cannot read: {exc.strerror}") from exc
+        with in_file(path):
+            obj = json.loads(Path(path).read_text())
     except ValueError as exc:  # undecodable bytes or JSON
         raise FormatError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
@@ -112,15 +109,14 @@ def load_json_object(path) -> dict:
 def _atomic_write(path, data: bytes):
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_bytes(data)
-        tmp.replace(path)
-    except BaseException as exc:  # a partial write must not outlive the failure
-        with contextlib.suppress(FileNotFoundError, NotADirectoryError):  # no temporary was made
-            tmp.unlink()
-        if isinstance(exc, OSError):  # no such directory, a directory, not permitted
-            raise FormatError(f"{path}: cannot write: {exc.strerror}") from exc
-        raise
+    with in_file(path, "write"):
+        try:
+            tmp.write_bytes(data)
+            tmp.replace(path)
+        except BaseException:  # a partial write must not outlive the failure
+            with contextlib.suppress(FileNotFoundError, NotADirectoryError):  # no temporary made
+                tmp.unlink()
+            raise
 
 
 # ---- CSHC: hash centers ----
@@ -136,10 +132,8 @@ def load_centers(path) -> centers_mod.HashCenterSet:
     v, k, seed, tag = r.head
     packed = r.packed_rows(v, k, "packed centers")
     r.done()
-    try:  # V = 0 or K = 0 fails closed, as the Dims of a checkpoint do
+    with in_file(r.path):  # V = 0 or K = 0 fails closed, as the Dims of a checkpoint do
         cset = centers_mod.HashCenterSet(unpack_codes(packed, k), seed)
-    except InvalidArgument as exc:
-        raise FormatError(f"{r.path}: {exc}") from exc
     if tag != (want := centers_mod.METHODS.index(cset.method)):
         raise FormatError(f"{r.path}: method tag {tag}, but V={v} K={k} make tag {want}")
     return cset
@@ -238,10 +232,8 @@ def load_checkpoint(path) -> ModelParams:
     d_img, d_txt, d, k, views, seed = r.head
     if views != 2:  # the fusion equations are written for two views
         raise FormatError(f"{r.path}: num_views must be 2, got {views}")
-    try:
+    with in_file(r.path):
         dims = Dims(d_img=d_img, d_txt=d_txt, d=d, code_length=k)
-    except InvalidArgument as exc:
-        raise FormatError(f"{r.path}: {exc}") from exc
     body = r.pos
     flat = r.array("<f8", dims.param_count(), "parameters")
     r.done()
@@ -256,7 +248,5 @@ def load_checkpoint(path) -> ModelParams:
     got, digest = meta.get("csmv_sha256"), hashlib.sha256(r.buf).hexdigest()
     if got != digest:  # the digest covers the header's dims and init_seed
         raise FormatError(f"{side}: csmv_sha256 {got!r} does not match the .csmv's {digest!r}")
-    try:
+    with in_file(side):
         return ModelParams(dims, seed, flat, meta.get("fusion"))
-    except InvalidArgument as exc:
-        raise FormatError(f"{side}: {exc}") from exc

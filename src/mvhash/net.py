@@ -74,20 +74,10 @@ def first_non_finite(flat: np.ndarray, dims: Dims) -> tuple[str, int] | None:
 
 
 class ModelParams:
-    """Every parameter in one contiguous float64 vector, `flat`, laid out in
-    `Dims.param_shapes()` order (the .csmv body). Each named block is a reshaped view
-    of it, so writing a block writes `flat`; rebinding a block attribute
-    would break that. `fusion` is the FUSION_MODES entry that forward runs."""
-
-    W_vnorm: np.ndarray
-    b_vnorm: np.ndarray
-    W_tnorm: np.ndarray
-    b_tnorm: np.ndarray
-    W_i: np.ndarray
-    W_t: np.ndarray
-    W_z: np.ndarray
-    W_hash: np.ndarray
-    b_hash: np.ndarray
+    """Every parameter in one contiguous float64 vector, `flat`, in `Dims.param_shapes()`
+    order (the .csmv body). Each block is an attribute named as in `param_shapes()`, a
+    reshaped view of `flat`: writing a block writes `flat`, and rebinding one would break
+    that. `fusion` is the FUSION_MODES entry that forward runs."""
 
     def __init__(self, dims: Dims, init_seed: int, flat: np.ndarray, fusion: str = "gmu"):
         if fusion not in FUSION_MODES:

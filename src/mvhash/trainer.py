@@ -10,7 +10,7 @@ from . import loss as loss_mod
 from . import net, retrieval, workers
 from .centers import HashCenterSet, semantic_centers_for
 from .data import SPLITS, MultiViewDataset
-from .errors import DivergenceError, FormatError, InvalidArgument, ShapeMismatch, integer, real
+from .errors import DivergenceError, InvalidArgument, ShapeMismatch, in_file, integer, real
 
 DEFAULT_HIDDEN_DIM = 84  # width d of each view's tanh tower
 
@@ -148,11 +148,8 @@ def encode(params, image_feats, text_feats) -> np.ndarray:
 def _log_row(path, row, mode="a"):
     """Write one CSV log row and close the file: a run that diverges keeps its finished epochs."""
     if path is not None:
-        try:
-            with open(path, mode, newline="") as fh:
-                csv.writer(fh).writerow(row)
-        except OSError as exc:  # no such directory, a directory, not permitted
-            raise FormatError(f"{path}: cannot write: {exc.strerror}") from exc
+        with in_file(path, "write"), open(path, mode, newline="") as fh:
+            csv.writer(fh).writerow(row)
 
 
 @workers.one_blas_thread()  # one BLAS thread: the same bytes whatever the thread count

@@ -1,7 +1,10 @@
+import errno
+import os
+
 import numpy as np
 import pytest
 
-from mvhash.errors import InvalidArgument, real
+from mvhash.errors import FormatError, InvalidArgument, ShapeMismatch, in_file, real
 
 
 @pytest.mark.parametrize("value, interval, want", [
@@ -38,3 +41,34 @@ def test_real_names_the_argument_and_its_interval(value, interval, message):
         real(value, "x", interval)
     assert str(exc.value) == message
 
+
+
+@pytest.mark.parametrize("doing", ["read", "write"])
+def test_in_file_names_the_path_and_the_verb_of_an_os_error(doing):
+    fault = FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), "x.tmp")
+    with pytest.raises(FormatError) as exc, in_file("d/x.cscd", doing):
+        raise fault
+    assert str(exc.value) == f"d/x.cscd: cannot {doing}: {os.strerror(errno.ENOENT)}"
+    assert exc.value.__cause__ is fault
+
+
+@pytest.mark.parametrize("fault", [InvalidArgument("index is empty"),
+                                   ShapeMismatch("index is empty")], ids=["invalid", "shape"])
+def test_in_file_names_the_path_of_a_bad_value_it_holds(fault):
+    with pytest.raises(FormatError) as exc, in_file("c.cshc"):
+        raise fault
+    assert str(exc.value) == "c.cshc: index is empty" and exc.value.__cause__ is fault
+
+
+@pytest.mark.parametrize("fault", [FormatError("c.cshc: bad magic"), KeyboardInterrupt(),
+                                   TypeError("not a path")], ids=["format", "interrupt", "type"])
+def test_in_file_passes_every_other_exception_through(fault):
+    with pytest.raises(type(fault)) as exc, in_file("c.cshc"):
+        raise fault
+    assert exc.value is fault and exc.value.__cause__ is None
+
+
+def test_in_file_leaves_a_block_that_raises_nothing_alone():
+    with in_file("c.cshc") as value:
+        done = True
+    assert value is None and done
